@@ -2,7 +2,7 @@
 information-disclosure channel, job-insecurity dynamics, and determinacy
 analysis of its order-nine state-space form."""
 
-from .coeffs import CoeffBlock, ReducedForm, compute_all, steady_state
+from .coeffs import ReducedForm, compute_all, steady_state
 from .oracle import (AnsatzInconsistent, ErrataReport, ResidualReport,
                      SingularSystem, compare, residuals, solve_undetermined)
 from .params import (DEFAULTS, EPS_SING, InvalidParams, StructuralParams,

@@ -63,6 +63,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be > 0")
+    return value
+
+
 def _nonnegative(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -144,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_opts(sp, ("json",))
     sp.add_argument("--n-pre", type=int, choices=range(10), default=None,
                     help="predetermined-variable count; omit for all 0..9")
-    sp.add_argument("--tol", type=float, default=1e-8,
+    sp.add_argument("--tol", type=_positive_float, default=1e-8,
                     help="borderline tolerance on |modulus - 1|")
 
     sp = sub.add_parser("sweep", help="determinacy verdicts over a 2-D grid")
@@ -153,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--axis1", required=True, metavar="NAME:LO:HI:N")
     sp.add_argument("--axis2", required=True, metavar="NAME:LO:HI:N")
     sp.add_argument("--n-pre", type=int, choices=range(10), default=9)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=_positive_float, default=1e-8)
     sp.add_argument("--workers", type=_positive, default=1)
 
     sp = sub.add_parser("audit",
@@ -163,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_opts(sp, ("json",))
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--T", type=_positive, default=2000)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=_positive_float, default=1e-6)
     sp.add_argument("--draws", type=_nonnegative, default=0,
                     help="also run a stability check over this many random "
                          "parameterizations")
@@ -178,9 +185,12 @@ def _parse_axis(text: str, parser) -> tuple[str, float, float, int]:
         parser.error(f"axis must be NAME:LO:HI:N, got {text!r}")
     name, lo, hi, n = parts
     try:
-        return name, float(lo), float(hi), int(n)
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         parser.error(f"axis bounds/count malformed in {text!r}")
+    if n < 1:
+        parser.error(f"axis count must be >= 1 in {text!r}")
+    return name, lo, hi, n
 
 
 def cmd_coeffs(args, parser) -> int:
@@ -196,14 +206,10 @@ def cmd_coeffs(args, parser) -> int:
     return 0
 
 
-def _draw_with_burn(p, seed: int, T: int, burn: int):
-    path = shocks.draw(p, seed, T + burn)
-    return path, burn
-
-
 def cmd_shocks(args, parser) -> int:
     p = _load_params(args, parser)
-    path, burn = _draw_with_burn(p, args.seed, args.T, args.burn)
+    burn = args.burn
+    path = shocks.draw(p, args.seed, args.T + burn)
     sig = shocks.signal(path, transparent=args.transparent)
     cols = ["t", "omega", "eta", "L", "lambda", "xi", "v", "sigma_cp",
             "T_natu", "Xi", "chi", "mu", "ybar", "g", "tax", "eps", "ubar",
@@ -223,7 +229,8 @@ def cmd_shocks(args, parser) -> int:
 def cmd_simulate(args, parser) -> int:
     p = _load_params(args, parser)
     rf = coeffs.compute_all(p)
-    path, burn = _draw_with_burn(p, args.seed, args.T, args.burn)
+    burn = args.burn
+    path = shocks.draw(p, args.seed, args.T + burn)
     ep = sim.simulate(rf, path, budget_mode=args.budget)
     cols = ["t"] + list(sim.SERIES) + ["fe"]
     rows = []
@@ -331,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args, parser)
     except (InvalidParams, BudgetModeConflict, UnknownParameter,
-            shocks.UnknownShockKind) as err:
+            shocks.UnknownShockKind, OSError, json.JSONDecodeError) as err:
         print(f"nkji: invalid input: {err}", file=sys.stderr)
         return 2
     except (oracle.SingularSystem, oracle.AnsatzInconsistent,

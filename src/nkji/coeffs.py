@@ -27,19 +27,6 @@ from .params import StructuralParams
 from .slots import NSLOT, Vec
 
 
-@dataclass(frozen=True)
-class CoeffBlock:
-    """Ordered coefficients for one variable, indexed 0..N per its index set."""
-
-    values: tuple[float, ...]
-
-    def __getitem__(self, idx: int) -> float:
-        return self.values[idx]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 @dataclass(frozen=True, eq=False)
 class ReducedForm:
     """Complete coefficient set plus the shared denominators, kept for
@@ -56,10 +43,6 @@ class ReducedForm:
     def block(self, var: str) -> Vec:
         """Internal length-16 slot vector for ``var`` (read-only)."""
         return self.slot_blocks[var]
-
-    def coeff(self, var: str) -> CoeffBlock:
-        indexed = slots.to_indexed(var, self.slot_blocks[var])
-        return CoeffBlock(tuple(indexed[i] for i in sorted(indexed)))
 
     def as_table(self) -> dict[str, dict[int, float]]:
         """{variable: {exported index: value}} over all eleven blocks."""
@@ -99,7 +82,9 @@ def _chain_expectation(vec: Vec, p: StructuralParams) -> Vec:
     return out
 
 
-def _interest_and_output(p: StructuralParams) -> tuple[Vec, Vec]:
+def _primitive_blocks(p: StructuralParams) -> tuple[Vec, Vec, Vec, Vec]:
+    """Interest-rate, output, consumption and investment blocks over the
+    shared denominators ``D`` (and ``sD == s1*D``)."""
     sg = p.sigma
     c0, c1, c3, c4 = p.c0, p.c1, p.c3, p.c4
     s0, s1, s2, s3, s4 = p.s0, p.s1, p.s2, p.s3, p.s4
@@ -112,6 +97,7 @@ def _interest_and_output(p: StructuralParams) -> tuple[Vec, Vec]:
     G = c1 * (g3 - s3) - c3 * s1 + g3 * s1 - s1
     H = c1 * (g4 - s4) + s1 * c4 + s1 * g4
     P = (c1 - s1) * (g5 - f2)
+    sD = s1**2 - sg * s1 * M   # == s1 * D
 
     r = np.zeros(NSLOT)
     r[0] = sg * (s0 * c1 - c0 * s1) / D
@@ -142,23 +128,6 @@ def _interest_and_output(p: StructuralParams) -> tuple[Vec, Vec]:
         / (s1**2 - s1 * sg * M)
     y[9] = -f1 * (c1 - s1) / D
     y[10] = -f3 * (c1 - s1) / D
-    return r, y
-
-
-def _consumption(p: StructuralParams) -> Vec:
-    sg = p.sigma
-    c0, c1, c3, c4 = p.c0, p.c1, p.c3, p.c4
-    s0, s1, s2, s3, s4 = p.s0, p.s1, p.s2, p.s3, p.s4
-    g1, g2, g3, g4, g5 = p.gamma1, p.gamma2, p.gamma3, p.gamma4, p.gamma5
-    f1, f2, f3 = p.phi1, p.phi2, p.phi3
-    rho, rg, rt, rx = p.rho_ybar, p.rho_g, p.rho_tax, p.rho_chi
-
-    M = c1 * (g2 + s2) + g2 * s1
-    D = s1 - sg * M
-    G = c1 * (g3 - s3) - c3 * s1 + g3 * s1 - s1
-    H = c1 * (g4 - s4) + s1 * c4 + s1 * g4
-    P = (c1 - s1) * (g5 - f2)
-    sD = s1**2 - sg * s1 * M   # == s1 * D
 
     c = np.zeros(NSLOT)
     c[0] = (s0 * s1 * c1 - s0 * c1**2 * sg * s2 - s0 * sg * g2 * s1
@@ -181,22 +150,6 @@ def _consumption(p: StructuralParams) -> Vec:
             + (c1 * g5 - f2 * (c1 - s1)) * D) / sD
     c[9] = (sg * f1 * c1 * (g2 + s2) * (c1 - s1) + f1 * (c1 - s1) * D) / sD
     c[10] = (sg * f3 * c1 * (g2 + s2) * (c1 - s1) + f3 * (c1 - s1) * D) / sD
-    return c
-
-
-def _investment(p: StructuralParams) -> Vec:
-    sg = p.sigma
-    c0, c1 = p.c0, p.c1
-    s0, s1, s2, s3, s4 = p.s0, p.s1, p.s2, p.s3, p.s4
-    g1, g2, g3, g4, g5 = p.gamma1, p.gamma2, p.gamma3, p.gamma4, p.gamma5
-    f1, f2, f3 = p.phi1, p.phi2, p.phi3
-    rho, rg, rt, rx = p.rho_ybar, p.rho_g, p.rho_tax, p.rho_chi
-
-    M = c1 * (g2 + s2) + g2 * s1
-    D = s1 - sg * M
-    G = c1 * (g3 - s3) - p.c3 * s1 + g3 * s1 - s1
-    H = c1 * (g4 - s4) + s1 * p.c4 + s1 * g4
-    P = (c1 - s1) * (g5 - f2)
 
     I = np.zeros(NSLOT)
     I[0] = sg * g2 * (s0 * c1 - c0 * s1) / D
@@ -210,7 +163,7 @@ def _investment(p: StructuralParams) -> Vec:
     I[8] = (sg * g2 * P + g5 * D) / D
     I[9] = sg * g2 * f1 * (c1 - s1) / D
     I[10] = sg * g2 * f3 * (c1 - s1) / D
-    return I
+    return r, y, c, I
 
 
 def compute_all(p: StructuralParams) -> ReducedForm:
@@ -221,9 +174,7 @@ def compute_all(p: StructuralParams) -> ReducedForm:
     from expected inflation, the policy rule, the output-unemployment link)
     hold to machine precision by construction.
     """
-    r, y = _interest_and_output(p)
-    c = _consumption(p)
-    inv = _investment(p)
+    r, y, c, inv = _primitive_blocks(p)
 
     yhat = y.copy()
     yhat[1] = y[1] - p.rho_ybar**2

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import slots
-from .coeffs import ReducedForm, _chain_expectation
+from .coeffs import ReducedForm, _chain_expectation, compute_all
 from .params import StructuralParams, validate, InvalidParams
 from .sim import EquilibriumPath
 from .slots import NSLOT, Vec
@@ -46,10 +46,16 @@ from .slots import NSLOT, Vec
 FREE_BLOCKS = ("r", "y", "yhat", "pi", "c", "I", "i", "u", "Epi")
 
 #: the two closed-form entries that break their block's construction
-#: pattern; key -> (printed description, pattern description)
+#: pattern; key -> (printed form, pattern form, evaluator of each on a
+#: coefficient set and its parameters).  The inflation pattern reads the
+#: gap's index-4 entry, which the gap identity leaves equal to output's.
 SUSPECT_ENTRIES = {
-    ("pi", 4): ("beta*Epi[4] + k*y[5]", "beta*Epi[4] + k*y[4]"),
-    ("Eyhat", 0): ("rho_ybar*yhat[1]", "yhat[0]"),
+    ("pi", 4): ("beta*Epi[4] + k*y[5]", "beta*Epi[4] + k*y[4]",
+                lambda rf, p: p.beta * rf.block("Epi")[4] + p.k * rf.block("y")[5],
+                lambda rf, p: p.beta * rf.block("Epi")[4] + p.k * rf.block("yhat")[4]),
+    ("Eyhat", 0): ("rho_ybar*yhat[1]", "yhat[0]",
+                   lambda rf, p: p.rho_ybar * rf.block("yhat")[slots.YBAR_LAG2],
+                   lambda rf, p: rf.block("yhat")[slots.CONST]),
 }
 
 COND_WARN = 1e12
@@ -276,40 +282,18 @@ def compare(tables: ReducedForm, oracle: ReducedForm,
 
     p = tables.params
     suspects: dict[str, dict] = {}
-
-    # inflation block, index 4: printed form references the index-5 output
-    # coefficient; the pattern uses index 4
-    tb, ob = tables, oracle
-    printed_t = p.beta * tb.block("Epi")[4] + p.k * tb.block("y")[5]
-    variant_t = p.beta * tb.block("Epi")[4] + p.k * tb.block("y")[4]
-    pat_gap = abs(ob.block("pi")[4]
-                  - (p.beta * ob.block("Epi")[4] + p.k * ob.block("yhat")[4]))
-    printed_gap = abs(ob.block("pi")[4]
-                      - (p.beta * ob.block("Epi")[4] + p.k * ob.block("y")[5]))
-    scale = max(abs(ob.block("pi")[4]), 1.0)
-    suspects["pi[4]"] = {
-        "printed": "beta*Epi[4] + k*y[5]",
-        "variant": "beta*Epi[4] + k*y[4]",
-        "printed_value": float(printed_t),
-        "variant_value": float(variant_t),
-        "variant_confirmed": bool(pat_gap <= tol * scale and printed_gap > tol * scale),
-    }
-
-    # expected-gap block, index 0: printed form repeats the index-1 formula;
-    # the pattern (expectation of the gap equation) gives the gap intercept
-    printed_t = p.rho_ybar * tb.block("yhat")[slots.YBAR_LAG2]
-    variant_t = tb.block("yhat")[slots.CONST]
-    pat_gap = abs(ob.block("Eyhat")[slots.CONST] - ob.block("yhat")[slots.CONST])
-    printed_gap = abs(ob.block("Eyhat")[slots.CONST]
-                      - p.rho_ybar * ob.block("yhat")[slots.YBAR_LAG2])
-    scale = max(abs(ob.block("Eyhat")[slots.CONST]), 1.0)
-    suspects["Eyhat[0]"] = {
-        "printed": "rho_ybar*yhat[1]",
-        "variant": "yhat[0]",
-        "printed_value": float(printed_t),
-        "variant_value": float(variant_t),
-        "variant_confirmed": bool(pat_gap <= tol * scale and printed_gap > tol * scale),
-    }
+    for (var, idx), (printed, variant, printed_of, variant_of) in SUSPECT_ENTRIES.items():
+        solved = oracle.block(var)[idx]
+        scale = max(abs(solved), 1.0)
+        pat_gap = abs(solved - variant_of(oracle, p))
+        printed_gap = abs(solved - printed_of(oracle, p))
+        suspects[f"{var}[{idx}]"] = {
+            "printed": printed,
+            "variant": variant,
+            "printed_value": float(printed_of(tables, p)),
+            "variant_value": float(variant_of(tables, p)),
+            "variant_confirmed": bool(pat_gap <= tol * scale and printed_gap > tol * scale),
+        }
 
     cond = oracle.condition_number or 0.0
     return ErrataReport(entries=entries, tol=tol, abs_floor=abs_floor,
@@ -366,8 +350,6 @@ def random_params(rng: np.random.Generator) -> StructuralParams:
 
 
 def _stability_draw(args: tuple[int, int, float]) -> ErrataReport:
-    from .coeffs import compute_all
-
     seed, draw_index, tol = args
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(draw_index,)))
@@ -393,4 +375,5 @@ def stability_run(n_draws: int, seed: int, tol: float = 1e-6, workers: int = 1
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_stability_draw, tasks))
     keysets = [r.keys() for r in reports]
-    return keysets[0], all(ks == keysets[0] for ks in keysets), reports
+    first = keysets[0] if keysets else set()
+    return first, all(ks == first for ks in keysets), reports

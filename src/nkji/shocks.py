@@ -41,9 +41,9 @@ class UnknownShockKind(ValueError):
 
 @dataclass(frozen=True)
 class LagState:
-    """Pre-sample values.  ``mu`` and ``g`` carry four lags (lag 1 first)
-    because the first-order state-space form references them; the simulator
-    itself only needs the first two."""
+    """Pre-sample values.  ``mu`` and ``g`` carry four lags (lag 1 first),
+    but the simulator reads only ``mu[0]``, ``mu[1]`` and ``g[0]``, and the
+    state-space form reads none of them."""
 
     chi: float = 0.0
     mu: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
@@ -62,11 +62,6 @@ class LagState:
         if j < 1 or j > 3:
             raise ValueError("omega lags available for j in 1..3")
         return self.mu[j - 1] - rho_ybar * self.mu[j]
-
-    def eta_lag(self, j: int, rho_g: float) -> float:
-        if j < 1 or j > 3:
-            raise ValueError("eta lags available for j in 1..3")
-        return self.g[j - 1] - rho_g * self.g[j]
 
 
 @dataclass(frozen=True, eq=False)

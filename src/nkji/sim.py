@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from . import shocks, slots
-from .coeffs import ReducedForm, _chain_expectation
+from .coeffs import ReducedForm, _chain_expectation, compute_all
 from .params import StructuralParams, validate, InvalidParams
 from .shocks import LagState, ShockPath
 from .slots import Vec
@@ -93,6 +93,14 @@ def regressor_matrix(path: ShockPath) -> Vec:
     return R
 
 
+def _series_blocks(rf: ReducedForm) -> dict[str, Vec]:
+    """Slot vector of every series in ``SERIES`` except ``JI``.  Expected
+    output is the one the reduced form does not store: it is the AR-law
+    expectation of the output block."""
+    ey = _chain_expectation(rf.block("y"), rf.params)
+    return {v: ey if v == "Ey" else rf.block(v) for v in SERIES[:-1]}
+
+
 def simulate(rf: ReducedForm, path: ShockPath,
              budget_mode: str = "independent") -> EquilibriumPath:
     """Evaluate the reduced form along ``path``.
@@ -118,13 +126,7 @@ def simulate(rf: ReducedForm, path: ShockPath,
                      eps=init.eps, ubar=init.ubar, ybar_level=init.ybar_level))
 
     R = regressor_matrix(path)
-    series: dict[str, Vec] = {}
-    for var in ("r", "y", "yhat", "pi", "c", "I", "i", "u"):
-        series[var] = R @ rf.block(var)
-    series["Ey"] = R @ _chain_expectation(rf.block("y"), p)
-    series["Eyhat"] = R @ rf.block("Eyhat")
-    series["Epi"] = R @ rf.block("Epi")
-    series["Eu"] = R @ rf.block("Eu")
+    series = {v: R @ blk for v, blk in _series_blocks(rf).items()}
     series["JI"] = series["Eu"] - rf.block("u")[slots.CONST]
 
     fe = series["y"][1:] - series["Ey"][:-1]
@@ -159,13 +161,8 @@ def expectations(rf: ReducedForm, state: Mapping[str, float]) -> dict[str, float
     are accepted and ignored by construction.
     """
     x = _state_vector(state, _EXPECTATION_SLOTS)
-    p = rf.params
-    return {
-        "Ey": float(x @ _chain_expectation(rf.block("y"), p)),
-        "Eyhat": float(x @ rf.block("Eyhat")),
-        "Epi": float(x @ rf.block("Epi")),
-        "Eu": float(x @ rf.block("Eu")),
-    }
+    blocks = _series_blocks(rf)
+    return {v: float(x @ blocks[v]) for v in ("Ey", "Eyhat", "Epi", "Eu")}
 
 
 def job_insecurity(rf: ReducedForm, state: Mapping[str, float]) -> float:
@@ -225,11 +222,7 @@ def irf(rf: ReducedForm, kind: str, H: int, size: float = 1.0) -> IrfTable:
     path = shocks.impulse_path(rf.params, kind, H, size=size)
     R = regressor_matrix(path)
     R[:, slots.CONST] = 0.0
-    responses: dict[str, Vec] = {}
-    for var in ("r", "y", "yhat", "pi", "c", "I", "i", "u",
-                "Eyhat", "Epi", "Eu"):
-        responses[var] = R @ rf.block(var)
-    responses["Ey"] = R @ _chain_expectation(rf.block("y"), rf.params)
+    responses = {v: R @ blk for v, blk in _series_blocks(rf).items()}
     responses["JI"] = responses["Eu"]   # insecurity is the Eu deviation
     for name in shocks.AR_STATES:
         responses[name] = path.state(name)
@@ -273,8 +266,6 @@ def search_paradox(seed: int = 0, max_draws: int = 10000,
     """Scan random valid parameterizations until one makes the news
     coefficient of expected unemployment positive (disclosure raises
     expected unemployment).  Returns the first hit, or None."""
-    from .coeffs import compute_all
-
     rng = np.random.default_rng(seed)
     template = base.as_dict() if base else {}
     for _ in range(max_draws):

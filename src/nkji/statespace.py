@@ -16,7 +16,6 @@ row carries the first power.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,10 +70,10 @@ class DeterminacyReport:
                 "borderline": self.borderline}
 
 
-def build(rf: ReducedForm, params: StructuralParams | None = None) -> TransitionSystem:
+def build(rf: ReducedForm) -> TransitionSystem:
     """Assemble the transition matrix A and innovation loadings B from a
     coefficient set."""
-    p = params or rf.params
+    p = rf.params
     rho, rg, rt, rx, re_ = p.rho_ybar, p.rho_g, p.rho_tax, p.rho_chi, p.rho_eps
 
     A = np.zeros((ORDER, ORDER))
@@ -261,6 +260,8 @@ def sweep(base: StructuralParams,
     if workers <= 1:
         rows = [_sweep_row(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     cells = [cell for row in rows for cell in row]

@@ -193,7 +193,43 @@ def test_argument_guards(tmp_path):
                  ["shocks", "--seed", "-5"],
                  ["simulate", "--burn", "-1"],
                  ["irf", "--shock", "lambda", "--H", "0"],
-                 ["audit", "--draws", "-2"]):
+                 ["audit", "--draws", "-2"],
+                 ["determinacy", "--tol", "-1"],
+                 ["determinacy", "--tol", "0"],
+                 ["sweep", "--axis1", "alpha_pi:0.5:2:3", "--axis2", "alpha_y:0:1:3",
+                  "--tol", "-1e-8"],
+                 ["audit", "--tol", "0"],
+                 ["sweep", "--axis1", "alpha_pi:0.5:2:0", "--axis2", "alpha_y:0:1:3"],
+                 ["sweep", "--axis1", "alpha_pi:0.5:2:3", "--axis2", "alpha_y:0:1:-3"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "x")])
         assert exc.value.code == 2, argv
+
+
+def _invalid_input(capsys, argv) -> str:
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("nkji: invalid input: ") and "\n" not in err
+    return err
+
+
+def test_missing_calib_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    err = _invalid_input(capsys, ["coeffs", "--calib", str(missing),
+                                  "--out", str(tmp_path / "out.json")])
+    assert str(missing) in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_malformed_calib_json_exits_2(tmp_path, capsys):
+    calib = tmp_path / "calib.json"
+    calib.write_text('{"theta": 0.25,')
+    _invalid_input(capsys, ["coeffs", "--calib", str(calib),
+                            "--out", str(tmp_path / "out.json")])
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_out_in_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "out.json"
+    err = _invalid_input(capsys, ["coeffs", "--out", str(out)])
+    assert str(out) in err

@@ -80,6 +80,10 @@ def test_compare_oracle_with_itself_is_empty(oracle_rf):
     assert compare(oracle_rf, oracle_rf).entries == []
 
 
+def test_stability_run_without_draws():
+    assert stability_run(0, seed=5) == (set(), True, [])
+
+
 def test_compare_flags_stable_set(rng):
     first, identical, reports = stability_run(10, seed=rng.integers(2**31))
     assert identical

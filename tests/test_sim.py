@@ -5,8 +5,9 @@ from nkji import (compute_all, draw, forecast_error, irf, job_insecurity,
                   simulate, steady_state, transparency_audit, zero_path,
                   expectations, search_paradox)
 from nkji.params import DEFAULTS, validate
-from nkji.shocks import combine, impulse_path
-from nkji.sim import SERIES, BudgetModeConflict, MissingState
+from nkji.coeffs import _chain_expectation
+from nkji.shocks import KINDS, combine, impulse_path
+from nkji.sim import SERIES, BudgetModeConflict, MissingState, regressor_matrix
 from nkji import slots
 
 ZERO_STATE = {name: 0.0 for name in slots.STATE_NAMES}
@@ -171,6 +172,27 @@ def test_forecast_error_whiteness(default_rf, default_params):
                 + y[6]**2 * p.sd_taxshock**2 + y[8]**2 * p.sd_lambda**2
                 + y[9]**2 * p.sd_xi**2 + y[10]**2 * p.sd_v**2)
     assert np.var(fe.series, ddof=1) == pytest.approx(analytic, rel=0.05)
+
+
+def test_series_are_one_matvec_per_block(default_rf, default_params):
+    # the byte-identity reference: every emitted series is exactly R @ block
+    # over the path's regressor matrix
+    blocks = {v: default_rf.block(v) for v in SERIES if v not in ("Ey", "JI")}
+    blocks["Ey"] = _chain_expectation(default_rf.block("y"), default_params)
+    u0 = default_rf.block("u")[slots.CONST]
+    for mode in ("independent", "balanced"):
+        ep = simulate(default_rf, draw(default_params, 42, 500), budget_mode=mode)
+        R = regressor_matrix(ep.path)
+        for var, blk in blocks.items():
+            assert np.array_equal(ep[var], R @ blk), (mode, var)
+        assert np.array_equal(ep["JI"], R @ blocks["Eu"] - u0), mode
+    for kind in KINDS:
+        table = irf(default_rf, kind, 25)
+        R = regressor_matrix(impulse_path(default_params, kind, 25))
+        R[:, slots.CONST] = 0.0
+        for var, blk in blocks.items():
+            assert np.array_equal(table[var], R @ blk), (kind, var)
+        assert np.array_equal(table["JI"], R @ blocks["Eu"]), kind
 
 
 # --- impulse responses -------------------------------------------------------
