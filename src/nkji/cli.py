@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 
 from . import coeffs, oracle, shocks, sim, slots, statespace
@@ -31,11 +32,20 @@ def _fmt(x) -> str:
 
 
 def _write(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write ``text`` to stdout, or atomically to --out: a sibling
+    temporary file renamed onto it, so a failed run leaves no partial file."""
+    if not args.out:
         sys.stdout.write(text)
+        return
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, args.out)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _csv(header: str, columns: list[str], rows) -> str:

@@ -98,8 +98,10 @@ def _project(vec: Vec) -> Vec:
 
 def _residual(zflat: Vec, p: StructuralParams) -> Vec:
     z = {v: zflat[j * NSLOT:(j + 1) * NSLOT] for j, v in enumerate(FREE_BLOCKS)}
-    mu_t, g_t, tax_t, chi_t, eps_t, ubar_t, eta_comp, drift_sum, rbar = _exogenous(p)
-    e0 = slots.unit(slots.CONST)
+    col = (slice(None),) + (None,) * (zflat.ndim - 1)   # zflat (144,) or (144, K)
+    mu_t, g_t, tax_t, chi_t, eps_t, ubar_t, eta_comp, drift_sum, rbar = (
+        x[col] for x in _exogenous(p))
+    e0 = slots.unit(slots.CONST)[col]
     y_perceived = _project(z["y"])
     L = y_perceived + drift_sum
 
@@ -130,20 +132,18 @@ def _residual(zflat: Vec, p: StructuralParams) -> Vec:
 
 
 def solve_undetermined(p: StructuralParams) -> ReducedForm:
-    """Solve the matching system for all coefficient blocks.
+    """Solve the matching system ``M z = b`` for all coefficient blocks.
 
-    Returns a :class:`ReducedForm` interchangeable with the closed-form one
-    (same block keys and index sets) with the solver's condition number
-    attached.  Raises :class:`SingularSystem` for a numerically singular
-    matching matrix and :class:`AnsatzInconsistent` if the solved
-    coefficients fail to satisfy the matching equations.
+    ``M`` comes from one vectorised evaluation of the affine residual on the
+    144x144 identity.  Returns a :class:`ReducedForm` interchangeable with
+    the closed-form one (same block keys and index sets) with the solver's
+    condition number attached.  Raises :class:`SingularSystem` for a
+    numerically singular matching matrix and :class:`AnsatzInconsistent`
+    if the solved coefficients fail to satisfy the matching equations.
     """
     n = len(FREE_BLOCKS) * NSLOT
     b = -_residual(np.zeros(n), p)
-    M = np.empty((n, n))
-    eye = np.eye(n)
-    for col in range(n):
-        M[:, col] = _residual(eye[col], p) + b
+    M = _residual(np.eye(n), p) + b[:, None]
     cond = float(np.linalg.cond(M))
     if not np.isfinite(cond) or cond > 1e15:
         raise SingularSystem(f"matching system is singular (cond ~ {cond:.3e})")

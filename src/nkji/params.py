@@ -159,7 +159,7 @@ DEFAULTS: dict[str, float] = {
 def validate(raw: Mapping[str, Any] | StructuralParams) -> StructuralParams:
     """Validate a raw parameter mapping into a :class:`StructuralParams`.
 
-    Missing fields are filled from :data:`DEFAULTS` (with a logged notice);
+    Missing fields are filled from :data:`DEFAULTS` (with a DEBUG notice);
     unknown keys are rejected.  Raises :class:`InvalidParams` carrying one
     :class:`Violation` per broken constraint.  Idempotent: feeding a
     validated set back in reproduces it exactly.
@@ -174,8 +174,8 @@ def validate(raw: Mapping[str, Any] | StructuralParams) -> StructuralParams:
     missing = [name for name in FIELD_NAMES if name not in raw]
     if raw and missing:
         # a partial specification: say which fields fell back to defaults
-        log.info("filling %d missing parameter(s) from defaults: %s",
-                 len(missing), ", ".join(missing))
+        log.debug("filling %d missing parameter(s) from defaults: %s",
+                  len(missing), ", ".join(missing))
 
     values: dict[str, float] = {}
     bad_value: list[Violation] = []

@@ -25,7 +25,8 @@ SERIES = ("r", "y", "yhat", "pi", "c", "I", "i", "u",
 #: symbols the expectation evaluators require (gap/output/inflation/
 #: unemployment one-step-ahead equations reference no current preference,
 #: idiosyncratic or potential-output innovation)
-_EXPECTATION_SLOTS = (1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15)
+_EXPECTATION_SLOTS = tuple(s for s in range(slots.NSLOT)
+                           if s not in (slots.CONST, slots.XI, slots.V, slots.OMEGA))
 
 
 class BudgetModeConflict(ValueError):

@@ -213,7 +213,8 @@ class SweepResult:
     n_pre: int
     tau: float
     # per-cell records in row-major (axis1, axis2) order; counts are None
-    # for cells whose parameterization fails validation
+    # for cells whose parameterization fails validation ("invalid") or
+    # whose eigen-solve fails ("failed")
     cells: list[dict]
 
 
@@ -223,12 +224,13 @@ def _sweep_row(args) -> list[dict]:
     for v2 in grid2:
         try:
             p = validate({**base, name1: float(v1), name2: float(v2)})
-        except InvalidParams:
+            eigs = eigen(build(compute_all(p)).A)
+        except (InvalidParams, ConvergenceFailure) as err:
             row.append({name1: float(v1), name2: float(v2), "stable": None,
                         "unstable": None, "borderline": None,
-                        "verdict": "invalid"})
+                        "verdict": "invalid" if isinstance(err, InvalidParams)
+                        else "failed"})
             continue
-        eigs = eigen(build(compute_all(p)).A)
         stable, unstable, borderline = _counts(eigs, tau)
         row.append({name1: float(v1), name2: float(v2), "stable": stable,
                     "unstable": unstable, "borderline": borderline,
@@ -242,9 +244,10 @@ def sweep(base: StructuralParams,
           n_pre: int = 9, tau: float = 1e-8, workers: int = 1) -> SweepResult:
     """Determinacy verdicts over a 2-D parameter grid.
 
-    Grid cells that fail parameter validation are marked invalid and do not
-    abort the sweep.  Results are assembled in fixed grid order regardless
-    of worker count, so output is reproducible across parallelism levels.
+    Grid cells that fail parameter validation are marked invalid, cells
+    whose eigen-solve fails are marked failed; neither aborts the sweep.
+    Results are assembled in fixed grid order regardless of worker count,
+    so output is reproducible across parallelism levels.
     """
     for name in (axis1[0], axis2[0]):
         if name not in FIELD_NAMES:

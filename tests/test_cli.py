@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nkji
 from nkji.cli import main
 
 
@@ -233,3 +238,39 @@ def test_out_in_missing_directory_exits_2(tmp_path, capsys):
     out = tmp_path / "no_such_dir" / "out.json"
     err = _invalid_input(capsys, ["coeffs", "--out", str(out)])
     assert str(out) in err
+
+
+def test_failed_sweep_cells_do_not_abort_the_sweep(tmp_path):
+    code, text = run(tmp_path, "sweep", "--axis1", "sigma:1e-300:1e300:5",
+                     "--axis2", "k:0:1e308:5", "--workers", "1")
+    assert code == 0
+    rows = text.strip().split("\n")[2:]
+    assert len(rows) == 25
+    failed = [r for r in rows if r.endswith(",failed")]
+    assert failed and all(r.split(",")[2:5] == ["", "", ""] for r in failed)
+
+
+def test_failed_write_keeps_previous_out(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.json"
+    out.write_text("previous\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["coeffs", "--out", str(out)]) == 2
+    assert "rename refused" in capsys.readouterr().err
+    assert out.read_text() == "previous\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_single_param_override_is_quiet(tmp_path):
+    src = str(Path(nkji.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nkji.cli", "coeffs", "--param", "sigma=2",
+         "--out", str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

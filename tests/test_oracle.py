@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from nkji import compute_all, draw, simulate, solve_undetermined
-from nkji.coeffs import ReducedForm
-from nkji.oracle import (SingularSystem, compare, random_params, residuals,
-                         stability_run)
+from nkji.coeffs import ReducedForm, _chain_expectation
+from nkji.oracle import (SingularSystem, _residual, compare, random_params,
+                         residuals, stability_run)
 from nkji.params import DEFAULTS, validate
 from nkji.shocks import impulse_path
 from nkji import slots
@@ -158,3 +158,17 @@ def test_singular_matching_system_reported():
     assert abs(p.denominator()) > 0.1
     with pytest.raises(SingularSystem):
         solve_undetermined(p)
+
+
+def test_matching_matrix_equals_column_probes():
+    # the vectorised assembly against the per-column reference: every
+    # element goes through the same IEEE operations, so equality is exact
+    rng = np.random.default_rng(7)
+    eye = np.eye(144)
+    for p in [validate(DEFAULTS)] + [random_params(rng) for _ in range(20)]:
+        probes = np.column_stack([_residual(e, p) for e in eye])
+        assert np.array_equal(_residual(eye, p), probes)
+        cols = rng.normal(size=(16, 5))
+        assert np.array_equal(
+            _chain_expectation(cols, p),
+            np.column_stack([_chain_expectation(c, p) for c in cols.T]))

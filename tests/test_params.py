@@ -81,7 +81,7 @@ def test_unknown_key_rejected():
 
 
 def test_missing_keys_filled_with_notice(caplog):
-    with caplog.at_level(logging.INFO, logger="nkji.params"):
+    with caplog.at_level(logging.DEBUG, logger="nkji.params"):
         p = validate({"sigma": 2.0})
     assert p.sigma == 2.0
     assert p.beta == DEFAULTS["beta"]

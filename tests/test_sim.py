@@ -7,7 +7,8 @@ from nkji import (compute_all, draw, forecast_error, irf, job_insecurity,
 from nkji.params import DEFAULTS, validate
 from nkji.coeffs import _chain_expectation
 from nkji.shocks import KINDS, combine, impulse_path
-from nkji.sim import SERIES, BudgetModeConflict, MissingState, regressor_matrix
+from nkji.sim import (SERIES, BudgetModeConflict, MissingState, regressor_matrix,
+                      _EXPECTATION_SLOTS)
 from nkji import slots
 
 ZERO_STATE = {name: 0.0 for name in slots.STATE_NAMES}
@@ -276,3 +277,7 @@ def test_paradox_search_finds_adverse_disclosure():
     rf = compute_all(p)
     assert rf.block("Eu")[slots.LAM] > 0
     assert transparency_audit(rf).paradox("Eu")
+
+
+def test_expectation_slots_exclude_unreferenced_innovations():
+    assert _EXPECTATION_SLOTS == (1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15)
