@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -198,6 +199,8 @@ def _parse_axis(text: str, parser) -> tuple[str, float, float, int]:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         parser.error(f"axis bounds/count malformed in {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        parser.error(f"axis bounds must be finite in {text!r}")
     if n < 1:
         parser.error(f"axis count must be >= 1 in {text!r}")
     return name, lo, hi, n
@@ -348,7 +351,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args, parser)
     except (InvalidParams, BudgetModeConflict, UnknownParameter,
-            shocks.UnknownShockKind, OSError, json.JSONDecodeError) as err:
+            shocks.UnknownShockKind, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as err:
         print(f"nkji: invalid input: {err}", file=sys.stderr)
         return 2
     except (oracle.SingularSystem, oracle.AnsatzInconsistent,

@@ -33,6 +33,7 @@ Equation set and conventions (the audit contract):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .coeffs import ReducedForm, _chain_expectation, compute_all
 from .params import StructuralParams, validate, InvalidParams
 from .sim import EquilibriumPath
 from .slots import NSLOT, Vec
+from .statespace import fan_out
 
 #: blocks carrying free coefficients in the matching system, in column order
 FREE_BLOCKS = ("r", "y", "yhat", "pi", "c", "I", "i", "u", "Epi")
@@ -349,8 +351,7 @@ def random_params(rng: np.random.Generator) -> StructuralParams:
         return p
 
 
-def _stability_draw(args: tuple[int, int, float]) -> ErrataReport:
-    seed, draw_index, tol = args
+def _stability_draw(seed: int, tol: float, draw_index: int) -> ErrataReport:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(draw_index,)))
     p = random_params(rng)
@@ -366,14 +367,7 @@ def stability_run(n_draws: int, seed: int, tol: float = 1e-6, workers: int = 1
     Each draw gets its own counter-derived substream, so results are
     independent of the worker count.
     """
-    tasks = [(seed, i, tol) for i in range(n_draws)]
-    if workers <= 1:
-        reports = [_stability_draw(t) for t in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_stability_draw, tasks))
+    reports = fan_out(partial(_stability_draw, seed, tol), range(n_draws), workers)
     keysets = [r.keys() for r in reports]
     first = keysets[0] if keysets else set()
     return first, all(ks == first for ks in keysets), reports

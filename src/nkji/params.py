@@ -182,7 +182,7 @@ def validate(raw: Mapping[str, Any] | StructuralParams) -> StructuralParams:
     for name in FIELD_NAMES:
         try:
             values[name] = float(raw.get(name, DEFAULTS[name]))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             bad_value.append(InvalidDomain(name, "not a number"))
             values[name] = math.nan
     violations: list[Violation] = bad_value
@@ -215,6 +215,9 @@ def validate(raw: Mapping[str, Any] | StructuralParams) -> StructuralParams:
         if abs(candidate.denominator()) <= EPS_SING:
             violations.append(SingularDenominator(
                 "s1", "s1 - sigma*[c1*(gamma2+s2) + gamma2*s1] ~ 0"))
+        if abs(candidate.s1) <= EPS_SING:
+            # the consumption blocks divide by s1*D
+            violations.append(SingularDenominator("s1", "s1 ~ 0"))
         if abs(candidate.taylor_denominator()) <= EPS_SING:
             violations.append(SingularDenominator("alpha_pi", "1 - alpha_pi*beta ~ 0"))
 

@@ -41,27 +41,18 @@ class UnknownShockKind(ValueError):
 
 @dataclass(frozen=True)
 class LagState:
-    """Pre-sample values.  ``mu`` and ``g`` carry four lags (lag 1 first),
-    but the simulator reads only ``mu[0]``, ``mu[1]`` and ``g[0]``, and the
-    state-space form reads none of them."""
+    """Pre-sample values: each AR state at t = -1, and ``mu`` also at
+    t = -2 (``mu = (mu_{-1}, mu_{-2})``).  The simulator reads both ``mu``
+    lags, for the two-period drift lag and for the lag-1 drift innovation
+    ``mu_{-1} - rho_ybar*mu_{-2}``; the state-space form reads none."""
 
     chi: float = 0.0
-    mu: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    g: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+    mu: tuple[float, float] = (0.0, 0.0)
+    g: float = 0.0
     tax: float = 0.0
     eps: float = 0.0
     ubar: float = 0.0
     ybar_level: float = 0.0
-
-    def omega_lag(self, j: int, rho_ybar: float) -> float:
-        """Innovation lag implied by the mu lags: omega_{-j} = mu_{-j} - rho*mu_{-j-1}.
-
-        The deepest stored lag is treated as the start of the recursion
-        (its innovation is the lag value itself).
-        """
-        if j < 1 or j > 3:
-            raise ValueError("omega lags available for j in 1..3")
-        return self.mu[j - 1] - rho_ybar * self.mu[j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +103,7 @@ def from_innovations(p: StructuralParams,
         raise ValueError("horizon must be >= 1")
     innov = {k: np.asarray(innovations[k], dtype=float) for k in KINDS}
 
-    init_map = {"mu": initial.mu[0], "g": initial.g[0], "chi": initial.chi,
+    init_map = {"mu": initial.mu[0], "g": initial.g, "chi": initial.chi,
                 "tax": initial.tax, "eps": initial.eps, "ubar": initial.ubar}
     states = {name: _accumulate(getattr(p, rho_field), innov[kind], init_map[name])
               for name, (rho_field, kind) in AR_STATES.items()}
@@ -125,14 +116,11 @@ def from_innovations(p: StructuralParams,
 
 
 def draw(p: StructuralParams, seed: int, T: int,
-         initial: LagState | None = None, dist: str = "normal",
-         student_df: float = 5.0) -> ShockPath:
-    """Draw all innovation streams and accumulate the AR states.
+         initial: LagState | None = None) -> ShockPath:
+    """Draw all innovation streams, normal with the configured standard
+    deviations, and accumulate the AR states.
 
     Identical ``(p, seed, T, initial)`` reproduce bit-identical output.
-    ``dist`` selects the innovation distribution ("normal", "uniform",
-    "student_t"), always scaled to the configured standard deviations;
-    normal is the tested default.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
@@ -141,20 +129,7 @@ def draw(p: StructuralParams, seed: int, T: int,
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
         sd = getattr(p, _KIND_SD[kind])
-        if sd == 0.0:
-            innovations[kind] = np.zeros(T)
-            continue
-        if dist == "normal":
-            z = rng.standard_normal(T)
-        elif dist == "uniform":
-            z = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=T)
-        elif dist == "student_t":
-            if student_df <= 2:
-                raise ValueError("student_t needs df > 2 for a finite variance")
-            z = rng.standard_t(student_df, size=T) * np.sqrt((student_df - 2.0) / student_df)
-        else:
-            raise ValueError(f"unknown innovation distribution {dist!r}")
-        innovations[kind] = sd * z
+        innovations[kind] = np.zeros(T) if sd == 0.0 else sd * rng.standard_normal(T)
     return from_innovations(p, innovations, initial)
 
 
@@ -182,7 +157,7 @@ def combine(a: ShockPath, b: ShockPath) -> ShockPath:
     initial = LagState(
         chi=a.initial.chi + b.initial.chi,
         mu=tuple(x + y for x, y in zip(a.initial.mu, b.initial.mu)),
-        g=tuple(x + y for x, y in zip(a.initial.g, b.initial.g)),
+        g=a.initial.g + b.initial.g,
         tax=a.initial.tax + b.initial.tax,
         eps=a.initial.eps + b.initial.eps,
         ubar=a.initial.ubar + b.initial.ubar,

@@ -8,7 +8,7 @@ closed-form coefficient set and for the numerically solved one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from . import shocks, slots
 from .coeffs import ReducedForm, _chain_expectation, compute_all
 from .params import StructuralParams, validate, InvalidParams
-from .shocks import LagState, ShockPath
+from .shocks import ShockPath
 from .slots import Vec
 
 SERIES = ("r", "y", "yhat", "pi", "c", "I", "i", "u",
@@ -77,8 +77,8 @@ def regressor_matrix(path: ShockPath) -> Vec:
 
     R[:, slots.YBAR_LAG2] = lagged(path.state("mu"), 2, init.mu[0], init.mu[1])
     R[:, slots.OMEGA_LAG1] = lagged(path.innovation("omega"), 1,
-                                    init.omega_lag(1, p.rho_ybar))
-    R[:, slots.G_LAG1] = lagged(path.state("g"), 1, init.g[0])
+                                    init.mu[0] - p.rho_ybar * init.mu[1])
+    R[:, slots.G_LAG1] = lagged(path.state("g"), 1, init.g)
     R[:, slots.ETA] = path.innovation("eta")
     R[:, slots.TAX_LAG1] = lagged(path.state("tax"), 1, init.tax)
     R[:, slots.L_FISC] = path.innovation("L")
@@ -120,11 +120,8 @@ def simulate(rf: ReducedForm, path: ShockPath,
                 f"balanced budget needs rho_g == rho_tax, got {p.rho_g} != {p.rho_tax}")
         innov = dict(path.innovations)
         innov["L"] = path.innovation("eta").copy()
-        init = path.initial
         path = shocks.from_innovations(
-            p, innov,
-            LagState(chi=init.chi, mu=init.mu, g=init.g, tax=init.g[0],
-                     eps=init.eps, ubar=init.ubar, ybar_level=init.ybar_level))
+            p, innov, replace(path.initial, tax=path.initial.g))
 
     R = regressor_matrix(path)
     series = {v: R @ blk for v, blk in _series_blocks(rf).items()}

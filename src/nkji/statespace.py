@@ -17,6 +17,8 @@ row carries the first power.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -218,24 +220,39 @@ class SweepResult:
     cells: list[dict]
 
 
-def _sweep_row(args) -> list[dict]:
-    base, name1, v1, name2, grid2, n_pre, tau = args
+def _sweep_row(base: dict[str, float], name1: str, name2: str, grid2: Vec,
+               n_pre: int, tau: float, v1: float) -> list[dict]:
     row = []
-    for v2 in grid2:
-        try:
-            p = validate({**base, name1: float(v1), name2: float(v2)})
-            eigs = eigen(build(compute_all(p)).A)
-        except (InvalidParams, ConvergenceFailure) as err:
-            row.append({name1: float(v1), name2: float(v2), "stable": None,
-                        "unstable": None, "borderline": None,
-                        "verdict": "invalid" if isinstance(err, InvalidParams)
-                        else "failed"})
-            continue
-        stable, unstable, borderline = _counts(eigs, tau)
-        row.append({name1: float(v1), name2: float(v2), "stable": stable,
-                    "unstable": unstable, "borderline": borderline,
-                    "verdict": classify(eigs, n_pre, tau)})
+    # overflow in an extreme cell is reported by its "failed" verdict,
+    # not by numpy warnings
+    with np.errstate(all="ignore"):
+        for v2 in grid2:
+            try:
+                p = validate({**base, name1: float(v1), name2: float(v2)})
+                eigs = eigen(build(compute_all(p)).A)
+            except (InvalidParams, ConvergenceFailure) as err:
+                row.append({name1: float(v1), name2: float(v2), "stable": None,
+                            "unstable": None, "borderline": None,
+                            "verdict": "invalid" if isinstance(err, InvalidParams)
+                            else "failed"})
+                continue
+            stable, unstable, borderline = _counts(eigs, tau)
+            row.append({name1: float(v1), name2: float(v2), "stable": stable,
+                        "unstable": unstable, "borderline": borderline,
+                        "verdict": classify(eigs, n_pre, tau)})
     return row
+
+
+def fan_out(fn: Callable, items: Iterable, workers: int = 1) -> list:
+    """``[fn(x) for x in items]`` in item order; with ``workers > 1`` the
+    calls run in a process pool, so ``fn`` must pickle (a module-level
+    function or a :func:`functools.partial` of one)."""
+    if workers <= 1:
+        return [fn(x) for x in items]
+    import concurrent.futures
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def sweep(base: StructuralParams,
@@ -258,15 +275,8 @@ def sweep(base: StructuralParams,
     name2, lo2, hi2, n2 = axis2
     grid1 = np.linspace(lo1, hi1, n1)
     grid2 = np.linspace(lo2, hi2, n2)
-    base_map = base.as_dict()
-    tasks = [(base_map, name1, v1, name2, grid2, n_pre, tau) for v1 in grid1]
-    if workers <= 1:
-        rows = [_sweep_row(t) for t in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
+    rows = fan_out(partial(_sweep_row, base.as_dict(), name1, name2, grid2,
+                           n_pre, tau), grid1, workers)
     cells = [cell for row in rows for cell in row]
     return SweepResult(axis1=(name1, grid1), axis2=(name2, grid2),
                        n_pre=n_pre, tau=tau, cells=cells)

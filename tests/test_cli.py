@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import nkji
 from nkji.cli import main
+from nkji.params import FIELD_NAMES
+from nkji.shocks import KINDS
 
 
 def run(tmp_path, *argv):
@@ -163,11 +170,14 @@ def test_sweep_csv_and_axis_errors(tmp_path):
     assert exc.value.code == 2
 
 
-def test_sweep_worker_bytes_identical(tmp_path):
-    _, a = run(tmp_path, "sweep", "--axis1", "alpha_pi:0.5:2.5:7",
-               "--axis2", "alpha_y:0:1:7", "--workers", "1")
-    _, b = run(tmp_path, "sweep", "--axis1", "alpha_pi:0.5:2.5:7",
-               "--axis2", "alpha_y:0:1:7", "--workers", "4")
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--axis1", "alpha_pi:0.5:2.5:7", "--axis2", "alpha_y:0:1:7"),
+    ("audit", "--T", "50", "--draws", "4"),
+], ids=["sweep", "audit"])
+def test_sweep_worker_bytes_identical(tmp_path, argv):
+    code, a = run(tmp_path, *argv, "--workers", "1")
+    assert code == 0
+    _, b = run(tmp_path, *argv, "--workers", "4")
     assert a == b
 
 
@@ -205,7 +215,9 @@ def test_argument_guards(tmp_path):
                   "--tol", "-1e-8"],
                  ["audit", "--tol", "0"],
                  ["sweep", "--axis1", "alpha_pi:0.5:2:0", "--axis2", "alpha_y:0:1:3"],
-                 ["sweep", "--axis1", "alpha_pi:0.5:2:3", "--axis2", "alpha_y:0:1:-3"]):
+                 ["sweep", "--axis1", "alpha_pi:0.5:2:3", "--axis2", "alpha_y:0:1:-3"],
+                 ["sweep", "--axis1", "alpha_pi:0.5:inf:3", "--axis2", "alpha_y:0:1:3"],
+                 ["sweep", "--axis1", "alpha_pi:0.5:2:3", "--axis2", "alpha_y:nan:1:3"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "x")])
         assert exc.value.code == 2, argv
@@ -226,9 +238,11 @@ def test_missing_calib_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_malformed_calib_json_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("content", [b'{"theta": 0.25,', b'\xff\xfe{}'],
+                         ids=["truncated", "not-utf8"])
+def test_malformed_calib_json_exits_2(tmp_path, capsys, content):
     calib = tmp_path / "calib.json"
-    calib.write_text('{"theta": 0.25,')
+    calib.write_bytes(content)
     _invalid_input(capsys, ["coeffs", "--calib", str(calib),
                             "--out", str(tmp_path / "out.json")])
     assert not (tmp_path / "out.json").exists()
@@ -241,8 +255,10 @@ def test_out_in_missing_directory_exits_2(tmp_path, capsys):
 
 
 def test_failed_sweep_cells_do_not_abort_the_sweep(tmp_path):
-    code, text = run(tmp_path, "sweep", "--axis1", "sigma:1e-300:1e300:5",
-                     "--axis2", "k:0:1e308:5", "--workers", "1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(tmp_path, "sweep", "--axis1", "sigma:1e-300:1e300:5",
+                         "--axis2", "k:0:1e308:5", "--workers", "1")
     assert code == 0
     rows = text.strip().split("\n")[2:]
     assert len(rows) == 25
@@ -274,3 +290,87 @@ def test_single_param_override_is_quiet(tmp_path):
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+# --- CLI fuzz: every input ends in exit 0, 2 or 3 and leaves no partial file
+
+def _mostly(valid, invalid):
+    """Draw ``valid`` three times in four, so that most runs get past
+    argument parsing and validation."""
+    return st.sampled_from((valid, valid, valid, invalid)).flatmap(lambda s: s)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+_names = _mostly(st.sampled_from(FIELD_NAMES), st.text(max_size=6))
+_values = _mostly(st.floats(0.0, 0.95).map(repr),
+                  st.one_of(_floats, st.text(max_size=4)))
+_axis = st.builds(lambda *parts: ":".join(parts), _names, _values, _values,
+                  _mostly(_ints(1, 3), _ints(-1, 0)))
+_params = st.lists(st.builds(lambda n, v: ["--param", f"{n}={v}"], _names, _values),
+                   max_size=3).map(lambda items: sum(items, []))
+_T = _mostly(_ints(1, 40), _ints(-1, 0)).map(lambda v: ["--T", v])
+_seed = _opt("--seed", _mostly(_ints(0, 2**64 - 1), st.sampled_from(["-1", str(2**64)])))
+_tol = _opt("--tol", _mostly(st.floats(1e-12, 1e-2).map(repr), _floats))
+
+_COMMAND_OPTS = {
+    "coeffs": [_opt("--format", st.sampled_from(["json", "csv", "xml"]))],
+    "shocks": [_seed, _T, _opt("--burn", _mostly(_ints(0, 40), _ints(-2, -1))),
+               st.sampled_from([[], ["--transparent"]])],
+    "simulate": [_seed, _T, _opt("--burn", _mostly(_ints(0, 40), _ints(-2, -1))),
+                 _opt("--budget", st.sampled_from(["independent", "balanced"]))],
+    "irf": [_mostly(st.sampled_from(KINDS), st.text(max_size=4))
+            .map(lambda k: ["--shock", k]),
+            _mostly(_ints(1, 40), _ints(-1, 0)).map(lambda v: ["--H", v])],
+    "transparency": [],
+    "determinacy": [_opt("--n-pre", _ints(-1, 10)), _tol],
+    "sweep": [_axis.map(lambda a: ["--axis1", a]),
+              _axis.map(lambda a: ["--axis2", a]),
+              _opt("--n-pre", _ints(-1, 10)), _tol],
+    "audit": [_seed, _T, _tol, _opt("--draws", _ints(-1, 2))],
+}
+
+_argv = st.sampled_from(sorted(_COMMAND_OPTS)).flatmap(
+    lambda cmd: st.tuples(_params, *_COMMAND_OPTS[cmd]).map(
+        lambda parts: [cmd] + sum(parts, [])))
+
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(max_size=6)),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.text(max_size=6), kids, max_size=3)),
+    max_leaves=6)
+_calib = _mostly(st.none(), st.one_of(
+    st.binary(max_size=40),
+    st.dictionaries(_names, _mostly(st.floats(0.0, 0.95), _json_values), max_size=4)
+    .map(lambda d: json.dumps(d).encode())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_argv, calib=_calib)
+@example(argv=["coeffs"], calib=b"\xff\xfe{}")
+@example(argv=["coeffs", "--param", "s1=0.0"], calib=None)
+@example(argv=["coeffs"], calib=b'{"sigma": 1' + b"0" * 400 + b"}")
+def test_cli_fuzz_exit_codes_and_no_partial_output(argv, calib):
+    with tempfile.TemporaryDirectory() as d:
+        out = Path(d) / "out"
+        if calib is not None:
+            (Path(d) / "calib.json").write_bytes(calib)
+            argv = [*argv, "--calib", str(Path(d) / "calib.json")]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            try:
+                code = main([*argv, "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3), (argv, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+        assert not list(Path(d).glob("*.tmp"))
+        assert out.exists() == (code == 0)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nkji import draw, from_innovations, signal, zero_path
+from nkji import draw, from_innovations, signal, slots, zero_path
 from nkji.params import DEFAULTS, validate
 from nkji.shocks import AR_STATES, KINDS, LagState, UnknownShockKind, impulse_path
+from nkji.sim import regressor_matrix
 
 
 def test_same_seed_bitwise_identical(default_params):
@@ -46,7 +47,7 @@ def test_ar_recursions_exact(default_params):
 
 
 def test_initial_lags_enter_recursions(default_params):
-    init = LagState(chi=2.0, mu=(1.0, 0.5, 0.0, 0.0), g=(0.3, 0.0, 0.0, 0.0),
+    init = LagState(chi=2.0, mu=(1.0, 0.5), g=0.3,
                     tax=-0.4, eps=0.1, ubar=0.2, ybar_level=5.0)
     path = zero_path(default_params, 3, initial=init)
     p = default_params
@@ -55,7 +56,7 @@ def test_initial_lags_enter_recursions(default_params):
     assert path.state("g")[0] == p.rho_g * 0.3
     assert path.state("tax")[0] == p.rho_tax * -0.4
     assert path.ybar[0] == 5.0 + path.state("mu")[0]
-    assert init.omega_lag(1, p.rho_ybar) == 1.0 - p.rho_ybar * 0.5
+    assert regressor_matrix(path)[0, slots.OMEGA_LAG1] == 1.0 - p.rho_ybar * 0.5
 
 
 @settings(max_examples=25, deadline=None)
@@ -121,13 +122,6 @@ def test_signal_variance_adds_noise_variance():
     path = draw(p, 20260809, 100_000)
     target = np.var(path.state("chi")) + 0.02**2
     assert np.var(signal(path, transparent=False)) == pytest.approx(target, rel=0.03)
-
-
-def test_alternative_distributions_scale_correctly(default_params):
-    for dist in ("uniform", "student_t"):
-        path = draw(default_params, 17, 200_000, dist=dist)
-        sd = float(np.std(path.innovation("omega")))
-        assert sd == pytest.approx(default_params.sd_omega, rel=0.05), dist
 
 
 def test_impulse_path():
