@@ -23,15 +23,6 @@ from .statespace import ConvergenceFailure, UnknownParameter
 SCHEMA = "v1"
 
 
-def _fmt(x) -> str:
-    """Full round-trip precision for floats; empty cell for None."""
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(float(x))   # builtin repr: shortest exact round-trip
-    return str(x)
-
-
 def _write(args, text: str) -> None:
     """Write ``text`` to stdout, or atomically to --out: a sibling
     temporary file renamed onto it, so a failed run leaves no partial file."""
@@ -50,9 +41,10 @@ def _write(args, text: str) -> None:
 
 
 def _csv(header: str, columns: list[str], rows) -> str:
+    """CSV text with a schema line; cells are Python scalars, so ``str``
+    writes floats at full round-trip precision.  None is an empty cell."""
     lines = [f"# nkji {header} csv {SCHEMA}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines += (",".join("" if x is None else str(x) for x in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -88,126 +80,41 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _add_param_opts(sp) -> None:
-    sp.add_argument("--calib", metavar="PATH",
-                    help="JSON calibration file (flat name -> number)")
-    sp.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
-                    help="override one parameter (repeatable)")
+def _assignment(text: str) -> tuple[str, float]:
+    name, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expects NAME=VALUE, got {text!r}")
+    try:
+        return name, float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{name}: {value!r} is not a number") from None
 
 
-def _add_out_opts(sp, formats: tuple[str, ...]) -> None:
-    sp.add_argument("--out", metavar="PATH", help="output path (default stdout)")
-    sp.add_argument("--format", choices=formats, default=formats[0])
-
-
-def _load_params(args, parser):
-    raw = dict(load_calibration(args.calib)) if args.calib else {}
-    for item in args.param:
-        name, sep, value = item.partition("=")
-        if not sep:
-            parser.error(f"--param expects NAME=VALUE, got {item!r}")
-        try:
-            raw[name] = float(value)
-        except ValueError:
-            parser.error(f"--param {name}: {value!r} is not a number")
-    return validate(raw)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nkji",
-        description="Solve, simulate and stress-test a small rational-"
-                    "expectations New Keynesian model with an information-"
-                    "disclosure channel and job-insecurity dynamics.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("coeffs", help="emit the reduced-form coefficient set")
-    _add_param_opts(sp)
-    _add_out_opts(sp, ("json", "csv"))
-
-    sp = sub.add_parser("shocks", help="draw seeded innovations and AR states")
-    _add_param_opts(sp)
-    _add_out_opts(sp, ("csv",))
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--T", type=_positive, default=100)
-    sp.add_argument("--burn", type=_nonnegative, default=0,
-                    help="periods drawn and discarded before t = 0")
-    sp.add_argument("--transparent", action="store_true",
-                    help="emit the noiseless signal column")
-
-    sp = sub.add_parser("simulate", help="equilibrium path along drawn shocks")
-    _add_param_opts(sp)
-    _add_out_opts(sp, ("csv",))
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--T", type=_positive, default=100)
-    sp.add_argument("--burn", type=_nonnegative, default=0)
-    sp.add_argument("--budget", choices=("independent", "balanced"),
-                    default="independent")
-
-    sp = sub.add_parser("irf", help="impulse responses to one unit innovation")
-    _add_param_opts(sp)
-    _add_out_opts(sp, ("csv",))
-    sp.add_argument("--shock", required=True, choices=KINDS, metavar="KIND",
-                    help=f"one of {', '.join(KINDS)}")
-    sp.add_argument("--H", type=_positive, default=40)
-
-    sp = sub.add_parser("transparency",
-                        help="signs of the information-channel coefficients")
-    _add_param_opts(sp)
-    _add_out_opts(sp, ("json",))
-
-    sp = sub.add_parser("determinacy",
-                        help="eigenvalues, characteristic coefficients, verdicts")
-    _add_param_opts(sp)
-    _add_out_opts(sp, ("json",))
-    sp.add_argument("--n-pre", type=int, choices=range(10), default=None,
-                    help="predetermined-variable count; omit for all 0..9")
-    sp.add_argument("--tol", type=_positive_float, default=1e-8,
-                    help="borderline tolerance on |modulus - 1|")
-
-    sp = sub.add_parser("sweep", help="determinacy verdicts over a 2-D grid")
-    _add_param_opts(sp)
-    _add_out_opts(sp, ("csv",))
-    sp.add_argument("--axis1", required=True, metavar="NAME:LO:HI:N")
-    sp.add_argument("--axis2", required=True, metavar="NAME:LO:HI:N")
-    sp.add_argument("--n-pre", type=int, choices=range(10), default=9)
-    sp.add_argument("--tol", type=_positive_float, default=1e-8)
-    sp.add_argument("--workers", type=_positive, default=1)
-
-    sp = sub.add_parser("audit",
-                        help="numerical re-solve, coefficient comparison, "
-                             "structural residuals")
-    _add_param_opts(sp)
-    _add_out_opts(sp, ("json",))
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--T", type=_positive, default=2000)
-    sp.add_argument("--tol", type=_positive_float, default=1e-6)
-    sp.add_argument("--draws", type=_nonnegative, default=0,
-                    help="also run a stability check over this many random "
-                         "parameterizations")
-    sp.add_argument("--workers", type=_positive, default=1,
-                    help="worker processes for the stability check")
-    return parser
-
-
-def _parse_axis(text: str, parser) -> tuple[str, float, float, int]:
+def _axis(text: str) -> tuple[str, float, float, int]:
     parts = text.split(":")
     if len(parts) != 4:
-        parser.error(f"axis must be NAME:LO:HI:N, got {text!r}")
+        raise argparse.ArgumentTypeError(f"axis must be NAME:LO:HI:N, got {text!r}")
     name, lo, hi, n = parts
     try:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
-        parser.error(f"axis bounds/count malformed in {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"axis bounds/count malformed in {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        parser.error(f"axis bounds must be finite in {text!r}")
+        raise argparse.ArgumentTypeError(f"axis bounds must be finite in {text!r}")
     if n < 1:
-        parser.error(f"axis count must be >= 1 in {text!r}")
+        raise argparse.ArgumentTypeError(f"axis count must be >= 1 in {text!r}")
     return name, lo, hi, n
 
 
-def cmd_coeffs(args, parser) -> int:
-    rf = coeffs.compute_all(_load_params(args, parser))
+def _load_params(args):
+    calib = load_calibration(args.calib) if args.calib else {}
+    return validate({**calib, **dict(args.param)})
+
+
+def cmd_coeffs(args) -> int:
+    rf = coeffs.compute_all(_load_params(args))
     table = rf.as_table()
     if args.format == "json":
         obj = {var: {str(i): v for i, v in idx.items()} for var, idx in table.items()}
@@ -219,60 +126,51 @@ def cmd_coeffs(args, parser) -> int:
     return 0
 
 
-def cmd_shocks(args, parser) -> int:
-    p = _load_params(args, parser)
-    burn = args.burn
-    path = shocks.draw(p, args.seed, args.T + burn)
-    sig = shocks.signal(path, transparent=args.transparent)
-    cols = ["t", "omega", "eta", "L", "lambda", "xi", "v", "sigma_cp",
-            "T_natu", "Xi", "chi", "mu", "ybar", "g", "tax", "eps", "ubar",
-            "signal"]
-    rows = []
-    for t in range(burn, path.T):
-        rows.append([t - burn]
-                    + [path.innovation(k)[t] for k in KINDS]
-                    + [path.state(s)[t] for s in ("chi", "mu")]
-                    + [path.ybar[t]]
-                    + [path.state(s)[t] for s in ("g", "tax", "eps", "ubar")]
-                    + [sig[t]])
-    _write(args, _csv("shocks", cols, rows))
+def cmd_shocks(args) -> int:
+    path = shocks.draw(_load_params(args), args.seed, args.T + args.burn)
+    columns = {
+        **{kind: path.innovation(kind) for kind in KINDS},
+        "chi": path.state("chi"),
+        "mu": path.state("mu"),
+        "ybar": path.ybar,
+        **{name: path.state(name) for name in ("g", "tax", "eps", "ubar")},
+        "signal": shocks.signal(path, transparent=args.transparent),
+    }
+    rows = zip(range(args.T), *(col[args.burn:].tolist() for col in columns.values()),
+               strict=True)
+    _write(args, _csv("shocks", ["t", *columns], rows))
     return 0
 
 
-def cmd_simulate(args, parser) -> int:
-    p = _load_params(args, parser)
-    rf = coeffs.compute_all(p)
-    burn = args.burn
-    path = shocks.draw(p, args.seed, args.T + burn)
-    ep = sim.simulate(rf, path, budget_mode=args.budget)
-    cols = ["t"] + list(sim.SERIES) + ["fe"]
-    rows = []
-    for t in range(burn, ep.T):
-        fe = ep.forecast_error[t] if t < ep.T - 1 else None
-        rows.append([t - burn] + [ep[v][t] for v in sim.SERIES] + [fe])
-    _write(args, _csv("simulate", cols, rows))
+def cmd_simulate(args) -> int:
+    p = _load_params(args)
+    path = shocks.draw(p, args.seed, args.T + args.burn)
+    ep = sim.simulate(coeffs.compute_all(p), path, budget_mode=args.budget)
+    # the final period has no realized forecast error
+    fe = ep.forecast_error[args.burn:].tolist() + [None]
+    rows = zip(range(args.T), *(ep[v][args.burn:].tolist() for v in sim.SERIES), fe,
+               strict=True)
+    _write(args, _csv("simulate", ["t", *sim.SERIES, "fe"], rows))
     return 0
 
 
-def cmd_irf(args, parser) -> int:
-    p = _load_params(args, parser)
-    rf = coeffs.compute_all(p)
-    table = sim.irf(rf, args.shock, args.H)
-    names = list(sim.SERIES) + list(shocks.AR_STATES)
-    rows = [(h, var, table[var][h]) for var in names for h in range(args.H)]
+def cmd_irf(args) -> int:
+    table = sim.irf(coeffs.compute_all(_load_params(args)), args.shock, args.H)
+    rows = [(h, var, x) for var in (*sim.SERIES, *shocks.AR_STATES)
+            for h, x in enumerate(table[var].tolist())]
     _write(args, _csv("irf", ["h", "variable", "response"], rows))
     return 0
 
 
-def cmd_transparency(args, parser) -> int:
-    rf = coeffs.compute_all(_load_params(args, parser))
+def cmd_transparency(args) -> int:
+    rf = coeffs.compute_all(_load_params(args))
     audit = sim.transparency_audit(rf)
     _write(args, _json(audit.entries))
     return 0
 
 
-def cmd_determinacy(args, parser) -> int:
-    rf = coeffs.compute_all(_load_params(args, parser))
+def cmd_determinacy(args) -> int:
+    rf = coeffs.compute_all(_load_params(args))
     rep = statespace.report(rf, tau=args.tol, n_pre=args.n_pre)
     obj = {
         "eigenvalues": [{"re": v.real, "im": v.imag, "modulus": abs(v)}
@@ -287,13 +185,10 @@ def cmd_determinacy(args, parser) -> int:
     return 0
 
 
-def cmd_sweep(args, parser) -> int:
-    p = _load_params(args, parser)
-    axis1 = _parse_axis(args.axis1, parser)
-    axis2 = _parse_axis(args.axis2, parser)
-    result = statespace.sweep(p, axis1, axis2, n_pre=args.n_pre,
-                              tau=args.tol, workers=args.workers)
-    name1, name2 = axis1[0], axis2[0]
+def cmd_sweep(args) -> int:
+    result = statespace.sweep(_load_params(args), args.axis1, args.axis2,
+                              n_pre=args.n_pre, tau=args.tol, workers=args.workers)
+    name1, name2 = args.axis1[0], args.axis2[0]
     rows = [(c[name1], c[name2], c["stable"], c["unstable"], c["borderline"],
              c["verdict"]) for c in result.cells]
     _write(args, _csv("sweep", [name1, name2, "stable", "unstable",
@@ -301,8 +196,8 @@ def cmd_sweep(args, parser) -> int:
     return 0
 
 
-def cmd_audit(args, parser) -> int:
-    p = _load_params(args, parser)
+def cmd_audit(args) -> int:
+    p = _load_params(args)
     rf_tables = coeffs.compute_all(p)
     rf_oracle = oracle.solve_undetermined(p)
     report = oracle.compare(rf_tables, rf_oracle, tol=args.tol)
@@ -331,32 +226,91 @@ def cmd_audit(args, parser) -> int:
     return 0
 
 
-_COMMANDS = {
-    "coeffs": cmd_coeffs,
-    "shocks": cmd_shocks,
-    "simulate": cmd_simulate,
-    "irf": cmd_irf,
-    "transparency": cmd_transparency,
-    "determinacy": cmd_determinacy,
-    "sweep": cmd_sweep,
-    "audit": cmd_audit,
-}
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nkji",
+        description="Solve, simulate and stress-test a small rational-"
+                    "expectations New Keynesian model with an information-"
+                    "disclosure channel and job-insecurity dynamics.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        sp.add_argument("--calib", metavar="PATH",
+                        help="JSON calibration file (flat name -> number)")
+        sp.add_argument("--param", type=_assignment, action="append", default=[],
+                        metavar="NAME=VALUE",
+                        help="override one parameter (repeatable)")
+        sp.add_argument("--out", metavar="PATH", help="output path (default stdout)")
+        return sp
+
+    sp = command("coeffs", cmd_coeffs, "emit the reduced-form coefficient set")
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
+
+    sp = command("shocks", cmd_shocks, "draw seeded innovations and AR states")
+    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--T", type=_positive, default=100)
+    sp.add_argument("--burn", type=_nonnegative, default=0,
+                    help="periods drawn and discarded before t = 0")
+    sp.add_argument("--transparent", action="store_true",
+                    help="emit the noiseless signal column")
+
+    sp = command("simulate", cmd_simulate, "equilibrium path along drawn shocks")
+    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--T", type=_positive, default=100)
+    sp.add_argument("--burn", type=_nonnegative, default=0)
+    sp.add_argument("--budget", choices=("independent", "balanced"),
+                    default="independent")
+
+    sp = command("irf", cmd_irf, "impulse responses to one unit innovation")
+    sp.add_argument("--shock", required=True, choices=KINDS, metavar="KIND",
+                    help=f"one of {', '.join(KINDS)}")
+    sp.add_argument("--H", type=_positive, default=40)
+
+    command("transparency", cmd_transparency,
+            "signs of the information-channel coefficients")
+
+    sp = command("determinacy", cmd_determinacy,
+                 "eigenvalues, characteristic coefficients, verdicts")
+    sp.add_argument("--n-pre", type=int, choices=range(10), default=None,
+                    help="predetermined-variable count; omit for all 0..9")
+    sp.add_argument("--tol", type=_positive_float, default=1e-8,
+                    help="borderline tolerance on |modulus - 1|")
+
+    sp = command("sweep", cmd_sweep, "determinacy verdicts over a 2-D grid")
+    sp.add_argument("--axis1", type=_axis, required=True, metavar="NAME:LO:HI:N")
+    sp.add_argument("--axis2", type=_axis, required=True, metavar="NAME:LO:HI:N")
+    sp.add_argument("--n-pre", type=int, choices=range(10), default=9)
+    sp.add_argument("--tol", type=_positive_float, default=1e-8)
+    sp.add_argument("--workers", type=_positive, default=1)
+
+    sp = command("audit", cmd_audit,
+                 "numerical re-solve, coefficient comparison, structural residuals")
+    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--T", type=_positive, default=2000)
+    sp.add_argument("--tol", type=_positive_float, default=1e-6)
+    sp.add_argument("--draws", type=_nonnegative, default=0,
+                    help="also run a stability check over this many random "
+                         "parameterizations")
+    sp.add_argument("--workers", type=_positive, default=1,
+                    help="worker processes for the stability check")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="nkji: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, parser)
+        return args.run(args)
     except (InvalidParams, BudgetModeConflict, UnknownParameter,
             shocks.UnknownShockKind, OSError, json.JSONDecodeError,
             UnicodeDecodeError) as err:
         print(f"nkji: invalid input: {err}", file=sys.stderr)
         return 2
     except (oracle.SingularSystem, oracle.AnsatzInconsistent,
-            ConvergenceFailure) as err:
+            ConvergenceFailure, OverflowError) as err:
         print(f"nkji: numerical failure: {err}", file=sys.stderr)
         return 3
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import slots
 from .coeffs import ReducedForm, compute_all
-from .params import FIELD_NAMES, InvalidParams, StructuralParams, validate
+from .params import (FIELD_NAMES, InvalidDomain, InvalidParams, StructuralParams,
+                     validate)
 from .slots import Vec
 
 ORDER = 9
@@ -123,7 +124,12 @@ def eigen(A: Vec) -> Vec:
         raise ConvergenceFailure(str(err)) from err
     if not np.all(np.isfinite(vals.view(float))):
         raise ConvergenceFailure("eigensolver returned non-finite values")
-    norm = np.linalg.norm(A)
+    # entries beyond ~1e154 overflow the Frobenius norm, and an infinite
+    # norm would pass every residual check
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(A)
+    if not np.isfinite(norm):
+        raise ConvergenceFailure("transition matrix norm overflows")
     resid = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
     if norm > 0 and np.any(resid > 1e-8 * norm * np.linalg.norm(vecs, axis=0)):
         raise ConvergenceFailure("eigenpair residual check failed")
@@ -216,7 +222,7 @@ class SweepResult:
     tau: float
     # per-cell records in row-major (axis1, axis2) order; counts are None
     # for cells whose parameterization fails validation ("invalid") or
-    # whose eigen-solve fails ("failed")
+    # whose coefficients overflow or eigen-solve fails ("failed")
     cells: list[dict]
 
 
@@ -230,7 +236,7 @@ def _sweep_row(base: dict[str, float], name1: str, name2: str, grid2: Vec,
             try:
                 p = validate({**base, name1: float(v1), name2: float(v2)})
                 eigs = eigen(build(compute_all(p)).A)
-            except (InvalidParams, ConvergenceFailure) as err:
+            except (InvalidParams, ConvergenceFailure, OverflowError) as err:
                 row.append({name1: float(v1), name2: float(v2), "stable": None,
                             "unstable": None, "borderline": None,
                             "verdict": "invalid" if isinstance(err, InvalidParams)
@@ -262,13 +268,17 @@ def sweep(base: StructuralParams,
     """Determinacy verdicts over a 2-D parameter grid.
 
     Grid cells that fail parameter validation are marked invalid, cells
-    whose eigen-solve fails are marked failed; neither aborts the sweep.
+    whose coefficients overflow or whose eigen-solve fails are marked
+    failed; neither aborts the sweep.  The two axes must vary different
+    parameters.
     Results are assembled in fixed grid order regardless of worker count,
     so output is reproducible across parallelism levels.
     """
     for name in (axis1[0], axis2[0]):
         if name not in FIELD_NAMES:
             raise UnknownParameter(name)
+    if axis1[0] == axis2[0]:
+        raise InvalidParams([InvalidDomain(axis1[0], "varied by both sweep axes")])
     if not 0 <= n_pre <= ORDER:
         raise ValueError("n_pre must be in 0..9")
     name1, lo1, hi1, n1 = axis1

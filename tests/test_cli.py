@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 import nkji
 from nkji.cli import main
 from nkji.params import FIELD_NAMES
-from nkji.shocks import KINDS
+from nkji.shocks import AR_STATES, KINDS
+from nkji.sim import SERIES
+from nkji.slots import INDEX_SETS, VARIABLES
 
 
 def run(tmp_path, *argv):
@@ -46,10 +49,28 @@ def test_simulate_burn(tmp_path):
 
 
 def test_csv_floats_roundtrip(tmp_path):
-    _, text = run(tmp_path, "simulate", "--seed", "3", "--T", "5")
-    row = text.strip().split("\n")[2].split(",")
-    values = [float(x) for x in row[1:-1]]
-    assert all(repr(v) in row for v in values[:3])
+    names = {*KINDS, *SERIES, *AR_STATES, *VARIABLES}
+    series = [str(t) for t in range(5)]
+    for argv, first_column in (
+            (("simulate", "--seed", "3", "--T", "5", "--burn", "3"), series),
+            (("shocks", "--seed", "3", "--T", "5", "--burn", "3", "--transparent"),
+             series),
+            (("irf", "--shock", "lambda", "--H", "4"),
+             [str(h) for h in range(4)] * (len(SERIES) + len(AR_STATES))),
+            (("coeffs", "--format", "csv"),
+             [v for v in VARIABLES for _ in INDEX_SETS[v]])):
+        code, text = run(tmp_path, *argv)
+        assert code == 0, argv
+        header, *rows = [line.split(",") for line in text.splitlines()[1:]]
+        # one row per period after the burn (per horizon, per entry), in order
+        assert [row[0] for row in rows] == first_column, argv
+        for i, row in enumerate(rows):
+            assert len(row) == len(header), (argv, i)
+            for column, cell in zip(header, row):
+                if cell == "":
+                    assert (column, i) == ("fe", len(rows) - 1), argv
+                elif not (re.fullmatch(r"-?[0-9]+", cell) or cell in names):
+                    assert repr(float(cell)) == cell, (argv, column, i, cell)
 
 
 def test_coeffs_json_and_csv(tmp_path):
@@ -62,6 +83,10 @@ def test_coeffs_json_and_csv(tmp_path):
     code, text = run(tmp_path, "coeffs", "--format", "csv")
     assert code == 0
     assert text.splitlines()[1] == "variable,index,value"
+    # the same numbers at full precision in both formats
+    rows = [line.split(",") for line in text.splitlines()[2:]]
+    assert {(v, int(i)): float(x) for v, i, x in rows} == \
+        {(v, int(i)): x for v, idx in table.items() for i, x in idx.items()}
 
 
 def test_coeffs_param_override(tmp_path):
@@ -197,10 +222,16 @@ def test_audit_with_draws(tmp_path):
     assert obj["stability"]["identical_across_draws"] is True
 
 
-def test_numerical_failure_exits_3(tmp_path):
-    code, _ = run(tmp_path, "audit", "--param", "c1=0.5", "--param", "s2=0.1",
-                  "--param", "gamma2=0.4", "--param", "s1=0.625")
-    assert code == 3
+def test_numerical_failure_exits_3(tmp_path, capsys):
+    for argv in (("audit", "--param", "c1=0.5", "--param", "s2=0.1",
+                  "--param", "gamma2=0.4", "--param", "s1=0.625"),
+                 ("determinacy", "--param", "k=1e160")):   # overflowing norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(tmp_path, *argv)
+        assert (code, text) == (3, ""), argv
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("nkji: numerical failure: ") and "\n" not in err, argv
 
 
 def test_argument_guards(tmp_path):
@@ -217,7 +248,11 @@ def test_argument_guards(tmp_path):
                  ["sweep", "--axis1", "alpha_pi:0.5:2:0", "--axis2", "alpha_y:0:1:3"],
                  ["sweep", "--axis1", "alpha_pi:0.5:2:3", "--axis2", "alpha_y:0:1:-3"],
                  ["sweep", "--axis1", "alpha_pi:0.5:inf:3", "--axis2", "alpha_y:0:1:3"],
-                 ["sweep", "--axis1", "alpha_pi:0.5:2:3", "--axis2", "alpha_y:nan:1:3"]):
+                 ["sweep", "--axis1", "alpha_pi:0.5:2:3", "--axis2", "alpha_y:nan:1:3"],
+                 ["sweep", "--axis1", "alpha_pi:a:2:3", "--axis2", "alpha_y:0:1:3"],
+                 ["coeffs", "--param", "sigma"],
+                 ["coeffs", "--param", "sigma=abc"],
+                 ["simulate", "--format", "csv"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "x")])
         assert exc.value.code == 2, argv
@@ -254,16 +289,25 @@ def test_out_in_missing_directory_exits_2(tmp_path, capsys):
     assert str(out) in err
 
 
+def test_same_sweep_axis_twice_exits_2(tmp_path, capsys):
+    err = _invalid_input(capsys, ["sweep", "--axis1", "k:0:1:3", "--axis2", "k:2:3:2",
+                                  "--out", str(tmp_path / "out.csv")])
+    assert "varied by both sweep axes" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_failed_sweep_cells_do_not_abort_the_sweep(tmp_path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, text = run(tmp_path, "sweep", "--axis1", "sigma:1e-300:1e300:5",
-                         "--axis2", "k:0:1e308:5", "--workers", "1")
-    assert code == 0
-    rows = text.strip().split("\n")[2:]
-    assert len(rows) == 25
-    failed = [r for r in rows if r.endswith(",failed")]
-    assert failed and all(r.split(",")[2:5] == ["", "", ""] for r in failed)
+    for axis1, axis2, cells in (("sigma:1e-300:1e300:5", "k:0:1e308:5", 25),
+                                ("c1:0.5:1e300:3", "k:0:1:2", 6)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(tmp_path, "sweep", "--axis1", axis1, "--axis2", axis2,
+                             "--workers", "1")
+        assert code == 0, axis1
+        rows = text.strip().split("\n")[2:]
+        assert len(rows) == cells, axis1
+        failed = [r for r in rows if r.endswith(",failed")]
+        assert failed and all(r.split(",")[2:5] == ["", "", ""] for r in failed), axis1
 
 
 def test_failed_write_keeps_previous_out(tmp_path, monkeypatch, capsys):
@@ -357,6 +401,7 @@ _calib = _mostly(st.none(), st.one_of(
 @given(argv=_argv, calib=_calib)
 @example(argv=["coeffs"], calib=b"\xff\xfe{}")
 @example(argv=["coeffs", "--param", "s1=0.0"], calib=None)
+@example(argv=["coeffs", "--param", "c1=1e300"], calib=None)
 @example(argv=["coeffs"], calib=b'{"sigma": 1' + b"0" * 400 + b"}")
 def test_cli_fuzz_exit_codes_and_no_partial_output(argv, calib):
     with tempfile.TemporaryDirectory() as d:

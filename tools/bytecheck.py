@@ -1,0 +1,109 @@
+"""Record the bytes of a fixed list of CLI runs, to compare two source trees.
+
+    PYTHONPATH=<tree>/src python3 tools/bytecheck.py OUTDIR
+
+Runs every command of ``COMMANDS`` as ``python -m nkji.cli`` in a fresh
+process and writes, for command number n, its stdout to ``OUTDIR/<n>.out``,
+its stderr to ``OUTDIR/<n>.err`` and its exit code to ``OUTDIR/<n>.code``;
+``OUTDIR/commands.txt`` lists the commands by number.  Run it once per
+source tree and compare the two directories with ``diff -r``: a change that
+keeps the CLI's behaviour leaves no difference.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from nkji.shocks import KINDS
+
+#: parameterizations every subcommand runs at; ``p2`` also breaks the
+#: ``rho_g == rho_tax`` condition of ``--budget balanced``
+PARAMS = {
+    "default": [],
+    "p1": ["--param", "alpha_pi=0.8", "--param", "theta=0.7",
+           "--param", "rho_chi=0.5", "--param", "c1=0.4"],
+    "p2": ["--param", "sigma=2", "--param", "k=0.05", "--param", "rho_g=0.6",
+           "--param", "sd_noise=0.3"],
+}
+
+PER_PARAMS = (
+    ["coeffs"],
+    ["coeffs", "--format", "csv"],
+    ["shocks", "--seed", "5", "--T", "30"],
+    ["shocks", "--seed", "5", "--T", "30", "--burn", "3", "--transparent"],
+    ["simulate", "--seed", "5", "--T", "30"],
+    ["simulate", "--seed", "9", "--T", "30", "--burn", "4"],
+    ["simulate", "--T", "20", "--budget", "balanced"],
+    ["irf", "--shock", "lambda", "--H", "12"],
+    ["transparency"],
+    ["determinacy"],
+    ["determinacy", "--n-pre", "4", "--tol", "1e-6"],
+    ["sweep", "--axis1", "alpha_pi:0.5:2.5:6", "--axis2", "alpha_y:0:1:5"],
+    ["audit", "--T", "200"],
+)
+
+SINGLE = (
+    *(["irf", "--shock", kind, "--H", "12"] for kind in KINDS),
+    *(["sweep", "--axis1", "alpha_pi:0.5:2.5:7", "--axis2", "rho_chi:0:0.99:6",
+       "--workers", w] for w in ("1", "2")),
+    *(["audit", "--T", "100", "--draws", "6", "--seed", "3", "--workers", w]
+      for w in ("1", "2")),
+    # extreme values: failed sweep cells, overflow, non-finite spectra
+    ["sweep", "--axis1", "sigma:1e-300:1e300:5", "--axis2", "k:0:1e308:5"],
+    ["sweep", "--axis1", "c1:0.5:1e300:3", "--axis2", "k:0:1:2"],
+    ["coeffs", "--param", "c1=1e300"],
+    ["coeffs", "--param", "s1=1e300"],
+    ["determinacy", "--param", "k=1e40"],
+    ["determinacy", "--param", "k=1e160"],
+    ["audit", "--param", "c1=0.5", "--param", "s2=0.1", "--param", "gamma2=0.4",
+     "--param", "s1=0.625"],
+    # invalid input
+    ["sweep", "--axis1", "k:0:1:3", "--axis2", "k:2:3:2"],
+    ["sweep", "--axis1", "nosuch:0:1:3", "--axis2", "k:0:1:2"],
+    ["sweep", "--axis1", "alpha_pi:0.5:2.5", "--axis2", "alpha_y:0:1:4"],
+    ["sweep", "--axis1", "alpha_pi:a:2:3", "--axis2", "alpha_y:0:1:4"],
+    ["sweep", "--axis1", "alpha_pi:0.5:inf:3", "--axis2", "alpha_y:0:1:4"],
+    ["sweep", "--axis1", "alpha_pi:0.5:2:0", "--axis2", "alpha_y:0:1:4"],
+    ["coeffs", "--param", "sigma"],
+    ["coeffs", "--param", "sigma=abc"],
+    ["coeffs", "--param", "nosuch=1"],
+    ["coeffs", "--param", "rho_chi=1.0"],
+    ["coeffs", "--format", "xml"],
+    ["simulate", "--format", "csv"],
+    ["determinacy", "--format", "json"],
+    ["simulate", "--T", "0"],
+    ["shocks", "--seed", "-1"],
+    ["irf", "--shock", "zeta"],
+    ["determinacy", "--n-pre", "12"],
+    ["audit", "--tol", "0"],
+    ["frobnicate"],
+)
+
+COMMANDS = (*(argv + opts for opts in PARAMS.values() for argv in PER_PARAMS),
+            *SINGLE)
+
+
+def main(outdir: str) -> int:
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    # argparse wraps its usage lines to the terminal width
+    env = {**os.environ, "COLUMNS": "80"}
+    listing = []
+    for n, argv in enumerate(COMMANDS):
+        proc = subprocess.run([sys.executable, "-m", "nkji.cli", *argv],
+                              capture_output=True, env=env, timeout=600)
+        (out / f"{n}.out").write_bytes(proc.stdout)
+        (out / f"{n}.err").write_bytes(proc.stderr)
+        (out / f"{n}.code").write_text(f"{proc.returncode}\n")
+        listing.append(f"{n} {' '.join(argv)}\n")
+    (out / "commands.txt").write_text("".join(listing))
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1]))
