@@ -14,6 +14,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import coeffs, oracle, shocks, sim, slots, statespace
 from .params import InvalidParams, load_calibration, validate
 from .shocks import KINDS
@@ -48,8 +50,18 @@ def _csv(header: str, columns: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _floats(values: np.ndarray) -> list[float]:
+    """``values`` as CSV cells; a non-finite value is a numerical failure."""
+    if not np.isfinite(values).all():
+        raise ConvergenceFailure("output is not finite")
+    return values.tolist()
+
+
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:   # JSON has no token for a non-finite float
+        raise ConvergenceFailure("output is not finite") from None
 
 
 def _seed(text: str) -> int:
@@ -103,6 +115,8 @@ def _axis(text: str) -> tuple[str, float, float, int]:
             f"axis bounds/count malformed in {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise argparse.ArgumentTypeError(f"axis bounds must be finite in {text!r}")
+    if not math.isfinite(hi - lo):   # the grid points would not be finite
+        raise argparse.ArgumentTypeError(f"axis span overflows in {text!r}")
     if n < 1:
         raise argparse.ArgumentTypeError(f"axis count must be >= 1 in {text!r}")
     return name, lo, hi, n
@@ -136,7 +150,7 @@ def cmd_shocks(args) -> int:
         **{name: path.state(name) for name in ("g", "tax", "eps", "ubar")},
         "signal": shocks.signal(path, transparent=args.transparent),
     }
-    rows = zip(range(args.T), *(col[args.burn:].tolist() for col in columns.values()),
+    rows = zip(range(args.T), *(_floats(col[args.burn:]) for col in columns.values()),
                strict=True)
     _write(args, _csv("shocks", ["t", *columns], rows))
     return 0
@@ -147,8 +161,8 @@ def cmd_simulate(args) -> int:
     path = shocks.draw(p, args.seed, args.T + args.burn)
     ep = sim.simulate(coeffs.compute_all(p), path, budget_mode=args.budget)
     # the final period has no realized forecast error
-    fe = ep.forecast_error[args.burn:].tolist() + [None]
-    rows = zip(range(args.T), *(ep[v][args.burn:].tolist() for v in sim.SERIES), fe,
+    fe = _floats(ep.forecast_error[args.burn:]) + [None]
+    rows = zip(range(args.T), *(_floats(ep[v][args.burn:]) for v in sim.SERIES), fe,
                strict=True)
     _write(args, _csv("simulate", ["t", *sim.SERIES, "fe"], rows))
     return 0
@@ -157,7 +171,7 @@ def cmd_simulate(args) -> int:
 def cmd_irf(args) -> int:
     table = sim.irf(coeffs.compute_all(_load_params(args)), args.shock, args.H)
     rows = [(h, var, x) for var in (*sim.SERIES, *shocks.AR_STATES)
-            for h, x in enumerate(table[var].tolist())]
+            for h, x in enumerate(_floats(table[var]))]
     _write(args, _csv("irf", ["h", "variable", "response"], rows))
     return 0
 
@@ -303,7 +317,10 @@ def main(argv: list[str] | None = None) -> int:
                         format="nkji: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        # a non-finite result ends in exit 3 (see ``_floats``, ``_json``),
+        # not in numpy warnings
+        with np.errstate(all="ignore"):
+            return args.run(args)
     except (InvalidParams, BudgetModeConflict, UnknownParameter,
             shocks.UnknownShockKind, OSError, json.JSONDecodeError,
             UnicodeDecodeError) as err:

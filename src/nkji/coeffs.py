@@ -18,12 +18,13 @@ system actually supports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import slots
-from .params import StructuralParams
+from .params import ConvergenceFailure, StructuralParams
 from .slots import NSLOT, Vec
 
 
@@ -82,27 +83,47 @@ def _chain_expectation(vec: Vec, p: StructuralParams) -> Vec:
     return out
 
 
+def power(x, n: int):
+    """``x**n`` by Python's scalar ``pow``, for a float or for each element
+    of an array (numpy's array power can differ from it in the last bit);
+    an overflow gives an infinity instead of an ``OverflowError``."""
+    if isinstance(x, np.ndarray):
+        return np.array([_pow(v, n) for v in x.tolist()])
+    return _pow(x, n)
+
+
+def _pow(x: float, n: int) -> float:
+    try:
+        return x**n
+    except OverflowError:
+        return math.copysign(math.inf, x) if n % 2 else math.inf
+
+
 def _primitive_blocks(p: StructuralParams) -> tuple[Vec, Vec, Vec, Vec]:
     """Interest-rate, output, consumption and investment blocks over the
-    shared denominators ``D`` (and ``sD == s1*D``)."""
+    shared denominators ``D`` (and ``sD == s1*D``); each (16,), or
+    (16, n) when fields hold one value per cell."""
     sg = p.sigma
     c0, c1, c3, c4 = p.c0, p.c1, p.c3, p.c4
     s0, s1, s2, s3, s4 = p.s0, p.s1, p.s2, p.s3, p.s4
     g1, g2, g3, g4, g5 = p.gamma1, p.gamma2, p.gamma3, p.gamma4, p.gamma5
     f1, f2, f3 = p.phi1, p.phi2, p.phi3
     rho, rg, rt, rx = p.rho_ybar, p.rho_g, p.rho_tax, p.rho_chi
+    rho2, rho3, c1_2, s1_2 = power(rho, 2), power(rho, 3), power(c1, 2), power(s1, 2)
 
     M = c1 * (g2 + s2) + g2 * s1
     D = s1 - sg * M
     G = c1 * (g3 - s3) - c3 * s1 + g3 * s1 - s1
     H = c1 * (g4 - s4) + s1 * c4 + s1 * g4
     P = (c1 - s1) * (g5 - f2)
-    sD = s1**2 - sg * s1 * M   # == s1 * D
+    sD = s1_2 - sg * s1 * M   # == s1 * D
 
-    r = np.zeros(NSLOT)
+    shape = (NSLOT, *p.cells)
+
+    r = np.zeros(shape)
     r[0] = sg * (s0 * c1 - c0 * s1) / D
-    r[1] = -sg * g1 * rho**3 * (c1 + s1) / ((1 - rho) * D)
-    r[2] = -sg * g1 * rho**2 * (c1 + s1) / ((1 - rho) * D)
+    r[1] = -sg * g1 * rho3 * (c1 + s1) / ((1 - rho) * D)
+    r[2] = -sg * g1 * rho2 * (c1 + s1) / ((1 - rho) * D)
     r[3] = sg * rg * G / D
     r[4] = sg * G / D
     r[5] = sg * rt * H / D
@@ -112,10 +133,10 @@ def _primitive_blocks(p: StructuralParams) -> tuple[Vec, Vec, Vec, Vec]:
     r[9] = sg * f1 * (c1 - s1) / D
     r[10] = sg * f3 * (c1 - s1) / D
 
-    y = np.zeros(NSLOT)
+    y = np.zeros(shape)
     y[0] = -(s0 * c1 - c0 * s1) / D
-    y[1] = g1 * rho**3 * (c1 + s1) / ((1 - rho) * D)
-    y[2] = g1 * rho**2 * (c1 + s1) / ((1 - rho) * D)
+    y[1] = g1 * rho3 * (c1 + s1) / ((1 - rho) * D)
+    y[2] = g1 * rho2 * (c1 + s1) / ((1 - rho) * D)
     y[3] = -rg * G / D
     y[4] = -G / D
     y[5] = -rt * H / D
@@ -123,19 +144,19 @@ def _primitive_blocks(p: StructuralParams) -> tuple[Vec, Vec, Vec, Vec]:
     # the two information-channel entries are derived over the scaled
     # denominator s1*D; evaluated verbatim, not simplified
     y[7] = (sg * rx * P * M + g5 * rx * (c1 - s1) * D - f2 * rx * (c1 - s1) * D) \
-        / (s1**2 - s1 * sg * M)
+        / (s1_2 - s1 * sg * M)
     y[8] = (sg * P * M + g5 * (c1 - s1) * D - f2 * (c1 - s1) * D) \
-        / (s1**2 - s1 * sg * M)
+        / (s1_2 - s1 * sg * M)
     y[9] = -f1 * (c1 - s1) / D
     y[10] = -f3 * (c1 - s1) / D
 
-    c = np.zeros(NSLOT)
-    c[0] = (s0 * s1 * c1 - s0 * c1**2 * sg * s2 - s0 * sg * g2 * s1
-            - c0 * s1**2 + c0 * s1 * c1 * sg * s2 + c0 * sg * g2 * s1**2) / sD
-    c[1] = (sg * c1 * g1 * rho**3 * (c1 + s1) * (g2 + s2)
-            + g1 * c1 * rho**3 * D) / (s1 * (1 - rho) * D)
-    c[2] = (sg * c1 * g1 * rho**2 * (c1 + s1) * (g2 + s2)
-            + g1 * c1 * rho**2 * D) / (s1 * (1 - rho) * D)
+    c = np.zeros(shape)
+    c[0] = (s0 * s1 * c1 - s0 * c1_2 * sg * s2 - s0 * sg * g2 * s1
+            - c0 * s1_2 + c0 * s1 * c1 * sg * s2 + c0 * sg * g2 * s1_2) / sD
+    c[1] = (sg * c1 * g1 * rho3 * (c1 + s1) * (g2 + s2)
+            + g1 * c1 * rho3 * D) / (s1 * (1 - rho) * D)
+    c[2] = (sg * c1 * g1 * rho2 * (c1 + s1) * (g2 + s2)
+            + g1 * c1 * rho2 * D) / (s1 * (1 - rho) * D)
     c[3] = (sg * c1 * rg * (g2 + s2) * G
             + rg * (c1 * (g3 - s3) - c3 * s1) * D) / sD
     c[4] = (sg * c1 * (g2 + s2) * G
@@ -151,10 +172,10 @@ def _primitive_blocks(p: StructuralParams) -> tuple[Vec, Vec, Vec, Vec]:
     c[9] = (sg * f1 * c1 * (g2 + s2) * (c1 - s1) + f1 * (c1 - s1) * D) / sD
     c[10] = (sg * f3 * c1 * (g2 + s2) * (c1 - s1) + f3 * (c1 - s1) * D) / sD
 
-    I = np.zeros(NSLOT)
+    I = np.zeros(shape)
     I[0] = sg * g2 * (s0 * c1 - c0 * s1) / D
-    I[1] = (g1 * rho**3 * D + sg * g1 * g2 * rho**3 * (c1 + s1)) / ((1 - rho) * D)
-    I[2] = (g1 * rho**2 * D + sg * g1 * g2 * rho**2 * (c1 + s1)) / ((1 - rho) * D)
+    I[1] = (g1 * rho3 * D + sg * g1 * g2 * rho3 * (c1 + s1)) / ((1 - rho) * D)
+    I[2] = (g1 * rho2 * D + sg * g1 * g2 * rho2 * (c1 + s1)) / ((1 - rho) * D)
     I[3] = (g2 * sg * rg * G + g3 * rg * D) / D
     I[4] = (sg * g2 * G + g3 * D) / D
     I[5] = (sg * g2 * rt * H + g4 * rt * D) / D
@@ -172,12 +193,36 @@ def compute_all(p: StructuralParams) -> ReducedForm:
     Chained blocks are computed *through* their parents, so the chain
     identities (gap from output, expectations from the AR laws, inflation
     from expected inflation, the policy rule, the output-unemployment link)
-    hold to machine precision by construction.
+    hold to machine precision by construction.  Raises
+    :class:`ConvergenceFailure` when a coefficient is not finite.
     """
+    # overflow is reported by the finiteness check, not by numpy warnings
+    with np.errstate(all="ignore"):
+        blocks = _slot_blocks(p)
+    if not finite_cells(blocks):
+        raise ConvergenceFailure("closed-form coefficients are not finite")
+    for v in blocks.values():
+        v.flags.writeable = False
+    return ReducedForm(
+        params=p,
+        slot_blocks=blocks,
+        denominator=p.denominator(),
+        taylor_denominator=p.taylor_denominator(),
+    )
+
+
+def finite_cells(blocks: dict[str, Vec]) -> np.ndarray:
+    """Whether every coefficient of the eleven blocks is finite, per cell."""
+    return np.isfinite(np.stack(list(blocks.values()))).all(axis=(0, 1))
+
+
+def _slot_blocks(p: StructuralParams) -> dict[str, Vec]:
+    """The eleven blocks of :func:`compute_all`, each (16,), or (16, n) when
+    fields hold one value per cell; unchecked."""
     r, y, c, inv = _primitive_blocks(p)
 
     yhat = y.copy()
-    yhat[1] = y[1] - p.rho_ybar**2
+    yhat[1] = y[1] - power(p.rho_ybar, 2)
     yhat[2] = y[2] - p.rho_ybar
     yhat[slots.OMEGA] = -1.0   # structural term, not an indexed entry
 
@@ -193,7 +238,7 @@ def compute_all(p: StructuralParams) -> ReducedForm:
     ap, ay, bt, kk = p.alpha_pi, p.alpha_y, p.beta, p.k
     den5 = 1.0 - ap * bt
     scale5 = (ap * kk + ay + p.sigma) / den5
-    Epi = np.zeros(NSLOT)
+    Epi = np.zeros(y.shape)
     Epi[:11] = yhat[:11] * scale5
     Epi[slots.OMEGA] = -(ap * kk + ay) / den5
     Epi[slots.EPS_LAG1] = p.rho_eps * ap / den5
@@ -202,7 +247,7 @@ def compute_all(p: StructuralParams) -> ReducedForm:
     # actual inflation chains off expected inflation and output; index 4
     # references the index-5 output entry (kept verbatim, see module
     # docstring); indices 12 and 13 carry no direct cost-push loading
-    pi = np.zeros(NSLOT)
+    pi = np.zeros(y.shape)
     pi[:11] = bt * Epi[:11] + kk * y[:11]
     pi[4] = bt * Epi[4] + kk * y[5]
     pi[slots.OMEGA] = bt * Epi[slots.OMEGA] - kk
@@ -222,18 +267,10 @@ def compute_all(p: StructuralParams) -> ReducedForm:
     # expected unemployment: AR-law expectation of the unemployment block
     Eu = _chain_expectation(u, p)
 
-    blocks = {
+    return {
         "r": r, "y": y, "yhat": yhat, "Eyhat": Eyhat, "Epi": Epi, "pi": pi,
         "c": c, "I": inv, "i": i, "u": u, "Eu": Eu,
     }
-    for v in blocks.values():
-        v.flags.writeable = False
-    return ReducedForm(
-        params=p,
-        slot_blocks=blocks,
-        denominator=p.denominator(),
-        taylor_denominator=den5,
-    )
 
 
 def steady_state(rf: ReducedForm) -> dict[str, float]:

@@ -8,11 +8,15 @@ not just the first one found.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Mapping
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -72,12 +76,18 @@ class InvalidParams(ValueError):
         return {v.field for v in self.violations}
 
 
+class ConvergenceFailure(RuntimeError):
+    """A numerical result that is not finite, or an eigen-solve that fails."""
+
+
 @dataclass(frozen=True)
 class StructuralParams:
     """Validated structural-form parameter set.
 
     Immutable after construction and safe to share across workers.  Use
     :func:`validate` to build one; the raw constructor performs no checks.
+    The batched sweep builds one whose fields are floats or 1-D arrays with
+    one entry per grid cell (see :attr:`cells`).
     """
 
     sigma: float      # inverse intertemporal elasticity, > 0
@@ -119,6 +129,11 @@ class StructuralParams:
     sd_natu: float
     sd_noise: float
 
+    @property
+    def cells(self) -> tuple[int, ...]:
+        """Shape of the cell axis: ``()`` unless some fields are arrays."""
+        return np.broadcast_shapes(*(np.shape(x) for x in vars(self).values()))
+
     def denominator(self) -> float:
         """Shared denominator of the closed-form interest/output/consumption/
         investment blocks."""
@@ -156,6 +171,47 @@ DEFAULTS: dict[str, float] = {
 }
 
 
+def _domain_rules(v: Mapping[str, Any]) -> list[tuple[Violation, Any]]:
+    """Every domain rule of :func:`validate` as ``(violation, broken)``, in
+    report order.  Each value of ``v`` is a float or a 1-D array with one
+    entry per cell; ``broken`` is then a bool or a bool array."""
+    finite = {name: np.isfinite(v[name]) for name in FIELD_NAMES}
+    beta = v["beta"]
+    rules = [(InvalidDomain(name, "not finite"), ~finite[name]) for name in FIELD_NAMES]
+    rules += [
+        (InvalidDomain("sigma", "must be > 0"), finite["sigma"] & (v["sigma"] <= 0)),
+        (InvalidDomain("theta", "must be >= 0"), finite["theta"] & (v["theta"] < 0)),
+        (InvalidDomain("beta", "must be in (0, 1)"),
+         finite["beta"] & ((beta <= 0.0) | (beta >= 1.0))),
+        (InvalidDomain("k", "must be >= 0"), finite["k"] & (v["k"] < 0)),
+        *((NonStationary(name), finite[name] & (abs(v[name]) >= 1.0))
+          for name in _RHO_FIELDS),
+        *((NegativeScale(name), finite[name] & (v[name] < 0)) for name in _SD_FIELDS),
+    ]
+    # the denominators are checked only where every other rule holds
+    clean = np.logical_not(_broken(rules))
+    p = StructuralParams(**v)
+    rules += [
+        (SingularDenominator("s1", "s1 - sigma*[c1*(gamma2+s2) + gamma2*s1] ~ 0"),
+         clean & (abs(p.denominator()) <= EPS_SING)),
+        # the consumption blocks divide by s1*D
+        (SingularDenominator("s1", "s1 ~ 0"), clean & (abs(p.s1) <= EPS_SING)),
+        (SingularDenominator("alpha_pi", "1 - alpha_pi*beta ~ 0"),
+         clean & (abs(p.taylor_denominator()) <= EPS_SING)),
+    ]
+    return rules
+
+
+def _broken(rules: list[tuple[Violation, Any]]) -> Any:
+    return functools.reduce(operator.or_, (broken for _, broken in rules))
+
+
+def invalid_cells(values: Mapping[str, Any]) -> np.ndarray:
+    """Mask of the cells :func:`validate` rejects.  ``values`` holds every
+    field, each a float or a 1-D array with one entry per cell."""
+    return np.asarray(_broken(_domain_rules(values)))
+
+
 def validate(raw: Mapping[str, Any] | StructuralParams) -> StructuralParams:
     """Validate a raw parameter mapping into a :class:`StructuralParams`.
 
@@ -185,41 +241,10 @@ def validate(raw: Mapping[str, Any] | StructuralParams) -> StructuralParams:
         except (TypeError, ValueError, OverflowError):
             bad_value.append(InvalidDomain(name, "not a number"))
             values[name] = math.nan
-    violations: list[Violation] = bad_value
-
-    def finite(name: str) -> bool:
-        return math.isfinite(values[name])
-
-    for name in FIELD_NAMES:
-        if name not in {v.field for v in bad_value} and not finite(name):
-            violations.append(InvalidDomain(name, "not finite"))
-
-    if finite("sigma") and values["sigma"] <= 0:
-        violations.append(InvalidDomain("sigma", "must be > 0"))
-    if finite("theta") and values["theta"] < 0:
-        violations.append(InvalidDomain("theta", "must be >= 0"))
-    if finite("beta") and not (0.0 < values["beta"] < 1.0):
-        violations.append(InvalidDomain("beta", "must be in (0, 1)"))
-    if finite("k") and values["k"] < 0:
-        violations.append(InvalidDomain("k", "must be >= 0"))
-
-    for name in _RHO_FIELDS:
-        if finite(name) and abs(values[name]) >= 1.0:
-            violations.append(NonStationary(name))
-    for name in _SD_FIELDS:
-        if finite(name) and values[name] < 0:
-            violations.append(NegativeScale(name))
-
-    if not violations:
-        candidate = StructuralParams(**values)
-        if abs(candidate.denominator()) <= EPS_SING:
-            violations.append(SingularDenominator(
-                "s1", "s1 - sigma*[c1*(gamma2+s2) + gamma2*s1] ~ 0"))
-        if abs(candidate.s1) <= EPS_SING:
-            # the consumption blocks divide by s1*D
-            violations.append(SingularDenominator("s1", "s1 ~ 0"))
-        if abs(candidate.taylor_denominator()) <= EPS_SING:
-            violations.append(SingularDenominator("alpha_pi", "1 - alpha_pi*beta ~ 0"))
+    # a value that is not a number is reported once, as such
+    bad_names = {v.field for v in bad_value}
+    violations = bad_value + [violation for violation, broken in _domain_rules(values)
+                              if broken and violation.field not in bad_names]
 
     if violations:
         raise InvalidParams(violations)

@@ -79,12 +79,14 @@ class ShockPath:
 
 
 def _accumulate(rho: float, innov: Vec, init: float) -> Vec:
-    out = np.empty_like(innov)
+    # the same multiply-add in the same order over Python floats, which
+    # loop faster than numpy scalars
+    out = []
     prev = init
-    for t in range(len(innov)):
-        prev = rho * prev + innov[t]
-        out[t] = prev
-    return out
+    for x in innov.tolist():
+        prev = rho * prev + x
+        out.append(prev)
+    return np.array(out)
 
 
 def from_innovations(p: StructuralParams,

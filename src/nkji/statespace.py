@@ -23,9 +23,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import slots
-from .coeffs import ReducedForm, compute_all
-from .params import (FIELD_NAMES, InvalidDomain, InvalidParams, StructuralParams,
-                     validate)
+from .coeffs import ReducedForm, _slot_blocks, finite_cells, power
+from .params import (FIELD_NAMES, ConvergenceFailure, InvalidDomain, InvalidParams,
+                     StructuralParams, invalid_cells)
 from .slots import Vec
 
 ORDER = 9
@@ -40,9 +40,14 @@ B_COLUMNS = ("omega_lag1", "omega_lag3", "eta", "eta_lag1", "eta_lag3",
 
 VERDICTS = ("determinate", "indeterminate", "no_equilibrium", "borderline")
 
+#: most grid cells a sweep evaluates in one array pass; bounds its memory
+SWEEP_SLICE = 256
 
-class ConvergenceFailure(RuntimeError):
-    pass
+#: why an eigen-solve is rejected, indexed by the codes of :func:`_spectra`
+_EIGEN_FAILURES = (None, "transition matrix has non-finite entries",
+                   "eigensolver returned non-finite values",
+                   "transition matrix norm overflows",
+                   "eigenpair residual check failed")
 
 
 class UnknownParameter(ValueError):
@@ -76,64 +81,84 @@ class DeterminacyReport:
 def build(rf: ReducedForm) -> TransitionSystem:
     """Assemble the transition matrix A and innovation loadings B from a
     coefficient set."""
-    p = rf.params
-    rho, rg, rt, rx, re_ = p.rho_ybar, p.rho_g, p.rho_tax, p.rho_chi, p.rho_eps
-
-    A = np.zeros((ORDER, ORDER))
-    B = np.zeros((ORDER, len(B_COLUMNS)))
-    for j, var in enumerate(ROW_VARS):
-        blk = rf.block(var)
-        f = blk[slots.YBAR_LAG2]
-        h = blk[slots.G_LAG1]
-        m = blk[slots.TAX_LAG1]
-        n = blk[slots.CHI_LAG1]
-        A[j, 0] = f * rho**3
-        A[j, 1] = f * rho**2 if var == "i" else f * rho
-        A[j, 2] = -f * rho**2
-        A[j, 3] = h * rg**4
-        A[j, 4] = h * rg**2
-        A[j, 5] = -h * rg**3
-        A[j, 6] = rt * m
-        A[j, 7] = rx * n
-        if var in ("pi", "i"):
-            A[j, 8] = re_ * blk[slots.EPS_LAG1]
-        B[j, 0] = f
-        B[j, 1] = f * rho**2
-        B[j, 2] = h
-        B[j, 3] = rg * h
-        B[j, 4] = h * rg**3
-        B[j, 5] = m
-        B[j, 6] = n
-        if var in ("pi", "i"):
-            B[j, 7] = blk[slots.EPS_LAG1]
-    A[8, 7] = rx**2
-    B[8, 6] = 1.0
+    A, B = _matrices(rf.slot_blocks, rf.params)
     A.flags.writeable = False
     B.flags.writeable = False
     return TransitionSystem(A=A, B=B)
 
 
+def _matrices(blocks: dict[str, Vec], p: StructuralParams) -> tuple[Vec, Vec]:
+    """A (9, 9) and B (9, 8) from slot blocks (16,); with blocks (16, n) and
+    fields of one value per cell, A (9, 9, n) and B (9, 8, n)."""
+    rho, rg, rt, rx, re_ = p.rho_ybar, p.rho_g, p.rho_tax, p.rho_chi, p.rho_eps
+    rho2, rho3 = power(rho, 2), power(rho, 3)
+    rg2, rg3, rg4 = power(rg, 2), power(rg, 3), power(rg, 4)
+    rows = np.stack([blocks[var] for var in ROW_VARS])
+    f, h, m, n, e = (rows[:, s] for s in (slots.YBAR_LAG2, slots.G_LAG1,
+                                           slots.TAX_LAG1, slots.CHI_LAG1,
+                                           slots.EPS_LAG1))
+    policy = ROW_VARS.index("i")
+    cost_push = [ROW_VARS.index("pi"), policy]   # rows loading on eps_{t-1}
+    cells = rows.shape[2:]
+
+    A = np.zeros((ORDER, ORDER, *cells))
+    A[:8, 0] = f * rho3
+    A[:8, 1] = f * rho
+    A[policy, 1] = f[policy] * rho2
+    A[:8, 2] = -f * rho2
+    A[:8, 3] = h * rg4
+    A[:8, 4] = h * rg2
+    A[:8, 5] = -h * rg3
+    A[:8, 6] = rt * m
+    A[:8, 7] = rx * n
+    A[cost_push, 8] = re_ * e[cost_push]
+    A[8, 7] = power(rx, 2)
+
+    B = np.zeros((ORDER, len(B_COLUMNS), *cells))
+    B[:8, 0] = f
+    B[:8, 1] = f * rho2
+    B[:8, 2] = h
+    B[:8, 3] = rg * h
+    B[:8, 4] = h * rg3
+    B[:8, 5] = m
+    B[:8, 6] = n
+    B[cost_push, 7] = e[cost_push]
+    B[8, 6] = 1.0
+    return A, B
+
+
 def eigen(A: Vec) -> Vec:
     """Eigenvalues of A, with a residual check ||A v - a v|| <= 1e-8 ||A|| ||v||
     per pair.  Raises :class:`ConvergenceFailure` instead of returning NaN."""
-    if not np.all(np.isfinite(A)):
-        raise ConvergenceFailure("transition matrix has non-finite entries")
     try:
-        vals, vecs = np.linalg.eig(A)
+        vals, failure = _spectra(np.asarray(A)[None])
     except np.linalg.LinAlgError as err:
         raise ConvergenceFailure(str(err)) from err
-    if not np.all(np.isfinite(vals.view(float))):
-        raise ConvergenceFailure("eigensolver returned non-finite values")
-    # entries beyond ~1e154 overflow the Frobenius norm, and an infinite
-    # norm would pass every residual check
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(A)
-    if not np.isfinite(norm):
-        raise ConvergenceFailure("transition matrix norm overflows")
-    resid = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
-    if norm > 0 and np.any(resid > 1e-8 * norm * np.linalg.norm(vecs, axis=0)):
-        raise ConvergenceFailure("eigenpair residual check failed")
-    return vals
+    if failure[0]:
+        raise ConvergenceFailure(_EIGEN_FAILURES[failure[0]])
+    return vals[0]
+
+
+def _spectra(A: Vec) -> tuple[Vec, Vec]:
+    """Eigenvalues of a stack of matrices (n, 9, 9), and per matrix the
+    index into ``_EIGEN_FAILURES`` of the first check it fails (0: none).
+    A matrix with non-finite entries is solved as zeros.  Raises
+    ``LinAlgError`` when the solver rejects any matrix of the stack."""
+    finite = np.isfinite(A).all(axis=(1, 2))
+    if not finite.all():
+        A = np.where(finite[:, None, None], A, 0.0)
+    vals, vecs = np.linalg.eig(A)
+    with np.errstate(all="ignore"):
+        # entries beyond ~1e154 overflow the Frobenius norm, and an infinite
+        # norm would pass every residual check
+        norm = np.linalg.norm(A, axis=(1, 2))
+        resid = np.linalg.norm(A @ vecs - vecs * vals[:, None, :], axis=1)
+        bound = 1e-8 * norm[:, None] * np.linalg.norm(vecs, axis=1)
+        bad_pair = (norm[:, None] > 0) & (resid > bound)
+    failure = np.select([~finite, ~np.isfinite(vals).all(axis=1),
+                         ~np.isfinite(norm), bad_pair.any(axis=1)],
+                        [1, 2, 3, 4], 0)
+    return vals, failure
 
 
 def char_poly(A: Vec) -> Vec:
@@ -168,7 +193,11 @@ def classify(eigs: Vec, n_pre: int, tau: float = 1e-8) -> str:
     """
     if not 0 <= n_pre <= len(eigs):
         raise ValueError(f"n_pre must be in 0..{len(eigs)}")
-    stable, unstable, borderline = _counts(eigs, tau)
+    stable, _, borderline = _counts(eigs, tau)
+    return _verdict(stable, borderline, n_pre)
+
+
+def _verdict(stable: int, borderline: int, n_pre: int) -> str:
     if borderline > 0:
         return "borderline"
     if stable == n_pre:
@@ -192,11 +221,13 @@ def classify_standard(eigs: Vec, n_pre: int, tau: float = 1e-8) -> str:
     return "no_equilibrium"
 
 
-def _counts(eigs: Vec, tau: float) -> tuple[int, int, int]:
+def _counts(eigs: Vec, tau: float) -> tuple[Vec, Vec, Vec]:
+    """Stable, unstable and borderline counts over the last axis of
+    ``eigs``: integers for one spectrum (9,), arrays for a stack (n, 9)."""
     mod = np.abs(eigs)
-    stable = int(np.sum(mod < 1.0 - tau))
-    unstable = int(np.sum(mod > 1.0 + tau))
-    return stable, unstable, len(eigs) - stable - unstable
+    stable = np.sum(mod < 1.0 - tau, axis=-1)
+    unstable = np.sum(mod > 1.0 + tau, axis=-1)
+    return stable, unstable, eigs.shape[-1] - stable - unstable
 
 
 def report(rf: ReducedForm, tau: float = 1e-8,
@@ -206,7 +237,7 @@ def report(rf: ReducedForm, tau: float = 1e-8,
     system = build(rf)
     eigs = eigen(system.A)
     k = char_poly(system.A)
-    stable, unstable, borderline = _counts(eigs, tau)
+    stable, unstable, borderline = map(int, _counts(eigs, tau))
     pres = range(ORDER + 1) if n_pre is None else (n_pre,)
     verdicts = {n: classify(eigs, n, tau) for n in pres}
     return DeterminacyReport(eigenvalues=eigs, k=k, tau=tau, stable=stable,
@@ -228,24 +259,52 @@ class SweepResult:
 
 def _sweep_row(base: dict[str, float], name1: str, name2: str, grid2: Vec,
                n_pre: int, tau: float, v1: float) -> list[dict]:
+    """The cells of one grid row, evaluated in array passes over slices of
+    at most ``SWEEP_SLICE`` cells."""
     row = []
     # overflow in an extreme cell is reported by its "failed" verdict,
     # not by numpy warnings
     with np.errstate(all="ignore"):
-        for v2 in grid2:
+        for start in range(0, len(grid2), SWEEP_SLICE):
+            row += _sweep_slice(base, name1, float(v1), name2,
+                                grid2[start:start + SWEEP_SLICE], n_pre, tau)
+    return row
+
+
+def _sweep_slice(base: dict[str, float], name1: str, v1: float, name2: str,
+                 grid2: Vec, n_pre: int, tau: float) -> list[dict]:
+    # both swept fields are arrays, so no cell divides a Python float by zero
+    values = {**base, name1: np.full(len(grid2), v1), name2: grid2}
+    p = StructuralParams(**values)
+    blocks = _slot_blocks(p)
+    invalid = invalid_cells(values)
+    solved = ~invalid & finite_cells(blocks)
+    A = np.moveaxis(_matrices(blocks, p)[0], -1, 0)
+    A[~solved] = 0.0
+    try:
+        vals, failure = _spectra(A)
+        solved &= failure == 0
+    except np.linalg.LinAlgError:
+        # the solver rejected some matrix: solve one at a time, so that
+        # only that cell fails
+        vals = np.zeros(A.shape[:2], dtype=complex)
+        for j in np.flatnonzero(solved):
             try:
-                p = validate({**base, name1: float(v1), name2: float(v2)})
-                eigs = eigen(build(compute_all(p)).A)
-            except (InvalidParams, ConvergenceFailure, OverflowError) as err:
-                row.append({name1: float(v1), name2: float(v2), "stable": None,
-                            "unstable": None, "borderline": None,
-                            "verdict": "invalid" if isinstance(err, InvalidParams)
-                            else "failed"})
-                continue
-            stable, unstable, borderline = _counts(eigs, tau)
-            row.append({name1: float(v1), name2: float(v2), "stable": stable,
-                        "unstable": unstable, "borderline": borderline,
-                        "verdict": classify(eigs, n_pre, tau)})
+                vals[j] = eigen(A[j])
+            except ConvergenceFailure:
+                solved[j] = False
+    stable, unstable, borderline = _counts(vals, tau)
+    row = []
+    for v2, ok, bad, s, u, b in zip(grid2.tolist(), solved.tolist(),
+                                    invalid.tolist(), stable.tolist(),
+                                    unstable.tolist(), borderline.tolist()):
+        if ok:
+            row.append({name1: v1, name2: v2, "stable": s, "unstable": u,
+                        "borderline": b, "verdict": _verdict(s, b, n_pre)})
+        else:
+            row.append({name1: v1, name2: v2, "stable": None, "unstable": None,
+                        "borderline": None,
+                        "verdict": "invalid" if bad else "failed"})
     return row
 
 

@@ -225,7 +225,12 @@ def test_audit_with_draws(tmp_path):
 def test_numerical_failure_exits_3(tmp_path, capsys):
     for argv in (("audit", "--param", "c1=0.5", "--param", "s2=0.1",
                   "--param", "gamma2=0.4", "--param", "s1=0.625"),
-                 ("determinacy", "--param", "k=1e160")):   # overflowing norm
+                 ("determinacy", "--param", "k=1e160"),   # overflowing norm
+                 ("coeffs", "--param", "k=1e308"),        # non-finite coefficients
+                 ("transparency", "--param", "k=1e308"),
+                 ("shocks", "--T", "3", "--param", "sd_omega=1e308"),   # and paths
+                 ("simulate", "--T", "3", "--param", "sd_xi=1.7e308"),
+                 ("audit", "--T", "50", "--param", "sd_omega=1e308")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, text = run(tmp_path, *argv)
@@ -249,6 +254,7 @@ def test_argument_guards(tmp_path):
                  ["sweep", "--axis1", "alpha_pi:0.5:2:3", "--axis2", "alpha_y:0:1:-3"],
                  ["sweep", "--axis1", "alpha_pi:0.5:inf:3", "--axis2", "alpha_y:0:1:3"],
                  ["sweep", "--axis1", "alpha_pi:0.5:2:3", "--axis2", "alpha_y:nan:1:3"],
+                 ["sweep", "--axis1", "s0:-1e308:1e308:3", "--axis2", "alpha_y:0:1:3"],
                  ["sweep", "--axis1", "alpha_pi:a:2:3", "--axis2", "alpha_y:0:1:3"],
                  ["coeffs", "--param", "sigma"],
                  ["coeffs", "--param", "sigma=abc"],
@@ -397,11 +403,16 @@ _calib = _mostly(st.none(), st.one_of(
     .map(lambda d: json.dumps(d).encode())))
 
 
+_NON_FINITE = re.compile(r"\b(NaN|Infinity|nan|inf)\b")
+
+
 @settings(max_examples=60, deadline=None)
 @given(argv=_argv, calib=_calib)
 @example(argv=["coeffs"], calib=b"\xff\xfe{}")
 @example(argv=["coeffs", "--param", "s1=0.0"], calib=None)
 @example(argv=["coeffs", "--param", "c1=1e300"], calib=None)
+@example(argv=["coeffs", "--param", "k=1e308"], calib=None)
+@example(argv=["shocks", "--param", "sd_omega=1e308"], calib=None)
 @example(argv=["coeffs"], calib=b'{"sigma": 1' + b"0" * 400 + b"}")
 def test_cli_fuzz_exit_codes_and_no_partial_output(argv, calib):
     with tempfile.TemporaryDirectory() as d:
@@ -410,12 +421,23 @@ def test_cli_fuzz_exit_codes_and_no_partial_output(argv, calib):
             (Path(d) / "calib.json").write_bytes(calib)
             argv = [*argv, "--calib", str(Path(d) / "calib.json")]
         stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 code = main([*argv, "--out", str(out)])
-            except SystemExit as exc:
-                code = exc.code
-        assert code in (0, 2, 3), (argv, stderr.getvalue())
-        assert "Traceback" not in stderr.getvalue()
+            except SystemExit as exc:   # argparse: usage lines, then the error
+                code, usage = exc.code, True
+            else:
+                usage = False
+        err = stderr.getvalue()
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err
+        if code != 0 and not usage:
+            # one message line, and no numpy warning before it
+            assert err.count("\n") <= 1, (argv, err)
+            assert "Warning" not in err and not caught, (argv, err, caught)
         assert not list(Path(d).glob("*.tmp"))
         assert out.exists() == (code == 0)
+        if out.exists():
+            assert not _NON_FINITE.search(out.read_text()), argv

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from nkji import build, char_poly, classify, classify_standard, compute_all, eigen
+from nkji.coeffs import power
 from nkji.oracle import random_params
-from nkji.params import DEFAULTS, validate
-from nkji.statespace import (ConvergenceFailure, UnknownParameter, _counts,
-                             report, sweep)
+from nkji.params import DEFAULTS, InvalidParams, validate
+from nkji.coeffs import _slot_blocks
+from nkji.params import FIELD_NAMES, StructuralParams
+from nkji.statespace import (SWEEP_SLICE, ConvergenceFailure, UnknownParameter,
+                             _counts, _matrices, _spectra, report, sweep)
 
 
 def test_zero_persistence_zero_matrix():
@@ -221,3 +226,130 @@ def test_sweep_parallel_determinism(default_params):
 def test_sweep_unknown_parameter(default_params):
     with pytest.raises(UnknownParameter):
         sweep(default_params, ("alpha_zz", 0.0, 1.0, 3), ("alpha_y", 0.0, 1.0, 3))
+
+
+# --- the batched sweep against the per-cell loop -----------------------------
+
+def _reference_cells(base, axis1, axis2, n_pre=9, tau=1e-8):
+    """The sweep as a per-cell loop: validate, compute_all, build, eigen and
+    classify, one cell at a time."""
+    (name1, lo1, hi1, n1), (name2, lo2, hi2, n2) = axis1, axis2
+    cells = []
+    with np.errstate(all="ignore"):
+        for v1 in np.linspace(lo1, hi1, n1):
+            for v2 in np.linspace(lo2, hi2, n2):
+                cell = {name1: float(v1), name2: float(v2)}
+                try:
+                    p = validate({**base.as_dict(), **cell})
+                    eigs = eigen(build(compute_all(p)).A)
+                except (InvalidParams, ConvergenceFailure) as err:
+                    cells.append({**cell, "stable": None, "unstable": None,
+                                  "borderline": None,
+                                  "verdict": "invalid" if isinstance(err, InvalidParams)
+                                  else "failed"})
+                    continue
+                stable, unstable, borderline = map(int, _counts(eigs, tau))
+                cells.append({**cell, "stable": stable, "unstable": unstable,
+                              "borderline": borderline,
+                              "verdict": classify(eigs, n_pre, tau)})
+    return cells
+
+
+REFERENCE_GRIDS = {
+    # every power of the persistences, on both signs
+    "rho_ybar x rho_g": (("rho_ybar", -0.99, 0.99, 23), ("rho_g", -0.999, 0.999, 29)),
+    "rho_g x beta": (("rho_g", -0.99, 0.99, 17), ("beta", 0.05, 0.999, 19)),
+    # more stable roots than predetermined variables: indeterminate cells
+    "alpha_pi x alpha_y, n_pre 1": (("alpha_pi", 0.0, 3.0, 13), ("alpha_y", 0.0, 2.0, 11), 1),
+    # the shared denominators, through zero and through D = 0
+    "s1 x gamma2": (("s1", -1.0, 1.0, 21), ("gamma2", -2.0, 2.0, 23)),
+    "sigma x c1": (("sigma", 0.05, 4.0, 19), ("c1", -2.0, 2.0, 23)),
+    # rho_chi >= 1 and 1 - alpha_pi*beta = 0 give invalid cells
+    "invalid cells": (("alpha_pi", 0.5, 1 / 0.99, 9), ("rho_chi", 0.4, 1.2, 17)),
+    "row longer than a slice": (("alpha_pi", 1.2, 1.8, 2),
+                                ("rho_chi", -1.1, 1.1, SWEEP_SLICE + 45)),
+    # overflow: failed cells
+    "extreme sigma x k": (("sigma", 1e-300, 1e300, 5), ("k", 0.0, 1e308, 5)),
+    "extreme c1 x k": (("c1", 0.5, 1e300, 3), ("k", 0.0, 1.0, 2)),
+    "extreme c0 x s0": (("c0", 0.0, 1e308, 5), ("s0", -0.1, 0.1, 3)),
+}
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS)
+def test_sweep_equals_per_cell_loop(default_params, grid):
+    axis1, axis2, *n_pre = REFERENCE_GRIDS[grid]
+    assert sweep(default_params, axis1, axis2, *n_pre).cells == \
+        _reference_cells(default_params, axis1, axis2, *n_pre)
+
+
+def test_batched_layers_are_bitwise_the_scalar_layers(rng):
+    # counts hide last-bit differences, so compare what they are made of:
+    # blocks, transition matrices and eigenvalues of 300 parameterizations
+    # with every persistence on both signs
+    draws = []
+    while len(draws) < 300:
+        raw = {**random_params(rng).as_dict(),
+               **{name: rng.uniform(-0.99, 0.99)
+                  for name in ("rho_ybar", "rho_g", "rho_chi", "rho_tax", "rho_eps")},
+               "c1": rng.uniform(-2.0, 2.0), "s1": rng.uniform(-2.0, 2.0)}
+        try:
+            draws.append(validate(raw))
+        except InvalidParams:
+            continue
+    batch = StructuralParams(**{name: np.array([getattr(p, name) for p in draws])
+                                for name in FIELD_NAMES})
+    blocks = _slot_blocks(batch)
+    A = np.moveaxis(_matrices(blocks, batch)[0], -1, 0)
+    vals, failure = _spectra(A)
+    for j, p in enumerate(draws):
+        rf = compute_all(p)
+        for var, blk in rf.slot_blocks.items():
+            assert np.array_equal(blocks[var][:, j], blk), (j, var)
+        A_j = build(rf).A
+        assert np.array_equal(A[j], A_j), j
+        assert failure[j] == 0 and np.array_equal(vals[j], eigen(A_j)), j
+
+
+def test_power_is_scalar_pow_per_element():
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 5000),
+                        rng.standard_normal(2000) * 10.0 ** rng.integers(-200, 200, 2000),
+                        [0.0, -0.0, 1e154, -1e154, 1e200, -1e200, 1e300, math.inf]])
+    for n in (2, 3, 4):
+        got = power(x, n)
+        for v, g in zip(x.tolist(), got.tolist()):
+            try:
+                want = v ** n
+            except OverflowError:
+                want = math.copysign(math.inf, v) if n % 2 else math.inf
+            assert g == want and math.copysign(1.0, g) == math.copysign(1.0, want), (v, n)
+        assert power(float(x[0]), n) == float(x[0]) ** n
+    assert power(-1e200, 3) == -math.inf and power(-1e200, 2) == math.inf
+
+
+def test_stacked_eig_failure_fails_only_its_cell(default_params, monkeypatch):
+    axis1, axis2 = ("alpha_pi", 0.5, 2.5, 3), ("rho_chi", 0.1, 1.1, 6)
+    reference = _reference_cells(default_params, axis1, axis2)
+    bad_cell = (float(np.linspace(*axis1[1:])[1]), float(np.linspace(*axis2[1:])[1]))
+    bad = validate({**default_params.as_dict(), "alpha_pi": bad_cell[0],
+                    "rho_chi": bad_cell[1]})
+    bad_A = build(compute_all(bad)).A
+    eig = np.linalg.eig
+
+    def refuse(a):
+        # reject every stack, and the one matrix of the bad cell
+        if len(a) > 1 or np.array_equal(a[0], bad_A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    cells = sweep(default_params, axis1, axis2).cells
+    failed = [i for i, cell in enumerate(cells) if cell["verdict"] == "failed"]
+    assert [(cells[i]["alpha_pi"], cells[i]["rho_chi"]) for i in failed] == [bad_cell]
+    assert [c for i, c in enumerate(cells) if i not in failed] == \
+        [c for i, c in enumerate(reference) if i not in failed]
+
+
+def test_non_finite_coefficients_raise(default_params):
+    with pytest.raises(ConvergenceFailure):
+        compute_all(default_params.replace(k=1e308))

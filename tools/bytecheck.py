@@ -51,11 +51,18 @@ SINGLE = (
        "--workers", w] for w in ("1", "2")),
     *(["audit", "--T", "100", "--draws", "6", "--seed", "3", "--workers", w]
       for w in ("1", "2")),
+    # the powers of the persistences, and a row longer than one array pass
+    ["sweep", "--axis1", "rho_ybar:-0.99:0.99:9", "--axis2", "rho_g:-0.99:0.99:11"],
+    ["sweep", "--axis1", "alpha_pi:1.2:1.2:1", "--axis2", "rho_chi:-1.1:1.1:300"],
     # extreme values: failed sweep cells, overflow, non-finite spectra
     ["sweep", "--axis1", "sigma:1e-300:1e300:5", "--axis2", "k:0:1e308:5"],
     ["sweep", "--axis1", "c1:0.5:1e300:3", "--axis2", "k:0:1:2"],
     ["coeffs", "--param", "c1=1e300"],
     ["coeffs", "--param", "s1=1e300"],
+    ["sweep", "--axis1", "c0:0:1e308:5", "--axis2", "s0:-0.1:0.1:3"],
+    ["coeffs", "--param", "k=1e308"],
+    ["transparency", "--param", "k=1e308"],
+    ["simulate", "--T", "3", "--param", "k=1e308"],
     ["determinacy", "--param", "k=1e40"],
     ["determinacy", "--param", "k=1e160"],
     ["audit", "--param", "c1=0.5", "--param", "s2=0.1", "--param", "gamma2=0.4",
