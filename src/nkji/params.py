@@ -131,8 +131,8 @@ class StructuralParams:
 
     @property
     def cells(self) -> tuple[int, ...]:
-        """Shape of the cell axis: ``()`` unless some fields are arrays."""
-        return np.broadcast_shapes(*(np.shape(x) for x in vars(self).values()))
+        """Shape of the cell axis: ``()``, or the shape the array fields share."""
+        return next((x.shape for x in vars(self).values() if isinstance(x, np.ndarray)), ())
 
     def denominator(self) -> float:
         """Shared denominator of the closed-form interest/output/consumption/
@@ -171,39 +171,43 @@ DEFAULTS: dict[str, float] = {
 }
 
 
-def _domain_rules(v: Mapping[str, Any]) -> list[tuple[Violation, Any]]:
-    """Every domain rule of :func:`validate` as ``(violation, broken)``, in
-    report order.  Each value of ``v`` is a float or a 1-D array with one
-    entry per cell; ``broken`` is then a bool or a bool array."""
-    finite = {name: np.isfinite(v[name]) for name in FIELD_NAMES}
+def _domain_rules(v: Mapping[str, Any]) -> list[tuple[Any, type, str, str]]:
+    """Every domain rule of :func:`validate` as ``(broken, violation class,
+    field, detail)``, in report order.  Each value of ``v`` is a float or a
+    1-D array with one entry per cell; ``broken`` is then a bool or a bool
+    array."""
+    # comparisons only, so that a float field costs no numpy call: NaN
+    # compares false, and abs(x) < inf holds exactly for finite x
+    finite = {name: abs(v[name]) < math.inf for name in FIELD_NAMES}
     beta = v["beta"]
-    rules = [(InvalidDomain(name, "not finite"), ~finite[name]) for name in FIELD_NAMES]
+    rules = [((v[name] != v[name]) | (abs(v[name]) == math.inf),
+              InvalidDomain, name, "not finite") for name in FIELD_NAMES]
     rules += [
-        (InvalidDomain("sigma", "must be > 0"), finite["sigma"] & (v["sigma"] <= 0)),
-        (InvalidDomain("theta", "must be >= 0"), finite["theta"] & (v["theta"] < 0)),
-        (InvalidDomain("beta", "must be in (0, 1)"),
-         finite["beta"] & ((beta <= 0.0) | (beta >= 1.0))),
-        (InvalidDomain("k", "must be >= 0"), finite["k"] & (v["k"] < 0)),
-        *((NonStationary(name), finite[name] & (abs(v[name]) >= 1.0))
+        (finite["sigma"] & (v["sigma"] <= 0), InvalidDomain, "sigma", "must be > 0"),
+        (finite["theta"] & (v["theta"] < 0), InvalidDomain, "theta", "must be >= 0"),
+        (finite["beta"] & ((beta <= 0.0) | (beta >= 1.0)),
+         InvalidDomain, "beta", "must be in (0, 1)"),
+        (finite["k"] & (v["k"] < 0), InvalidDomain, "k", "must be >= 0"),
+        *((finite[name] & (abs(v[name]) >= 1.0), NonStationary, name, "")
           for name in _RHO_FIELDS),
-        *((NegativeScale(name), finite[name] & (v[name] < 0)) for name in _SD_FIELDS),
+        *((finite[name] & (v[name] < 0), NegativeScale, name, "") for name in _SD_FIELDS),
     ]
     # the denominators are checked only where every other rule holds
     clean = np.logical_not(_broken(rules))
     p = StructuralParams(**v)
     rules += [
-        (SingularDenominator("s1", "s1 - sigma*[c1*(gamma2+s2) + gamma2*s1] ~ 0"),
-         clean & (abs(p.denominator()) <= EPS_SING)),
+        (clean & (abs(p.denominator()) <= EPS_SING), SingularDenominator, "s1",
+         "s1 - sigma*[c1*(gamma2+s2) + gamma2*s1] ~ 0"),
         # the consumption blocks divide by s1*D
-        (SingularDenominator("s1", "s1 ~ 0"), clean & (abs(p.s1) <= EPS_SING)),
-        (SingularDenominator("alpha_pi", "1 - alpha_pi*beta ~ 0"),
-         clean & (abs(p.taylor_denominator()) <= EPS_SING)),
+        (clean & (abs(p.s1) <= EPS_SING), SingularDenominator, "s1", "s1 ~ 0"),
+        (clean & (abs(p.taylor_denominator()) <= EPS_SING), SingularDenominator,
+         "alpha_pi", "1 - alpha_pi*beta ~ 0"),
     ]
     return rules
 
 
-def _broken(rules: list[tuple[Violation, Any]]) -> Any:
-    return functools.reduce(operator.or_, (broken for _, broken in rules))
+def _broken(rules: list[tuple]) -> Any:
+    return functools.reduce(operator.or_, (rule[0] for rule in rules))
 
 
 def invalid_cells(values: Mapping[str, Any]) -> np.ndarray:
@@ -243,8 +247,9 @@ def validate(raw: Mapping[str, Any] | StructuralParams) -> StructuralParams:
             values[name] = math.nan
     # a value that is not a number is reported once, as such
     bad_names = {v.field for v in bad_value}
-    violations = bad_value + [violation for violation, broken in _domain_rules(values)
-                              if broken and violation.field not in bad_names]
+    violations = bad_value + [kind(name, detail)
+                              for broken, kind, name, detail in _domain_rules(values)
+                              if broken and name not in bad_names]
 
     if violations:
         raise InvalidParams(violations)

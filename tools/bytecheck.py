@@ -63,6 +63,7 @@ SINGLE = (
     ["coeffs", "--param", "k=1e308"],
     ["transparency", "--param", "k=1e308"],
     ["simulate", "--T", "3", "--param", "k=1e308"],
+    ["shocks", "--T", "3", "--param", "sd_omega=1e308"],
     ["determinacy", "--param", "k=1e40"],
     ["determinacy", "--param", "k=1e160"],
     ["audit", "--param", "c1=0.5", "--param", "s2=0.1", "--param", "gamma2=0.4",
@@ -73,6 +74,7 @@ SINGLE = (
     ["sweep", "--axis1", "alpha_pi:0.5:2.5", "--axis2", "alpha_y:0:1:4"],
     ["sweep", "--axis1", "alpha_pi:a:2:3", "--axis2", "alpha_y:0:1:4"],
     ["sweep", "--axis1", "alpha_pi:0.5:inf:3", "--axis2", "alpha_y:0:1:4"],
+    ["sweep", "--axis1", "s0:-1e308:1e308:3", "--axis2", "alpha_y:0:1:4"],
     ["sweep", "--axis1", "alpha_pi:0.5:2:0", "--axis2", "alpha_y:0:1:4"],
     ["coeffs", "--param", "sigma"],
     ["coeffs", "--param", "sigma=abc"],
