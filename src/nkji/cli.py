@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import coeffs, oracle, shocks, sim, slots, statespace
-from .params import InvalidParams, load_calibration, validate
+from .params import InvalidParams, load_calibration, printable, validate
 from .shocks import KINDS
 from .sim import BudgetModeConflict
 from .statespace import ConvergenceFailure, UnknownParameter
@@ -100,7 +100,7 @@ def _assignment(text: str) -> tuple[str, float]:
         return name, float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"{name}: {value!r} is not a number") from None
+            f"{printable(name)}: {value!r} is not a number") from None
 
 
 def _axis(text: str) -> tuple[str, float, float, int]:

@@ -45,9 +45,17 @@ class ReducedForm:
         """Internal length-16 slot vector for ``var`` (read-only)."""
         return self.slot_blocks[var]
 
+    def exported(self) -> Vec:
+        """The exported entries of all eleven blocks, in ``slots.ENTRIES``
+        order (see :func:`slots.exported`)."""
+        return slots.exported(np.stack([self.slot_blocks[v] for v in slots.VARIABLES]))
+
     def as_table(self) -> dict[str, dict[int, float]]:
         """{variable: {exported index: value}} over all eleven blocks."""
-        return {v: slots.to_indexed(v, self.slot_blocks[v]) for v in slots.VARIABLES}
+        table: dict[str, dict[int, float]] = {v: {} for v in slots.VARIABLES}
+        for (var, idx), value in zip(slots.ENTRIES, self.exported().tolist()):
+            table[var][idx] = value
+        return table
 
 
 def _chain_expectation(vec: Vec, p: StructuralParams) -> Vec:

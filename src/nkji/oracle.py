@@ -32,6 +32,7 @@ Equation set and conventions (the audit contract):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -133,20 +134,64 @@ def _residual(zflat: Vec, p: StructuralParams) -> Vec:
     return np.concatenate(res)
 
 
+#: slot groups of the matching system's direct-sum blocks.  Unknowns and
+#: equations share the layout ``block * NSLOT + slot``, and every equation
+#: is slot by slot except the AR links of ``_chain_expectation`` (lag state
+#: -> its innovation), so after a permutation ``M`` is the direct sum of one
+#: 9x9 block per unlinked slot and one 18x18 block per linked pair
+_LONE_SLOTS = ((slots.CONST,), (slots.XI,), (slots.V,), (slots.OMEGA,))
+_LINKED_SLOTS = ((slots.YBAR_LAG2, slots.OMEGA_LAG1), (slots.G_LAG1, slots.ETA),
+                 (slots.TAX_LAG1, slots.L_FISC), (slots.CHI_LAG1, slots.LAM),
+                 (slots.EPS_LAG1, slots.VARSIGMA), (slots.UBAR_LAG1, slots.T_NATU))
+
+
+def _block_take(groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Flat indices into ``M`` of the diagonal blocks of ``groups``:
+    ``M.take`` of the result is the ``(len(groups), m, m)`` block stack."""
+    n = len(FREE_BLOCKS) * NSLOT
+    idx = np.array([[j * NSLOT + s for s in group for j in range(len(FREE_BLOCKS))]
+                     for group in groups])
+    return idx[:, :, None] * n + idx[:, None, :]
+
+
+_LONE_TAKE = _block_take(_LONE_SLOTS)        # (4, 9, 9)
+_LINKED_TAKE = _block_take(_LINKED_SLOTS)    # (6, 18, 18)
+
+
+def _matching_system(p: StructuralParams) -> tuple[np.ndarray, Vec]:
+    """``M`` and ``b`` of ``M z = b``: one vectorised evaluation of the
+    affine residual on the 144x144 identity."""
+    n = len(FREE_BLOCKS) * NSLOT
+    b = -_residual(np.zeros(n), p)
+    return _residual(np.eye(n), p) + b[:, None], b
+
+
+def _condition_number(M: np.ndarray) -> float:
+    """Exact 2-norm condition number of the matching matrix: the singular
+    values of a direct sum are those of its blocks, so two stacked SVDs of
+    the small blocks replace one of all of ``M``.  Infinite for a singular
+    block."""
+    sv = np.concatenate([np.linalg.svd(M.take(take), compute_uv=False).ravel()
+                         for take in (_LONE_TAKE, _LINKED_TAKE)])
+    smax, smin = float(sv.max()), float(sv.min())
+    return smax / smin if smin > 0 else math.inf
+
+
 def solve_undetermined(p: StructuralParams) -> ReducedForm:
     """Solve the matching system ``M z = b`` for all coefficient blocks.
 
     ``M`` comes from one vectorised evaluation of the affine residual on the
-    144x144 identity.  Returns a :class:`ReducedForm` interchangeable with
-    the closed-form one (same block keys and index sets) with the solver's
-    condition number attached.  Raises :class:`SingularSystem` for a
-    numerically singular matching matrix and :class:`AnsatzInconsistent`
-    if the solved coefficients fail to satisfy the matching equations.
+    144x144 identity.  Its condition number is exact but comes from the
+    blocks of ``M`` (see :func:`_condition_number`); the solve itself is one
+    full ``np.linalg.solve``.  Returns a :class:`ReducedForm`
+    interchangeable with the closed-form one (same block keys and index
+    sets) with that condition number attached.  Raises
+    :class:`SingularSystem` for a numerically singular matching matrix and
+    :class:`AnsatzInconsistent` if the solved coefficients fail to satisfy
+    the matching equations.
     """
-    n = len(FREE_BLOCKS) * NSLOT
-    b = -_residual(np.zeros(n), p)
-    M = _residual(np.eye(n), p) + b[:, None]
-    cond = float(np.linalg.cond(M))
+    M, b = _matching_system(p)
+    cond = _condition_number(M)
     if not np.isfinite(cond) or cond > 1e15:
         raise SingularSystem(f"matching system is singular (cond ~ {cond:.3e})")
     try:
@@ -252,35 +297,30 @@ class ErrataReport:
         return {e.key() for e in self.entries}
 
 
-def _differs(a: float, b: float, tol: float, abs_floor: float) -> tuple[bool, float]:
-    diff = abs(a - b)
-    scale = max(abs(a), abs(b))
-    rel = diff / scale if scale > 0 else 0.0
-    return diff > max(tol * scale, abs_floor), rel
-
-
 def compare(tables: ReducedForm, oracle: ReducedForm,
             tol: float = 1e-6, abs_floor: float = 1e-12) -> ErrataReport:
     """Entry-wise comparison of two coefficient sets over the exported
     index sets, with a resolution of the two pattern-breaking entries.
 
-    For each suspect entry the report states the value as printed, the
-    pattern-consistent variant evaluated on the closed-form parent entries,
-    and whether the numerical solution supports the variant (its own blocks
-    satisfy the pattern exactly and fail the printed form).
+    An entry differs when ``|table - oracle| > max(tol * scale, abs_floor)``
+    with ``scale = max(|table|, |oracle|)``; its relative difference is
+    ``|table - oracle| / scale`` (0 where both are 0).  For each suspect
+    entry the report states the value as printed, the pattern-consistent
+    variant evaluated on the closed-form parent entries, and whether the
+    numerical solution supports the variant (its own blocks satisfy the
+    pattern exactly and fail the printed form).
     """
-    t_idx = tables.as_table()
-    o_idx = oracle.as_table()
+    tv, ov = tables.exported(), oracle.exported()
+    diff = np.abs(tv - ov)
+    scale = np.maximum(np.abs(tv), np.abs(ov))
+    rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+    bad = np.flatnonzero(diff > np.maximum(tol * scale, abs_floor))
     entries: list[Erratum] = []
-    for var in slots.VARIABLES:
-        for idx in sorted(t_idx[var]):
-            tv, ov = t_idx[var][idx], o_idx[var][idx]
-            bad, rel = _differs(tv, ov, tol, abs_floor)
-            if bad:
-                note = ""
-                if (var, idx) in SUSPECT_ENTRIES:
-                    note = "pattern-breaking entry; see suspects"
-                entries.append(Erratum(var, idx, tv, ov, rel, note))
+    for k, t, o, r in zip(bad.tolist(), tv[bad].tolist(), ov[bad].tolist(),
+                          rel[bad].tolist()):
+        var, idx = slots.ENTRIES[k]
+        note = "pattern-breaking entry; see suspects" if (var, idx) in SUSPECT_ENTRIES else ""
+        entries.append(Erratum(var, idx, t, o, r, note))
 
     p = tables.params
     suspects: dict[str, dict] = {}

@@ -30,6 +30,16 @@ _SD_FIELDS = (
 )
 
 
+def printable(text: str) -> str:
+    """``text`` with each non-printable character (control characters, line
+    separators, lone surrogates) escaped as in ``repr``, so that a name
+    echoed in a one-line message stays one line; printable text is
+    returned unchanged."""
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 class Violation:
     """One violated parameter constraint; ``field`` names the offender."""
 
@@ -40,7 +50,8 @@ class Violation:
         self.detail = detail
 
     def __repr__(self):
-        return f"{self.kind}({self.field}{': ' + self.detail if self.detail else ''})"
+        detail = f": {self.detail}" if self.detail else ""
+        return printable(f"{self.kind}({self.field}{detail})")
 
     def __eq__(self, other):
         return (self.kind, self.field) == (getattr(other, "kind", None), getattr(other, "field", None))

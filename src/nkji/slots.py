@@ -64,6 +64,22 @@ INDEX_SETS: dict[str, tuple[int, ...]] = {
 
 Vec = NDArray[np.float64]
 
+#: (variable, exported index) of every exported entry: variables in
+#: ``VARIABLES`` order, each variable's indices ascending
+ENTRIES = tuple((var, idx) for var in VARIABLES for idx in range(len(INDEX_SETS[var])))
+#: row in ``VARIABLES`` and slot of each entry of ``ENTRIES``
+ENTRY_ROWS = np.array([VARIABLES.index(var) for var, _ in ENTRIES])
+ENTRY_SLOTS = np.array([INDEX_SETS[var][idx] for var, idx in ENTRIES])
+
+#: ``STRAY[row, slot]``: a loading of ``VARIABLES[row]`` outside its index
+#: set, which must be structurally zero.  Two such loadings are structural
+#: but not exported: the output gap's -1 on the current potential-output
+#: innovation and unemployment's unit loading on its current innovation.
+STRAY = np.ones((len(VARIABLES), NSLOT), dtype=bool)
+STRAY[ENTRY_ROWS, ENTRY_SLOTS] = False
+STRAY[VARIABLES.index("yhat"), OMEGA] = False
+STRAY[VARIABLES.index("u"), T_NATU] = False
+
 
 def unit(slot: int) -> Vec:
     v = np.zeros(NSLOT)
@@ -71,23 +87,18 @@ def unit(slot: int) -> Vec:
     return v
 
 
-def to_indexed(var: str, vec: Vec) -> dict[int, float]:
-    """Project a slot vector onto the exported index set of ``var``.
+def exported(blocks: NDArray[np.float64]) -> Vec:
+    """The exported entries of the ``(11, 16)`` stack of slot vectors
+    ``blocks`` (rows in ``VARIABLES`` order), in ``ENTRIES`` order.
 
-    Loadings outside the variable's index set must be structurally zero
-    (they are for both the closed forms and the numerical solution); a
-    nonzero one signals an assembly defect.
+    Loadings outside a variable's index set must be structurally zero (they
+    are for both the closed forms and the numerical solution); a nonzero
+    one signals an assembly defect.
     """
-    slots = INDEX_SETS[var]
-    out = {idx: float(vec[slot]) for idx, slot in enumerate(slots)}
-    rest = set(range(NSLOT)) - set(slots)
-    if var == "yhat":
-        # the output-gap equation carries a structural -1 on the current
-        # potential-output innovation that is not an indexed entry
-        rest.discard(OMEGA)
-    if var == "u":
-        rest.discard(T_NATU)  # unit coefficient on the current innovation
-    stray = max((abs(float(vec[s])) for s in rest), default=0.0)
-    if stray > 1e-9:
-        raise AssertionError(f"variable {var!r} has loadings outside its index set (max {stray:.3e})")
-    return out
+    stray = np.where(STRAY, np.abs(blocks), 0.0).max(axis=1)
+    over = np.flatnonzero(stray > 1e-9)
+    if over.size:
+        row = over[0]
+        raise AssertionError(f"variable {VARIABLES[row]!r} has loadings outside "
+                             f"its index set (max {stray[row]:.3e})")
+    return blocks[ENTRY_ROWS, ENTRY_SLOTS]

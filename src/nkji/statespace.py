@@ -25,7 +25,7 @@ import numpy as np
 from . import slots
 from .coeffs import ReducedForm, _slot_blocks, finite_cells, power
 from .params import (FIELD_NAMES, ConvergenceFailure, InvalidDomain, InvalidParams,
-                     StructuralParams, invalid_cells)
+                     StructuralParams, invalid_cells, printable)
 from .slots import Vec
 
 ORDER = 9
@@ -42,6 +42,9 @@ VERDICTS = ("determinate", "indeterminate", "no_equilibrium", "borderline")
 
 #: most grid cells a sweep evaluates in one array pass; bounds its memory
 SWEEP_SLICE = 256
+#: largest grid (cells) a sweep accepts; the grid, its cell records and the
+#: CSV are all held in memory
+SWEEP_MAX_CELLS = 1_000_000
 
 #: why an eigen-solve is rejected, indexed by the codes of :func:`_spectra`
 _EIGEN_FAILURES = (None, "transition matrix has non-finite entries",
@@ -51,7 +54,10 @@ _EIGEN_FAILURES = (None, "transition matrix has non-finite entries",
 
 
 class UnknownParameter(ValueError):
-    pass
+    """A sweep axis names no parameter; the message is the name, escaped."""
+
+    def __str__(self):
+        return printable(super().__str__())
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,7 +335,7 @@ def sweep(base: StructuralParams,
     Grid cells that fail parameter validation are marked invalid, cells
     whose coefficients overflow or whose eigen-solve fails are marked
     failed; neither aborts the sweep.  The two axes must vary different
-    parameters.
+    parameters, and the grid may have at most ``SWEEP_MAX_CELLS`` cells.
     Results are assembled in fixed grid order regardless of worker count,
     so output is reproducible across parallelism levels.
     """
@@ -342,6 +348,9 @@ def sweep(base: StructuralParams,
         raise ValueError("n_pre must be in 0..9")
     name1, lo1, hi1, n1 = axis1
     name2, lo2, hi2, n2 = axis2
+    if n1 * n2 > SWEEP_MAX_CELLS:
+        raise InvalidParams([InvalidDomain(
+            "<grid>", f"{n1} x {n2} cells, more than {SWEEP_MAX_CELLS}")])
     grid1 = np.linspace(lo1, hi1, n1)
     grid2 = np.linspace(lo2, hi2, n2)
     rows = fan_out(partial(_sweep_row, base.as_dict(), name1, name2, grid2,

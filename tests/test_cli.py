@@ -18,6 +18,7 @@ from nkji.params import FIELD_NAMES
 from nkji.shocks import AR_STATES, KINDS
 from nkji.sim import SERIES
 from nkji.slots import INDEX_SETS, VARIABLES
+from nkji.statespace import SWEEP_MAX_CELLS
 
 
 def run(tmp_path, *argv):
@@ -239,7 +240,7 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
         assert err.startswith("nkji: numerical failure: ") and "\n" not in err, argv
 
 
-def test_argument_guards(tmp_path):
+def test_argument_guards(tmp_path, capsys):
     for argv in (["simulate", "--T", "0"],
                  ["shocks", "--seed", "-5"],
                  ["simulate", "--burn", "-1"],
@@ -262,6 +263,14 @@ def test_argument_guards(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "x")])
         assert exc.value.code == 2, argv
+    capsys.readouterr()
+    # a grid above the cell limit is refused before any of it is allocated
+    for argv in (["sweep", "--axis1", "k:0:1:99999999999999999999999",
+                  "--axis2", "s0:0:1:2"],
+                 ["sweep", "--axis1", "k:0:1:1001", "--axis2", "s0:0:1:1000"]):
+        err = _invalid_input(capsys, [*argv, "--out", str(tmp_path / "x")])
+        assert f"cells, more than {SWEEP_MAX_CELLS}" in err
+        assert not (tmp_path / "x").exists()
 
 
 def _invalid_input(capsys, argv) -> str:
@@ -293,6 +302,29 @@ def test_out_in_missing_directory_exits_2(tmp_path, capsys):
     out = tmp_path / "no_such_dir" / "out.json"
     err = _invalid_input(capsys, ["coeffs", "--out", str(out)])
     assert str(out) in err
+
+
+def test_control_characters_escaped_in_messages(tmp_path, capsys):
+    calib = tmp_path / "calib.json"
+    out = ["--out", str(tmp_path / "out")]
+    for names, expected in ((["\r"], "InvalidDomain(\\r: unknown parameter)"),
+                            (["a\x1bb", "\u2028"],
+                             "InvalidDomain(a\\x1bb: unknown parameter); "
+                             "InvalidDomain(\\u2028: unknown parameter)"),
+                            # printable names keep their bytes
+                            (["nosuch"], "InvalidDomain(nosuch: unknown parameter)"),
+                            (["\u00e9 \\r"], "InvalidDomain(\u00e9 \\r: unknown parameter)")):
+        calib.write_text(json.dumps(dict.fromkeys(names, 0)))
+        err = _invalid_input(capsys, ["coeffs", "--calib", str(calib), *out])
+        assert err == f"nkji: invalid input: {expected}"
+        err = _invalid_input(capsys, ["coeffs", *(f"--param={n}=0" for n in names), *out])
+        assert err == f"nkji: invalid input: {expected}"
+    err = _invalid_input(capsys, ["sweep", "--axis1", "no\nsuch:0:1:3",
+                                  "--axis2", "k:0:1:2", *out])
+    assert err == "nkji: invalid input: no\\nsuch"
+    with pytest.raises(SystemExit):
+        main(["coeffs", "--param", "\t=abc", *out])
+    assert capsys.readouterr().err.endswith("error: argument --param: \\t: 'abc' is not a number\n")
 
 
 def test_same_sweep_axis_twice_exits_2(tmp_path, capsys):
@@ -414,6 +446,9 @@ _NON_FINITE = re.compile(r"\b(NaN|Infinity|nan|inf)\b")
 @example(argv=["coeffs", "--param", "k=1e308"], calib=None)
 @example(argv=["shocks", "--param", "sd_omega=1e308"], calib=None)
 @example(argv=["coeffs"], calib=b'{"sigma": 1' + b"0" * 400 + b"}")
+@example(argv=["coeffs"], calib=b'{"\\r": 0}')
+@example(argv=["sweep", "--axis1", "k:0:1:99999999999999999999999", "--axis2", "s0:0:1:2"],
+         calib=None)
 def test_cli_fuzz_exit_codes_and_no_partial_output(argv, calib):
     with tempfile.TemporaryDirectory() as d:
         out = Path(d) / "out"
@@ -434,8 +469,9 @@ def test_cli_fuzz_exit_codes_and_no_partial_output(argv, calib):
         assert code in (0, 2, 3), (argv, err)
         assert "Traceback" not in err
         if code != 0 and not usage:
-            # one message line, and no numpy warning before it
-            assert err.count("\n") <= 1, (argv, err)
+            # one message line of printable characters, and no numpy
+            # warning before it
+            assert err.count("\n") <= 1 and err.rstrip("\n").isprintable(), (argv, err)
             assert "Warning" not in err and not caught, (argv, err, caught)
         assert not list(Path(d).glob("*.tmp"))
         assert out.exists() == (code == 0)

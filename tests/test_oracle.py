@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from nkji import compute_all, draw, simulate, solve_undetermined
 from nkji.coeffs import ReducedForm, _chain_expectation
-from nkji.oracle import (SingularSystem, _residual, compare, random_params,
-                         residuals, stability_run)
+from nkji import oracle
+from nkji.oracle import (SUSPECT_ENTRIES, Erratum, SingularSystem,
+                         _condition_number, _matching_system, _residual, compare,
+                         random_params, residuals, stability_run)
 from nkji.params import DEFAULTS, validate
 from nkji.shocks import impulse_path
 from nkji import slots
@@ -156,8 +160,10 @@ def test_singular_matching_system_reported():
     # regular
     p = validate({**DEFAULTS, "c1": 0.5, "s2": 0.1, "gamma2": 0.4, "s1": 0.625})
     assert abs(p.denominator()) > 0.1
-    with pytest.raises(SingularSystem):
-        solve_undetermined(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem):
+            solve_undetermined(p)
 
 
 def test_matching_matrix_equals_column_probes():
@@ -172,3 +178,98 @@ def test_matching_matrix_equals_column_probes():
         assert np.array_equal(
             _chain_expectation(cols, p),
             np.column_stack([_chain_expectation(c, p) for c in cols.T]))
+
+
+#: the ROADMAP's boundary points of the valid domain, where parameters the
+#: random draws keep away from zero are zero
+_BOUNDARY_POINTS = ({"c0": 0.0, "s0": 0.0}, {"theta": 0.0}, {"phi1": 0.0, "phi3": 0.0},
+                    {"rho_chi": 0.0}, {"rho_eps": 0.0}, {"c0": 0.2, "s0": -0.1})
+
+
+def test_block_condition_number_is_exact():
+    # M is a permuted direct sum of its 10 slot blocks, so their singular
+    # values are all of M's: nothing lies outside them, and the condition
+    # number is that of the full SVD up to rounding
+    block = np.zeros(144 * 144, dtype=bool)
+    block[oracle._LONE_TAKE.ravel()] = True
+    block[oracle._LINKED_TAKE.ravel()] = True
+    assert block.sum() == 4 * 9 * 9 + 6 * 18 * 18
+    rng = np.random.default_rng(11)
+    points = ([validate(DEFAULTS)]
+              + [validate({**DEFAULTS, **point}) for point in _BOUNDARY_POINTS]
+              + [random_params(rng) for _ in range(300)])
+    for p in points:
+        M, _ = _matching_system(p)
+        assert np.all(M.ravel()[~block] == 0.0)
+        cond = _condition_number(M)
+        assert cond == pytest.approx(np.linalg.cond(M), rel=1e-10)
+        assert solve_undetermined(p).condition_number == cond
+
+
+def test_singular_block_is_a_singular_system(monkeypatch):
+    # an exactly singular block gives an infinite condition number, without
+    # a division warning, and the solve reports it
+    M, b = _matching_system(validate(DEFAULTS))
+    M[:, slots.XI::16] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _condition_number(M) == np.inf
+        monkeypatch.setattr(oracle, "_matching_system", lambda p: (M, b))
+        with pytest.raises(SingularSystem, match="cond ~ inf"):
+            solve_undetermined(validate(DEFAULTS))
+
+
+def _compare_reference(tables, oracle_rf, tol, abs_floor):
+    """The per-entry loop ``compare`` replaces."""
+    out = []
+    for var in slots.VARIABLES:
+        for idx, slot in enumerate(slots.INDEX_SETS[var]):
+            tv, ov = float(tables.block(var)[slot]), float(oracle_rf.block(var)[slot])
+            diff = abs(tv - ov)
+            scale = max(abs(tv), abs(ov))
+            rel = diff / scale if scale > 0 else 0.0
+            if diff > max(tol * scale, abs_floor):
+                note = ("pattern-breaking entry; see suspects"
+                        if (var, idx) in SUSPECT_ENTRIES else "")
+                out.append(Erratum(var, idx, tv, ov, rel, note))
+    return out
+
+
+def _bits(entries):
+    return [(e.variable, e.index, e.table_value.hex(), e.oracle_value.hex(),
+             e.rel_diff.hex(), e.note) for e in entries]
+
+
+def test_compare_equals_entrywise_reference():
+    rng = np.random.default_rng(13)
+    points = ([validate(DEFAULTS)]
+              + [validate({**DEFAULTS, **point}) for point in _BOUNDARY_POINTS]
+              + [random_params(rng) for _ in range(100)])
+    for p in points:
+        trf, orf = compute_all(p), solve_undetermined(p)
+        for tol, abs_floor in ((1e-6, 1e-12), (1e-3, 1e-6), (1e-12, 0.0)):
+            with warnings.catch_warnings():
+                # entries zero on both sides are not divided by zero
+                warnings.simplefilter("error")
+                got = compare(trf, orf, tol=tol, abs_floor=abs_floor).entries
+            assert all(type(x) is float for e in got
+                       for x in (e.table_value, e.oracle_value, e.rel_diff))
+            assert _bits(got) == _bits(_compare_reference(trf, orf, tol, abs_floor))
+
+
+def test_compare_rejects_stray_loadings(default_rf, oracle_rf, default_params):
+    def with_loading(var, slot, value):
+        blocks = {v: default_rf.block(v).copy() for v in slots.VARIABLES}
+        blocks[var][slot] = value
+        return ReducedForm(params=default_params, slot_blocks=blocks,
+                           denominator=default_rf.denominator,
+                           taylor_denominator=default_rf.taylor_denominator)
+
+    with pytest.raises(AssertionError, match="'r' has loadings outside"):
+        compare(with_loading("r", slots.EPS_LAG1, 2e-9), oracle_rf)
+    with pytest.raises(AssertionError, match="'Eu' has loadings outside"):
+        compare(oracle_rf, with_loading("Eu", slots.XI, -1.0))
+    # at the bound, and on the two structural but unexported loadings
+    compare(with_loading("r", slots.EPS_LAG1, 1e-9), oracle_rf)
+    compare(with_loading("yhat", slots.OMEGA, 5.0), oracle_rf)
+    compare(with_loading("u", slots.T_NATU, 5.0), oracle_rf)

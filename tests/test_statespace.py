@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nkji import build, char_poly, classify, classify_standard, compute_all, eigen
+from nkji import statespace
 from nkji.coeffs import power
 from nkji.oracle import random_params
 from nkji.params import DEFAULTS, InvalidParams, validate
@@ -226,6 +227,15 @@ def test_sweep_parallel_determinism(default_params):
 def test_sweep_unknown_parameter(default_params):
     with pytest.raises(UnknownParameter):
         sweep(default_params, ("alpha_zz", 0.0, 1.0, 3), ("alpha_y", 0.0, 1.0, 3))
+
+
+def test_sweep_grid_size_limit(default_params, monkeypatch):
+    monkeypatch.setattr(statespace, "SWEEP_MAX_CELLS", 6)
+    assert len(sweep(default_params, ("alpha_pi", 0.5, 2.5, 2),
+                     ("alpha_y", 0.0, 1.0, 3)).cells) == 6
+    for n1, n2 in ((1, 7), (7, 1), (3, 3), (10**30, 2)):
+        with pytest.raises(InvalidParams, match=f"{n1} x {n2} cells, more than 6"):
+            sweep(default_params, ("alpha_pi", 0.5, 2.5, n1), ("alpha_y", 0.0, 1.0, n2))
 
 
 # --- the batched sweep against the per-cell loop -----------------------------

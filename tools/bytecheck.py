@@ -68,6 +68,10 @@ SINGLE = (
     ["determinacy", "--param", "k=1e160"],
     ["audit", "--param", "c1=0.5", "--param", "s2=0.1", "--param", "gamma2=0.4",
      "--param", "s1=0.625"],
+    # the audit at a domain boundary (theta = 0: 104 entries flagged) and
+    # where all 124 frozen entries differ
+    ["audit", "--T", "100", "--param", "theta=0"],
+    ["audit", "--T", "100", "--param", "c0=0.2", "--param", "s0=-0.1"],
     # invalid input
     ["sweep", "--axis1", "k:0:1:3", "--axis2", "k:2:3:2"],
     ["sweep", "--axis1", "nosuch:0:1:3", "--axis2", "k:0:1:2"],
@@ -89,6 +93,9 @@ SINGLE = (
     ["determinacy", "--n-pre", "12"],
     ["audit", "--tol", "0"],
     ["frobnicate"],
+    ["sweep", "--axis1", "k:0:1:99999999999999999999999", "--axis2", "s0:0:1:2"],
+    ["coeffs", "--param", "\r=0"],
+    ["sweep", "--axis1", "no\x1bsuch:0:1:3", "--axis2", "k:0:1:2"],
 )
 
 COMMANDS = (*(argv + opts for opts in PARAMS.values() for argv in PER_PARAMS),
