@@ -204,11 +204,7 @@ def compute_all(p: StructuralParams) -> ReducedForm:
     hold to machine precision by construction.  Raises
     :class:`ConvergenceFailure` when a coefficient is not finite.
     """
-    # overflow is reported by the finiteness check, not by numpy warnings
-    with np.errstate(all="ignore"):
-        blocks = _slot_blocks(p)
-    if not finite_cells(blocks):
-        raise ConvergenceFailure("closed-form coefficients are not finite")
+    blocks = _checked_blocks(p)
     for v in blocks.values():
         v.flags.writeable = False
     return ReducedForm(
@@ -217,6 +213,17 @@ def compute_all(p: StructuralParams) -> ReducedForm:
         denominator=p.denominator(),
         taylor_denominator=p.taylor_denominator(),
     )
+
+
+def _checked_blocks(p: StructuralParams) -> dict[str, Vec]:
+    """The blocks of :func:`_slot_blocks`; raises :class:`ConvergenceFailure`
+    when a coefficient of any cell is not finite."""
+    # overflow is reported by the finiteness check, not by numpy warnings
+    with np.errstate(all="ignore"):
+        blocks = _slot_blocks(p)
+    if not finite_cells(blocks).all():
+        raise ConvergenceFailure("closed-form coefficients are not finite")
+    return blocks
 
 
 def finite_cells(blocks: dict[str, Vec]) -> np.ndarray:

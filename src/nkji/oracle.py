@@ -32,15 +32,16 @@ Equation set and conventions (the audit contract):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import compress
 
 import numpy as np
 
 from . import slots
-from .coeffs import ReducedForm, _chain_expectation, compute_all
-from .params import StructuralParams, validate, InvalidParams
+from .coeffs import ReducedForm, _chain_expectation, _checked_blocks
+from .params import (FIELD_NAMES, ConvergenceFailure, InvalidParams, StructuralParams,
+                     validate)
 from .sim import EquilibriumPath
 from .slots import NSLOT, Vec
 from .statespace import fan_out
@@ -49,16 +50,17 @@ from .statespace import fan_out
 FREE_BLOCKS = ("r", "y", "yhat", "pi", "c", "I", "i", "u", "Epi")
 
 #: the two closed-form entries that break their block's construction
-#: pattern; key -> (printed form, pattern form, evaluator of each on a
-#: coefficient set and its parameters).  The inflation pattern reads the
-#: gap's index-4 entry, which the gap identity leaves equal to output's.
+#: pattern; key -> (printed form, pattern form, evaluator of each on the
+#: slot blocks of a coefficient set and its parameters).  The inflation
+#: pattern reads the gap's index-4 entry, which the gap identity leaves
+#: equal to output's.
 SUSPECT_ENTRIES = {
     ("pi", 4): ("beta*Epi[4] + k*y[5]", "beta*Epi[4] + k*y[4]",
-                lambda rf, p: p.beta * rf.block("Epi")[4] + p.k * rf.block("y")[5],
-                lambda rf, p: p.beta * rf.block("Epi")[4] + p.k * rf.block("yhat")[4]),
+                lambda b, p: p.beta * b["Epi"][4] + p.k * b["y"][5],
+                lambda b, p: p.beta * b["Epi"][4] + p.k * b["yhat"][4]),
     ("Eyhat", 0): ("rho_ybar*yhat[1]", "yhat[0]",
-                   lambda rf, p: p.rho_ybar * rf.block("yhat")[slots.YBAR_LAG2],
-                   lambda rf, p: rf.block("yhat")[slots.CONST]),
+                   lambda b, p: p.rho_ybar * b["yhat"][slots.YBAR_LAG2],
+                   lambda b, p: b["yhat"][slots.CONST]),
 }
 
 COND_WARN = 1e12
@@ -73,7 +75,9 @@ class AnsatzInconsistent(RuntimeError):
 
 
 def _exogenous(p: StructuralParams):
-    e = slots.unit
+    # slot vectors (16,), or (16, n) when fields hold one value per cell
+    col = (slice(None),) + (None,) * len(p.cells)
+    e = lambda slot: slots.unit(slot)[col]
     mu_l1 = p.rho_ybar * e(slots.YBAR_LAG2) + e(slots.OMEGA_LAG1)
     mu_t = p.rho_ybar * mu_l1 + e(slots.OMEGA)
     g_t = p.rho_g * e(slots.G_LAG1) + e(slots.ETA)
@@ -100,11 +104,15 @@ def _project(vec: Vec) -> Vec:
 
 
 def _residual(zflat: Vec, p: StructuralParams) -> Vec:
+    """The structural residual at the unknowns ``zflat``: (144,), or
+    (144, K) for K columns of unknowns at once; with fields of one value
+    per cell, a trailing cell axis on both, (144, n) or (144, K, n)."""
     z = {v: zflat[j * NSLOT:(j + 1) * NSLOT] for j, v in enumerate(FREE_BLOCKS)}
-    col = (slice(None),) + (None,) * (zflat.ndim - 1)   # zflat (144,) or (144, K)
+    # the exogenous slot vectors broadcast over the columns
+    col = (slice(None),) + (None,) * (zflat.ndim - 1 - len(p.cells))
     mu_t, g_t, tax_t, chi_t, eps_t, ubar_t, eta_comp, drift_sum, rbar = (
         x[col] for x in _exogenous(p))
-    e0 = slots.unit(slots.CONST)[col]
+    e0 = slots.unit(slots.CONST)[(slice(None),) + (None,) * (zflat.ndim - 1)]
     y_perceived = _project(z["y"])
     L = y_perceived + drift_sum
 
@@ -143,66 +151,94 @@ _LONE_SLOTS = ((slots.CONST,), (slots.XI,), (slots.V,), (slots.OMEGA,))
 _LINKED_SLOTS = ((slots.YBAR_LAG2, slots.OMEGA_LAG1), (slots.G_LAG1, slots.ETA),
                  (slots.TAX_LAG1, slots.L_FISC), (slots.CHI_LAG1, slots.LAM),
                  (slots.EPS_LAG1, slots.VARSIGMA), (slots.UBAR_LAG1, slots.T_NATU))
+_NFREE = len(FREE_BLOCKS)
+_N = _NFREE * NSLOT
 
 
 def _block_take(groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Flat indices into ``M`` of the diagonal blocks of ``groups``:
     ``M.take`` of the result is the ``(len(groups), m, m)`` block stack."""
-    n = len(FREE_BLOCKS) * NSLOT
-    idx = np.array([[j * NSLOT + s for s in group for j in range(len(FREE_BLOCKS))]
-                     for group in groups])
-    return idx[:, :, None] * n + idx[:, None, :]
+    idx = np.array([[j * NSLOT + s for s in group for j in range(_NFREE)]
+                    for group in groups])
+    return idx[:, :, None] * _N + idx[:, None, :]
 
 
 _LONE_TAKE = _block_take(_LONE_SLOTS)        # (4, 9, 9)
 _LINKED_TAKE = _block_take(_LINKED_SLOTS)    # (6, 18, 18)
 
+#: the probe of the matching system: per free block, one column with 1 in
+#: the first slot of every group and one with 1 in every linked innovation
+#: slot (18 columns), then a column of zeros, whose response is ``-b``.  A
+#: probe column sets at most one unknown of each group, and an equation
+#: reads only the unknowns of its own group, so each response entry inside
+#: the blocks goes through the same operations as the identity column of
+#: the one unknown it reads
+_POSITION = {s: k for group in _LONE_SLOTS + _LINKED_SLOTS for k, s in enumerate(group)}
+_PROBE_COLUMN = np.array([_POSITION[u % NSLOT] * _NFREE + u // NSLOT for u in range(_N)])
+_PROBE = np.zeros((_N, 2 * _NFREE + 1))
+_PROBE[np.arange(_N), _PROBE_COLUMN] = 1.0
+#: every entry of the ten blocks: its flat index into ``M``, and the row
+#: and probe column of the response it is read from
+_BLOCK_TAKE = np.concatenate([_LONE_TAKE.ravel(), _LINKED_TAKE.ravel()])
+_BLOCK_ROWS = _BLOCK_TAKE // _N
+_BLOCK_PROBES = _PROBE_COLUMN[_BLOCK_TAKE % _N]
+
 
 def _matching_system(p: StructuralParams) -> tuple[np.ndarray, Vec]:
-    """``M`` and ``b`` of ``M z = b``: one vectorised evaluation of the
-    affine residual on the 144x144 identity."""
-    n = len(FREE_BLOCKS) * NSLOT
-    b = -_residual(np.zeros(n), p)
-    return _residual(np.eye(n), p) + b[:, None], b
+    """``M`` (144, 144) and ``b`` (144,) of ``M z = b``, or one per cell,
+    (n, 144, 144) and (n, 144), when fields hold one value per cell.
+
+    The affine residual is evaluated once, on the 19 columns of ``_PROBE``
+    instead of the 144 of the identity and a zero vector; the ten blocks
+    are gathered from that response and scattered into zeros, bitwise equal
+    to the identity evaluation ``_residual(eye, p) + b[:, None]``, whose
+    entries outside the blocks are exactly 0."""
+    cells = p.cells
+    probe = np.broadcast_to(_PROBE.reshape(*_PROBE.shape, *(1,) * len(cells)),
+                            (*_PROBE.shape, *cells))
+    response = _residual(probe, p)
+    b = -response[:, -1]
+    blocks = response[_BLOCK_ROWS, _BLOCK_PROBES] + b[_BLOCK_ROWS]
+    M = np.zeros((*cells, _N * _N))
+    M[..., _BLOCK_TAKE] = np.moveaxis(blocks, 0, -1)
+    return M.reshape(*cells, _N, _N), np.moveaxis(b, 0, -1)
 
 
-def _condition_number(M: np.ndarray) -> float:
-    """Exact 2-norm condition number of the matching matrix: the singular
-    values of a direct sum are those of its blocks, so two stacked SVDs of
-    the small blocks replace one of all of ``M``.  Infinite for a singular
-    block."""
-    sv = np.concatenate([np.linalg.svd(M.take(take), compute_uv=False).ravel()
-                         for take in (_LONE_TAKE, _LINKED_TAKE)])
-    smax, smin = float(sv.max()), float(sv.min())
-    return smax / smin if smin > 0 else math.inf
+def _condition_number(M: np.ndarray) -> Vec:
+    """Exact 2-norm condition number of the matching matrix, or of each of
+    a stack (n, 144, 144): the singular values of a direct sum are those
+    of its blocks, so two stacked SVDs of the small blocks replace one of
+    all of ``M``.  Infinite for a singular block."""
+    flat = M.reshape(*M.shape[:-2], -1)
+    sv = [np.linalg.svd(flat[..., take], compute_uv=False)
+          for take in (_LONE_TAKE, _LINKED_TAKE)]
+    smax = np.maximum(*(s.max(axis=(-2, -1)) for s in sv))
+    smin = np.minimum(*(s.min(axis=(-2, -1)) for s in sv))
+    cond = np.divide(smax, smin, out=np.full(smax.shape, np.inf), where=smin > 0)
+    return cond[()]
 
 
-def solve_undetermined(p: StructuralParams) -> ReducedForm:
-    """Solve the matching system ``M z = b`` for all coefficient blocks.
-
-    ``M`` comes from one vectorised evaluation of the affine residual on the
-    144x144 identity.  Its condition number is exact but comes from the
-    blocks of ``M`` (see :func:`_condition_number`); the solve itself is one
-    full ``np.linalg.solve``.  Returns a :class:`ReducedForm`
-    interchangeable with the closed-form one (same block keys and index
-    sets) with that condition number attached.  Raises
-    :class:`SingularSystem` for a numerically singular matching matrix and
-    :class:`AnsatzInconsistent` if the solved coefficients fail to satisfy
-    the matching equations.
-    """
+def _solve(p: StructuralParams) -> tuple[dict[str, Vec], Vec]:
+    """The solved coefficient blocks (16,) and the condition number of
+    :func:`solve_undetermined`, or blocks (16, n) and condition numbers (n,)
+    when fields hold one value per cell; raises for the first failing cell."""
     M, b = _matching_system(p)
     cond = _condition_number(M)
-    if not np.isfinite(cond) or cond > 1e15:
-        raise SingularSystem(f"matching system is singular (cond ~ {cond:.3e})")
+    singular = np.flatnonzero(~(cond <= 1e15))
+    if singular.size:
+        raise SingularSystem("matching system is singular "
+                             f"(cond ~ {np.ravel(cond)[singular[0]]:.3e})")
     try:
-        zflat = np.linalg.solve(M, b)
+        zflat = np.linalg.solve(M, b[..., None])[..., 0]
     except np.linalg.LinAlgError as err:
         raise SingularSystem(str(err)) from err
-    gap = float(np.max(np.abs(M @ zflat - b)))
-    if gap > 1e-8 * (1.0 + float(np.max(np.abs(b)))):
-        raise AnsatzInconsistent(
-            f"matching equations unsatisfied after solve (gap {gap:.3e})")
+    gap = np.abs((M @ zflat[..., None])[..., 0] - b).max(axis=-1)
+    unsatisfied = np.flatnonzero(gap > 1e-8 * (1.0 + np.abs(b).max(axis=-1)))
+    if unsatisfied.size:
+        raise AnsatzInconsistent("matching equations unsatisfied after solve "
+                                 f"(gap {np.ravel(gap)[unsatisfied[0]]:.3e})")
 
+    zflat = np.moveaxis(zflat, -1, 0)
     blocks = {v: zflat[j * NSLOT:(j + 1) * NSLOT].copy()
               for j, v in enumerate(FREE_BLOCKS)}
     blocks["Eyhat"] = _chain_expectation(blocks["yhat"], p)
@@ -210,14 +246,34 @@ def solve_undetermined(p: StructuralParams) -> ReducedForm:
     # scrub numerical dust so structural zeros are exact in the output
     for vec in blocks.values():
         vec[np.abs(vec) < 1e-13] = 0.0
+    return {v: blocks[v] for v in slots.VARIABLES}, cond
+
+
+def solve_undetermined(p: StructuralParams) -> ReducedForm:
+    """Solve the matching system ``M z = b`` for all coefficient blocks.
+
+    ``M`` comes from one vectorised evaluation of the affine residual on 18
+    probe columns and a zero column, from which its ten direct-sum blocks
+    and ``b`` are gathered (see :func:`_matching_system`).  Its condition number is exact and comes
+    from those blocks (see :func:`_condition_number`); the solve itself is
+    one full ``np.linalg.solve``.  Returns a :class:`ReducedForm`
+    interchangeable with the closed-form one (same block keys and index
+    sets) with that condition number attached.  Raises
+    :class:`SingularSystem` for a numerically singular matching matrix and
+    :class:`AnsatzInconsistent` if the solved coefficients fail to satisfy
+    the matching equations.  The stability draws run the same code on a
+    slice of parameterizations at once.
+    """
+    blocks, cond = _solve(p)
+    for vec in blocks.values():
         vec.flags.writeable = False
     return ReducedForm(
         params=p,
-        slot_blocks={v: blocks[v] for v in slots.VARIABLES},
+        slot_blocks=blocks,
         denominator=p.denominator(),
         taylor_denominator=p.taylor_denominator(),
         source="undetermined-coefficients",
-        condition_number=cond,
+        condition_number=float(cond),
     )
 
 
@@ -310,11 +366,10 @@ def compare(tables: ReducedForm, oracle: ReducedForm,
     numerical solution supports the variant (its own blocks satisfy the
     pattern exactly and fail the printed form).
     """
-    tv, ov = tables.exported(), oracle.exported()
-    diff = np.abs(tv - ov)
-    scale = np.maximum(np.abs(tv), np.abs(ov))
-    rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
-    bad = np.flatnonzero(diff > np.maximum(tol * scale, abs_floor))
+    p = tables.params
+    tv, ov, rel, flagged, confirmed = _compared(
+        tables.slot_blocks, oracle.slot_blocks, p, tol, abs_floor)
+    bad = np.flatnonzero(flagged)
     entries: list[Erratum] = []
     for k, t, o, r in zip(bad.tolist(), tv[bad].tolist(), ov[bad].tolist(),
                           rel[bad].tolist()):
@@ -322,19 +377,15 @@ def compare(tables: ReducedForm, oracle: ReducedForm,
         note = "pattern-breaking entry; see suspects" if (var, idx) in SUSPECT_ENTRIES else ""
         entries.append(Erratum(var, idx, t, o, r, note))
 
-    p = tables.params
     suspects: dict[str, dict] = {}
-    for (var, idx), (printed, variant, printed_of, variant_of) in SUSPECT_ENTRIES.items():
-        solved = oracle.block(var)[idx]
-        scale = max(abs(solved), 1.0)
-        pat_gap = abs(solved - variant_of(oracle, p))
-        printed_gap = abs(solved - printed_of(oracle, p))
-        suspects[f"{var}[{idx}]"] = {
+    for label, (printed, variant, printed_of, variant_of) in zip(
+            confirmed, SUSPECT_ENTRIES.values()):
+        suspects[label] = {
             "printed": printed,
             "variant": variant,
-            "printed_value": float(printed_of(tables, p)),
-            "variant_value": float(variant_of(tables, p)),
-            "variant_confirmed": bool(pat_gap <= tol * scale and printed_gap > tol * scale),
+            "printed_value": float(printed_of(tables.slot_blocks, p)),
+            "variant_value": float(variant_of(tables.slot_blocks, p)),
+            "variant_confirmed": bool(confirmed[label]),
         }
 
     cond = oracle.condition_number or 0.0
@@ -344,46 +395,58 @@ def compare(tables: ReducedForm, oracle: ReducedForm,
                         suspects=suspects)
 
 
+def _compared(tables: dict[str, Vec], solved: dict[str, Vec], p: StructuralParams,
+              tol: float, abs_floor: float) -> tuple[Vec, Vec, Vec, Vec, dict[str, Vec]]:
+    """The array pass behind :func:`compare`: the exported entries of both
+    sets, their relative differences, which of them differ, and per suspect
+    label whether the numerical solution confirms the variant.  With slot
+    blocks (16, n) and fields of one value per cell, each is per cell."""
+    tv = slots.exported(np.stack([tables[v] for v in slots.VARIABLES]))
+    ov = slots.exported(np.stack([solved[v] for v in slots.VARIABLES]))
+    diff = np.abs(tv - ov)
+    scale = np.maximum(np.abs(tv), np.abs(ov))
+    rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+    flagged = diff > np.maximum(tol * scale, abs_floor)
+    confirmed = {}
+    for (var, idx), (_, _, printed_of, variant_of) in SUSPECT_ENTRIES.items():
+        value = solved[var][idx]
+        bound = tol * np.maximum(np.abs(value), 1.0)
+        confirmed[f"{var}[{idx}]"] = ((np.abs(value - variant_of(solved, p)) <= bound)
+                                      & (np.abs(value - printed_of(solved, p)) > bound))
+    return tv, ov, rel, flagged, confirmed
+
+
+#: the range of each field :func:`random_params` draws, in draw order
+_DRAW_RANGES = (
+    ("sigma", 0.5, 3.0), ("theta", 0.1, 1.0), ("beta", 0.9, 0.999), ("k", 0.05, 0.6),
+    ("alpha_pi", 0.2, 2.5), ("alpha_y", 0.0, 1.0), ("c0", 0.05, 0.5), ("s0", 0.05, 0.5),
+    ("c1", 0.1, 0.9), ("c3", 0.05, 0.5), ("c4", 0.05, 0.5), ("s1", 0.1, 0.9),
+    ("s2", 0.05, 0.5), ("s3", 0.05, 0.5), ("s4", 0.05, 0.5),
+    *((f"gamma{j}", 0.05, 1.2) for j in range(1, 6)),
+    *((f"phi{j}", 0.1, 1.5) for j in range(1, 4)),
+    *((name, 0.05, 0.95) for name in ("rho_chi", "rho_ybar", "rho_g", "rho_tax",
+                                      "rho_eps", "rho_u")),
+    *((name, 0.005, 0.05) for name in ("sd_omega", "sd_eta_g", "sd_taxshock", "sd_lambda",
+                                       "sd_xi", "sd_v", "sd_costpush", "sd_natu",
+                                       "sd_noise")),
+)
+_DRAW_NAMES = tuple(name for name, _, _ in _DRAW_RANGES)
+_DRAW_LOW, _DRAW_HIGH = np.array([bounds for _, *bounds in _DRAW_RANGES]).T
+
+
 def random_params(rng: np.random.Generator) -> StructuralParams:
     """A generic valid parameterization, kept away from the closed-form and
     matching-system singular surfaces."""
+    c0, s0 = _DRAW_NAMES.index("c0"), _DRAW_NAMES.index("s0")
     while True:
-        cand = {
-            "sigma": rng.uniform(0.5, 3.0),
-            "theta": rng.uniform(0.1, 1.0),
-            "beta": rng.uniform(0.9, 0.999),
-            "k": rng.uniform(0.05, 0.6),
-            "alpha_pi": rng.uniform(0.2, 2.5),
-            "alpha_y": rng.uniform(0.0, 1.0),
-            "c0": rng.uniform(0.05, 0.5) * rng.choice((-1.0, 1.0)),
-            "s0": rng.uniform(0.05, 0.5) * rng.choice((-1.0, 1.0)),
-            "c1": rng.uniform(0.1, 0.9),
-            "c3": rng.uniform(0.05, 0.5),
-            "c4": rng.uniform(0.05, 0.5),
-            "s1": rng.uniform(0.1, 0.9),
-            "s2": rng.uniform(0.05, 0.5),
-            "s3": rng.uniform(0.05, 0.5),
-            "s4": rng.uniform(0.05, 0.5),
-            "gamma1": rng.uniform(0.05, 1.2),
-            "gamma2": rng.uniform(0.05, 1.2),
-            "gamma3": rng.uniform(0.05, 1.2),
-            "gamma4": rng.uniform(0.05, 1.2),
-            "gamma5": rng.uniform(0.05, 1.2),
-            "phi1": rng.uniform(0.1, 1.5),
-            "phi2": rng.uniform(0.1, 1.5),
-            "phi3": rng.uniform(0.1, 1.5),
-            "rho_chi": rng.uniform(0.05, 0.95),
-            "rho_ybar": rng.uniform(0.05, 0.95),
-            "rho_g": rng.uniform(0.05, 0.95),
-            "rho_tax": rng.uniform(0.05, 0.95),
-            "rho_eps": rng.uniform(0.05, 0.95),
-            "rho_u": rng.uniform(0.05, 0.95),
-            **{f: rng.uniform(0.005, 0.05) for f in (
-                "sd_omega", "sd_eta_g", "sd_taxshock", "sd_lambda", "sd_xi",
-                "sd_v", "sd_costpush", "sd_natu", "sd_noise")},
-        }
+        # one call per run of uniform draws between the sign draws of c0
+        # and s0: the same stream and values as one call per field
+        values = rng.uniform(_DRAW_LOW[:c0 + 1], _DRAW_HIGH[:c0 + 1]).tolist()
+        values[c0] *= rng.choice((-1.0, 1.0))
+        values.append(rng.uniform(_DRAW_LOW[s0], _DRAW_HIGH[s0]) * rng.choice((-1.0, 1.0)))
+        values += rng.uniform(_DRAW_LOW[s0 + 1:], _DRAW_HIGH[s0 + 1:]).tolist()
         try:
-            p = validate(cand)
+            p = validate(dict(zip(_DRAW_NAMES, values)))
         except InvalidParams:
             continue
         if abs(p.denominator()) < 0.05 or abs(p.taylor_denominator()) < 0.05:
@@ -391,23 +454,68 @@ def random_params(rng: np.random.Generator) -> StructuralParams:
         return p
 
 
-def _stability_draw(seed: int, tol: float, draw_index: int) -> ErrataReport:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(draw_index,)))
-    p = random_params(rng)
-    return compare(compute_all(p), solve_undetermined(p), tol=tol)
+@dataclass(frozen=True)
+class DrawSummary:
+    """What the stability check keeps of one draw's comparison."""
+    keys: frozenset[tuple[str, int]]      # the flagged entries
+    variant_confirmed: dict[str, bool]    # suspect label -> verdict
+    condition_number: float
+
+
+#: most stability draws evaluated in one array pass; each draw of a pass
+#: holds a dense 144x144 matching matrix, so this bounds the pass's memory
+AUDIT_SLICE = 6
+
+#: what a draw's comparison raises when one of its steps fails
+_DRAW_FAILURES = (ConvergenceFailure, SingularSystem, AnsatzInconsistent,
+                  AssertionError, np.linalg.LinAlgError)
+
+
+def _summaries(p: StructuralParams, tol: float) -> list[DrawSummary]:
+    """Closed form, numerical solution and comparison at ``p``, one summary
+    per cell (one for float fields); raises for the first failing cell."""
+    tables = _checked_blocks(p)
+    solved, cond = _solve(p)
+    # compare's default abs_floor
+    _, _, _, flagged, confirmed = _compared(tables, solved, p, tol, 1e-12)
+    columns = zip(flagged.reshape(len(slots.ENTRIES), -1).T.tolist(),
+                  np.ravel(cond).tolist(),
+                  *(np.ravel(c).tolist() for c in confirmed.values()))
+    return [DrawSummary(keys=frozenset(compress(slots.ENTRIES, flags)),
+                        variant_confirmed=dict(zip(confirmed, verdicts)),
+                        condition_number=c)
+            for flags, c, *verdicts in columns]
+
+
+def _stability_slice(seed: int, tol: float, draws: range) -> list[DrawSummary]:
+    """The summaries of ``draws``, evaluated in one array pass."""
+    ps = [random_params(np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(i,)))) for i in draws]
+    stacked = StructuralParams(**{name: np.array([getattr(p, name) for p in ps])
+                                  for name in FIELD_NAMES})
+    try:
+        return _summaries(stacked, tol)
+    except _DRAW_FAILURES:
+        # some draw fails: take the draws one at a time, so that the first
+        # failing draw raises just as it does alone
+        return [s for p in ps for s in _summaries(p, tol)]
 
 
 def stability_run(n_draws: int, seed: int, tol: float = 1e-6, workers: int = 1
-                  ) -> tuple[set[tuple[str, int]], bool, list[ErrataReport]]:
+                  ) -> tuple[set[tuple[str, int]], bool, list[DrawSummary]]:
     """Compare closed forms against the numerical solution across random
     parameterizations; a genuine formula divergence flags the same entries
     on every draw, a numerical accident moves around.
 
-    Each draw gets its own counter-derived substream, so results are
-    independent of the worker count.
+    Each draw gets its own counter-derived substream.  The draws are
+    evaluated in slices of at most ``AUDIT_SLICE``, each in one array pass,
+    and ``workers`` processes share the slices, so results are independent
+    of the worker count.  A failing draw raises what it raises alone: the
+    first failing draw, at its first failing step.
     """
-    reports = fan_out(partial(_stability_draw, seed, tol), range(n_draws), workers)
-    keysets = [r.keys() for r in reports]
-    first = keysets[0] if keysets else set()
-    return first, all(ks == first for ks in keysets), reports
+    slices = [range(start, min(start + AUDIT_SLICE, n_draws))
+              for start in range(0, n_draws, AUDIT_SLICE)]
+    summaries = [s for part in fan_out(partial(_stability_slice, seed, tol), slices, workers)
+                 for s in part]
+    first = set(summaries[0].keys) if summaries else set()
+    return first, all(s.keys == first for s in summaries), summaries

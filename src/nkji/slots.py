@@ -89,13 +89,15 @@ def unit(slot: int) -> Vec:
 
 def exported(blocks: NDArray[np.float64]) -> Vec:
     """The exported entries of the ``(11, 16)`` stack of slot vectors
-    ``blocks`` (rows in ``VARIABLES`` order), in ``ENTRIES`` order.
+    ``blocks`` (rows in ``VARIABLES`` order), in ``ENTRIES`` order: (130,),
+    or (130, n) for a stack ``(11, 16, n)`` with one column per cell.
 
     Loadings outside a variable's index set must be structurally zero (they
     are for both the closed forms and the numerical solution); a nonzero
-    one signals an assembly defect.
+    one, in any cell, signals an assembly defect.
     """
-    stray = np.where(STRAY, np.abs(blocks), 0.0).max(axis=1)
+    mask = STRAY.reshape(STRAY.shape + (1,) * (blocks.ndim - 2))
+    stray = np.where(mask, np.abs(blocks), 0.0).reshape(len(VARIABLES), -1).max(axis=1)
     over = np.flatnonzero(stray > 1e-9)
     if over.size:
         row = over[0]

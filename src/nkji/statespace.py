@@ -16,6 +16,7 @@ row carries the first power.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable
@@ -317,7 +318,10 @@ def _sweep_slice(base: dict[str, float], name1: str, v1: float, name2: str,
 def fan_out(fn: Callable, items: Iterable, workers: int = 1) -> list:
     """``[fn(x) for x in items]`` in item order; with ``workers > 1`` the
     calls run in a process pool, so ``fn`` must pickle (a module-level
-    function or a :func:`functools.partial` of one)."""
+    function or a :func:`functools.partial` of one).  The pool starts at
+    most one process per item and per CPU, whatever ``workers`` asks."""
+    items = list(items)
+    workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(x) for x in items]
     import concurrent.futures

@@ -6,10 +6,10 @@ import pytest
 from nkji import compute_all, draw, simulate, solve_undetermined
 from nkji.coeffs import ReducedForm, _chain_expectation
 from nkji import oracle
-from nkji.oracle import (SUSPECT_ENTRIES, Erratum, SingularSystem,
+from nkji.oracle import (AUDIT_SLICE, SUSPECT_ENTRIES, Erratum, SingularSystem,
                          _condition_number, _matching_system, _residual, compare,
                          random_params, residuals, stability_run)
-from nkji.params import DEFAULTS, validate
+from nkji.params import DEFAULTS, FIELD_NAMES, StructuralParams, validate
 from nkji.shocks import impulse_path
 from nkji import slots
 
@@ -89,14 +89,15 @@ def test_stability_run_without_draws():
 
 
 def test_compare_flags_stable_set(rng):
-    first, identical, reports = stability_run(10, seed=rng.integers(2**31))
+    first, identical, summaries = stability_run(10, seed=rng.integers(2**31))
     assert identical
     assert len(first) == 124
     assert ("pi", 4) in first and ("Eyhat", 0) in first
-    for rep in reports:
-        assert rep.suspects["pi[4]"]["variant_confirmed"]
-        assert rep.suspects["Eyhat[0]"]["variant_confirmed"]
-        assert not rep.condition_warning
+    assert len(summaries) == 10
+    for summary in summaries:
+        assert summary.keys == first
+        assert summary.variant_confirmed == {"pi[4]": True, "Eyhat[0]": True}
+        assert summary.condition_number <= oracle.COND_WARN
 
 
 def test_suspect_report_states_both_values(default_rf, oracle_rf, default_params):
@@ -273,3 +274,137 @@ def test_compare_rejects_stray_loadings(default_rf, oracle_rf, default_params):
     compare(with_loading("r", slots.EPS_LAG1, 1e-9), oracle_rf)
     compare(with_loading("yhat", slots.OMEGA, 5.0), oracle_rf)
     compare(with_loading("u", slots.T_NATU, 5.0), oracle_rf)
+
+
+def _stacked(points):
+    """One parameterization whose fields hold one value per point."""
+    return StructuralParams(**{name: np.array([getattr(p, name) for p in points])
+                               for name in FIELD_NAMES})
+
+
+def test_probe_assembly_equals_identity_evaluation():
+    # the 19-column probe against the dense evaluation on the identity, one
+    # parameterization at a time and as stacked slices; the stacked
+    # condition numbers and solved blocks against the dense per-draw solve
+    rng = np.random.default_rng(17)
+    points = ([validate(DEFAULTS)]
+              + [validate({**DEFAULTS, **point}) for point in _BOUNDARY_POINTS]
+              + [random_params(rng) for _ in range(300)])
+    dense = []
+    for p in points:
+        b = -_residual(np.zeros(144), p)
+        dense.append((_residual(np.eye(144), p) + b[:, None], b))
+        M, got_b = _matching_system(p)
+        assert np.array_equal(M, dense[-1][0]) and np.array_equal(got_b, b)
+    for start in range(0, len(points), 50):
+        part = _stacked(points[start:start + 50])
+        M, b = _matching_system(part)
+        blocks, cond = oracle._solve(part)
+        assert M.shape == (len(points[start:start + 50]), 144, 144)
+        for j, (M_ref, b_ref) in enumerate(dense[start:start + 50]):
+            assert np.array_equal(M[j], M_ref) and np.array_equal(b[j], b_ref)
+            assert cond[j].hex() == float(_condition_number(M_ref)).hex()
+            z = np.linalg.solve(M_ref, b_ref)
+            z[np.abs(z) < 1e-13] = 0.0
+            assert np.array_equal(
+                np.concatenate([blocks[v][:, j] for v in oracle.FREE_BLOCKS]), z)
+
+
+def _reference_random_params(rng):
+    """``random_params`` with one generator call per field."""
+    while True:
+        cand = {
+            "sigma": rng.uniform(0.5, 3.0), "theta": rng.uniform(0.1, 1.0),
+            "beta": rng.uniform(0.9, 0.999), "k": rng.uniform(0.05, 0.6),
+            "alpha_pi": rng.uniform(0.2, 2.5), "alpha_y": rng.uniform(0.0, 1.0),
+            "c0": rng.uniform(0.05, 0.5) * rng.choice((-1.0, 1.0)),
+            "s0": rng.uniform(0.05, 0.5) * rng.choice((-1.0, 1.0)),
+            "c1": rng.uniform(0.1, 0.9), "c3": rng.uniform(0.05, 0.5),
+            "c4": rng.uniform(0.05, 0.5), "s1": rng.uniform(0.1, 0.9),
+            "s2": rng.uniform(0.05, 0.5), "s3": rng.uniform(0.05, 0.5),
+            "s4": rng.uniform(0.05, 0.5),
+            **{f"gamma{j}": rng.uniform(0.05, 1.2) for j in range(1, 6)},
+            **{f"phi{j}": rng.uniform(0.1, 1.5) for j in range(1, 4)},
+            **{f: rng.uniform(0.05, 0.95) for f in (
+                "rho_chi", "rho_ybar", "rho_g", "rho_tax", "rho_eps", "rho_u")},
+            **{f: rng.uniform(0.005, 0.05) for f in (
+                "sd_omega", "sd_eta_g", "sd_taxshock", "sd_lambda", "sd_xi",
+                "sd_v", "sd_costpush", "sd_natu", "sd_noise")},
+        }
+        try:
+            p = validate(cand)
+        except oracle.InvalidParams:
+            continue
+        if abs(p.denominator()) < 0.05 or abs(p.taylor_denominator()) < 0.05:
+            continue
+        return p
+
+
+def test_random_params_equals_one_call_per_field():
+    ours, ref = np.random.default_rng(19), np.random.default_rng(19)
+    for _ in range(1000):
+        got, want = random_params(ours), _reference_random_params(ref)
+        assert ([x.hex() for x in got.as_dict().values()]
+                == [x.hex() for x in want.as_dict().values()])
+    # both generators are left in the same state
+    assert ours.random() == ref.random()
+
+
+def _per_draw(n_draws, seed, tol=1e-6):
+    """The stability check one draw at a time: (flagged keys, suspect
+    verdicts, condition number as hex) per draw."""
+    out = []
+    for i in range(n_draws):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        p = oracle.random_params(rng)
+        rep = compare(compute_all(p), solve_undetermined(p), tol=tol)
+        out.append((rep.keys(),
+                    {label: s["variant_confirmed"] for label, s in rep.suspects.items()},
+                    rep.condition_number.hex()))
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stability_run_equals_per_draw_reference(workers):
+    for n_draws in (1, AUDIT_SLICE, AUDIT_SLICE + 1, 2 * AUDIT_SLICE + 3):
+        first, identical, summaries = stability_run(n_draws, seed=23, workers=workers)
+        ref = _per_draw(n_draws, seed=23)
+        assert [(s.keys, s.variant_confirmed, s.condition_number.hex())
+                for s in summaries] == ref
+        assert first == ref[0][0]
+        assert identical == all(keys == ref[0][0] for keys, _, _ in ref)
+
+
+#: a parameterization whose matching system is singular, one whose closed
+#: form is not finite
+_SINGULAR = {"c1": 0.5, "s2": 0.1, "gamma2": 0.4, "s1": 0.625}
+_NOT_FINITE = {"k": 1e308}
+
+
+@pytest.mark.parametrize("failing", [
+    {2: _SINGULAR},
+    {AUDIT_SLICE + 3: _SINGULAR},
+    {3: _NOT_FINITE, 4: _SINGULAR},
+    {2: _SINGULAR, 4: _NOT_FINITE},
+    {1: {"c1": 0.4, "s2": 0.2, "gamma2": 0.4, "s1": 0.9}, 4: _SINGULAR},
+])
+def test_failing_draw_raises_as_alone(monkeypatch, failing):
+    # draws replaced by failing parameterizations at positions after the
+    # first of a slice: the run raises what the per-draw loop raises, for
+    # the first failing draw and its first failing step
+    unpatched = oracle.random_params
+
+    def patched(rng):
+        p = unpatched(rng)
+        i = rng.bit_generator.seed_seq.spawn_key[0]
+        return validate({**p.as_dict(), **failing[i]}) if i in failing else p
+
+    monkeypatch.setattr(oracle, "random_params", patched)
+    n_draws = 2 * AUDIT_SLICE + 3
+    with pytest.raises(Exception) as want:
+        _per_draw(n_draws, seed=29)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(want.type) as got:
+            stability_run(n_draws, seed=29)
+    assert str(got.value) == str(want.value)

@@ -363,3 +363,39 @@ def test_stacked_eig_failure_fails_only_its_cell(default_params, monkeypatch):
 def test_non_finite_coefficients_raise(default_params):
     with pytest.raises(ConvergenceFailure):
         compute_all(default_params.replace(k=1e308))
+
+
+def test_fan_out_bounds_the_pool(monkeypatch):
+    # the pool starts at most one process per item and per CPU; a fake
+    # pool records what it is asked for and maps in this process
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert statespace.fan_out(abs, range(-10, 0), 100_000) == list(range(10, 0, -1))
+    assert statespace.fan_out(abs, iter([-1, -2]), 100_000) == [1, 2]
+    assert statespace.fan_out(abs, range(-5, 0), 2) == [5, 4, 3, 2, 1]
+    assert started == [3, 2, 2]
+    # one item, one worker, or an unknown CPU count: no pool at all
+    assert statespace.fan_out(abs, [-1], 100_000) == [1]
+    assert statespace.fan_out(abs, range(-3, 0), 1) == [3, 2, 1]
+    assert statespace.fan_out(abs, [], 4) == []
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert statespace.fan_out(abs, range(-3, 0), 8) == [3, 2, 1]
+    assert started == [3, 2, 2]

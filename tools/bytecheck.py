@@ -51,6 +51,11 @@ SINGLE = (
        "--workers", w] for w in ("1", "2")),
     *(["audit", "--T", "100", "--draws", "6", "--seed", "3", "--workers", w]
       for w in ("1", "2")),
+    # one stability draw more than an array pass holds, over one and three
+    # worker processes
+    *(["audit", "--T", "100", "--draws", "7", "--seed", "3", "--workers", w]
+      for w in ("1", "3")),
+    ["audit", "--T", "100", "--draws", "5", "--param", "theta=0"],
     # the powers of the persistences, and a row longer than one array pass
     ["sweep", "--axis1", "rho_ybar:-0.99:0.99:9", "--axis2", "rho_g:-0.99:0.99:11"],
     ["sweep", "--axis1", "alpha_pi:1.2:1.2:1", "--axis2", "rho_chi:-1.1:1.1:300"],
