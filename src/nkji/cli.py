@@ -327,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"nkji: invalid input: {err}", file=sys.stderr)
         return 2
     except (oracle.SingularSystem, oracle.AnsatzInconsistent,
-            ConvergenceFailure, OverflowError) as err:
+            ConvergenceFailure, OverflowError, MemoryError) as err:
         print(f"nkji: numerical failure: {err}", file=sys.stderr)
         return 3
 

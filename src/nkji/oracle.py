@@ -440,10 +440,12 @@ def random_params(rng: np.random.Generator) -> StructuralParams:
     c0, s0 = _DRAW_NAMES.index("c0"), _DRAW_NAMES.index("s0")
     while True:
         # one call per run of uniform draws between the sign draws of c0
-        # and s0: the same stream and values as one call per field
+        # and s0, and signs indexed by the cheaper ``integers(0, 2)``: the
+        # same stream and values as one ``uniform`` or ``choice`` per field
         values = rng.uniform(_DRAW_LOW[:c0 + 1], _DRAW_HIGH[:c0 + 1]).tolist()
-        values[c0] *= rng.choice((-1.0, 1.0))
-        values.append(rng.uniform(_DRAW_LOW[s0], _DRAW_HIGH[s0]) * rng.choice((-1.0, 1.0)))
+        values[c0] *= (-1.0, 1.0)[rng.integers(0, 2)]
+        values.append(rng.uniform(_DRAW_LOW[s0], _DRAW_HIGH[s0])
+                      * (-1.0, 1.0)[rng.integers(0, 2)])
         values += rng.uniform(_DRAW_LOW[s0 + 1:], _DRAW_HIGH[s0 + 1:]).tolist()
         try:
             p = validate(dict(zip(_DRAW_NAMES, values)))
@@ -513,9 +515,6 @@ def stability_run(n_draws: int, seed: int, tol: float = 1e-6, workers: int = 1
     of the worker count.  A failing draw raises what it raises alone: the
     first failing draw, at its first failing step.
     """
-    slices = [range(start, min(start + AUDIT_SLICE, n_draws))
-              for start in range(0, n_draws, AUDIT_SLICE)]
-    summaries = [s for part in fan_out(partial(_stability_slice, seed, tol), slices, workers)
-                 for s in part]
+    summaries = fan_out(partial(_stability_slice, seed, tol), n_draws, AUDIT_SLICE, workers)
     first = set(summaries[0].keys) if summaries else set()
     return first, all(s.keys == first for s in summaries), summaries

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -184,8 +184,8 @@ def char_poly(A: Vec) -> Vec:
         M = A @ M + c[j - 1] * np.eye(n)
         c[j] = -np.trace(A @ M) / j
     k = np.empty(n + 1)
-    for power in range(n + 1):
-        k[power] = -c[n - power]
+    for j in range(n + 1):
+        k[j] = -c[n - j]
     return k
 
 
@@ -241,12 +241,14 @@ def report(rf: ReducedForm, tau: float = 1e-8,
            n_pre: int | None = None) -> DeterminacyReport:
     """Eigenvalues, characteristic coefficients and verdicts for every
     possible predetermined count (or a single one if ``n_pre`` is given)."""
+    if n_pre is not None and not 0 <= n_pre <= ORDER:
+        raise ValueError("n_pre must be in 0..9")
     system = build(rf)
     eigs = eigen(system.A)
     k = char_poly(system.A)
     stable, unstable, borderline = map(int, _counts(eigs, tau))
     pres = range(ORDER + 1) if n_pre is None else (n_pre,)
-    verdicts = {n: classify(eigs, n, tau) for n in pres}
+    verdicts = {n: _verdict(stable, borderline, n) for n in pres}
     return DeterminacyReport(eigenvalues=eigs, k=k, tau=tau, stable=stable,
                              unstable=unstable, borderline=borderline,
                              verdicts=verdicts)
@@ -264,24 +266,16 @@ class SweepResult:
     cells: list[dict]
 
 
-def _sweep_row(base: dict[str, float], name1: str, name2: str, grid2: Vec,
-               n_pre: int, tau: float, v1: float) -> list[dict]:
-    """The cells of one grid row, evaluated in array passes over slices of
-    at most ``SWEEP_SLICE`` cells."""
-    row = []
-    # overflow in an extreme cell is reported by its "failed" verdict,
-    # not by numpy warnings
-    with np.errstate(all="ignore"):
-        for start in range(0, len(grid2), SWEEP_SLICE):
-            row += _sweep_slice(base, name1, float(v1), name2,
-                                grid2[start:start + SWEEP_SLICE], n_pre, tau)
-    return row
-
-
-def _sweep_slice(base: dict[str, float], name1: str, v1: float, name2: str,
-                 grid2: Vec, n_pre: int, tau: float) -> list[dict]:
+# overflow in an extreme cell is reported by its "failed" verdict, not by
+# numpy warnings
+@np.errstate(all="ignore")
+def _sweep_slice(base: dict[str, float], name1: str, grid1: Vec, name2: str,
+                 grid2: Vec, n_pre: int, tau: float, cells: range) -> list[dict]:
+    """The grid cells numbered ``cells`` in row-major order, evaluated in
+    one array pass."""
+    i1, i2 = np.divmod(np.arange(cells.start, cells.stop), len(grid2))
     # both swept fields are arrays, so no cell divides a Python float by zero
-    values = {**base, name1: np.full(len(grid2), v1), name2: grid2}
+    values = {**base, name1: grid1[i1], name2: grid2[i2]}
     p = StructuralParams(**values)
     blocks = _slot_blocks(p)
     invalid = invalid_cells(values)
@@ -301,33 +295,37 @@ def _sweep_slice(base: dict[str, float], name1: str, v1: float, name2: str,
             except ConvergenceFailure:
                 solved[j] = False
     stable, unstable, borderline = _counts(vals, tau)
-    row = []
-    for v2, ok, bad, s, u, b in zip(grid2.tolist(), solved.tolist(),
-                                    invalid.tolist(), stable.tolist(),
-                                    unstable.tolist(), borderline.tolist()):
+    records = []
+    for v1, v2, ok, bad, s, u, b in zip(values[name1].tolist(), values[name2].tolist(),
+                                        solved.tolist(), invalid.tolist(), stable.tolist(),
+                                        unstable.tolist(), borderline.tolist()):
         if ok:
-            row.append({name1: v1, name2: v2, "stable": s, "unstable": u,
+            records.append({name1: v1, name2: v2, "stable": s, "unstable": u,
                         "borderline": b, "verdict": _verdict(s, b, n_pre)})
         else:
-            row.append({name1: v1, name2: v2, "stable": None, "unstable": None,
+            records.append({name1: v1, name2: v2, "stable": None, "unstable": None,
                         "borderline": None,
                         "verdict": "invalid" if bad else "failed"})
-    return row
+    return records
 
 
-def fan_out(fn: Callable, items: Iterable, workers: int = 1) -> list:
-    """``[fn(x) for x in items]`` in item order; with ``workers > 1`` the
-    calls run in a process pool, so ``fn`` must pickle (a module-level
-    function or a :func:`functools.partial` of one).  The pool starts at
-    most one process per item and per CPU, whatever ``workers`` asks."""
-    items = list(items)
-    workers = min(workers, len(items), os.cpu_count() or 1)
+def fan_out(fn: Callable[[range], list], n_items: int, size: int,
+            workers: int = 1) -> list:
+    """``fn`` called on the slices of at most ``size`` items of
+    ``range(n_items)``, its lists concatenated in item order.  With
+    ``workers > 1`` the calls run in a process pool, so ``fn`` must pickle
+    (a module-level function or a :func:`functools.partial` of one).  The
+    pool starts at most one process per slice and per CPU, whatever
+    ``workers`` asks."""
+    slices = [range(start, min(start + size, n_items))
+              for start in range(0, n_items, size)]
+    workers = min(workers, len(slices), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(x) for x in items]
+        return [x for part in map(fn, slices) for x in part]
     import concurrent.futures
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return [x for part in pool.map(fn, slices) for x in part]
 
 
 def sweep(base: StructuralParams,
@@ -357,8 +355,7 @@ def sweep(base: StructuralParams,
             "<grid>", f"{n1} x {n2} cells, more than {SWEEP_MAX_CELLS}")])
     grid1 = np.linspace(lo1, hi1, n1)
     grid2 = np.linspace(lo2, hi2, n2)
-    rows = fan_out(partial(_sweep_row, base.as_dict(), name1, name2, grid2,
-                           n_pre, tau), grid1, workers)
-    cells = [cell for row in rows for cell in row]
+    cells = fan_out(partial(_sweep_slice, base.as_dict(), name1, grid1, name2, grid2,
+                            n_pre, tau), n1 * n2, SWEEP_SLICE, workers)
     return SweepResult(axis1=(name1, grid1), axis2=(name2, grid2),
                        n_pre=n_pre, tau=tau, cells=cells)

@@ -198,8 +198,10 @@ def test_sweep_csv_and_axis_errors(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("sweep", "--axis1", "alpha_pi:0.5:2.5:7", "--axis2", "alpha_y:0:1:7"),
+    # three array passes whose edges fall inside rows
+    ("sweep", "--axis1", "alpha_pi:0.5:2.5:23", "--axis2", "alpha_y:0:1:25"),
     ("audit", "--T", "50", "--draws", "4"),
-], ids=["sweep", "audit"])
+], ids=["sweep", "sweep slices", "audit"])
 def test_sweep_worker_bytes_identical(tmp_path, argv):
     code, a = run(tmp_path, *argv, "--workers", "1")
     assert code == 0
@@ -223,6 +225,9 @@ def test_audit_with_draws(tmp_path):
     assert obj["stability"]["identical_across_draws"] is True
 
 
+HUGE = str(10**17)
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     for argv in (("audit", "--param", "c1=0.5", "--param", "s2=0.1",
                   "--param", "gamma2=0.4", "--param", "s1=0.625"),
@@ -231,11 +236,19 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
                  ("transparency", "--param", "k=1e308"),
                  ("shocks", "--T", "3", "--param", "sd_omega=1e308"),   # and paths
                  ("simulate", "--T", "3", "--param", "sd_xi=1.7e308"),
-                 ("audit", "--T", "50", "--param", "sd_omega=1e308")):
+                 ("audit", "--T", "50", "--param", "sd_omega=1e308"),
+                 # horizons whose paths need 8e17 bytes, beyond any address
+                 # space: the allocation fails at once
+                 ("shocks", "--T", HUGE),
+                 ("shocks", "--T", "3", "--burn", HUGE),
+                 ("irf", "--shock", "lambda", "--H", HUGE),
+                 ("simulate", "--T", HUGE),
+                 ("audit", "--T", HUGE)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, text = run(tmp_path, *argv)
         assert (code, text) == (3, ""), argv
+        assert os.listdir(tmp_path) == [], argv
         err = capsys.readouterr().err.strip()
         assert err.startswith("nkji: numerical failure: ") and "\n" not in err, argv
 

@@ -198,6 +198,8 @@ def test_report_all_counts(default_rf):
     assert set(rep.verdicts) == set(range(10))
     single = report(default_rf, n_pre=3)
     assert set(single.verdicts) == {3}
+    with pytest.raises(ValueError):
+        report(default_rf, n_pre=10)
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -218,10 +220,12 @@ def test_sweep_singular_cell_isolated(default_params):
 
 
 def test_sweep_parallel_determinism(default_params):
-    serial = sweep(default_params, ("alpha_pi", 0.5, 2.5, 9), ("alpha_y", 0.0, 1.0, 9))
-    parallel = sweep(default_params, ("alpha_pi", 0.5, 2.5, 9), ("alpha_y", 0.0, 1.0, 9),
-                     workers=4)
-    assert serial.cells == parallel.cells
+    # one slice, and three slices whose edges fall inside rows
+    for n1, n2 in ((9, 9), (23, 25)):
+        serial = sweep(default_params, ("alpha_pi", 0.5, 2.5, n1), ("alpha_y", 0.0, 1.0, n2))
+        parallel = sweep(default_params, ("alpha_pi", 0.5, 2.5, n1),
+                         ("alpha_y", 0.0, 1.0, n2), workers=4)
+        assert serial.cells == parallel.cells, (n1, n2)
 
 
 def test_sweep_unknown_parameter(default_params):
@@ -278,6 +282,9 @@ REFERENCE_GRIDS = {
     "invalid cells": (("alpha_pi", 0.5, 1 / 0.99, 9), ("rho_chi", 0.4, 1.2, 17)),
     "row longer than a slice": (("alpha_pi", 1.2, 1.8, 2),
                                 ("rho_chi", -1.1, 1.1, SWEEP_SLICE + 45)),
+    # slices that cross row ends: one cell per row, and 100-cell rows
+    "one column": (("rho_chi", -1.1, 1.1, SWEEP_SLICE + 45), ("alpha_pi", 1.2, 1.2, 1)),
+    "7 x 100": (("alpha_pi", 0.5, 1 / 0.99, 7), ("rho_chi", -1.1, 1.1, 100)),
     # overflow: failed cells
     "extreme sigma x k": (("sigma", 1e-300, 1e300, 5), ("k", 0.0, 1e308, 5)),
     "extreme c1 x k": (("c1", 0.5, 1e300, 3), ("k", 0.0, 1.0, 2)),
@@ -366,7 +373,7 @@ def test_non_finite_coefficients_raise(default_params):
 
 
 def test_fan_out_bounds_the_pool(monkeypatch):
-    # the pool starts at most one process per item and per CPU; a fake
+    # the pool starts at most one process per slice and per CPU; a fake
     # pool records what it is asked for and maps in this process
     import concurrent.futures
     import os
@@ -386,16 +393,24 @@ def test_fan_out_bounds_the_pool(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
+    def negated(items):
+        return [-i for i in items]
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert statespace.fan_out(abs, range(-10, 0), 100_000) == list(range(10, 0, -1))
-    assert statespace.fan_out(abs, iter([-1, -2]), 100_000) == [1, 2]
-    assert statespace.fan_out(abs, range(-5, 0), 2) == [5, 4, 3, 2, 1]
+    assert statespace.fan_out(negated, 10, 1, 100_000) == list(range(0, -10, -1))
+    assert statespace.fan_out(negated, 2, 1, 100_000) == [0, -1]
+    assert statespace.fan_out(negated, 5, 1, 2) == [0, -1, -2, -3, -4]
     assert started == [3, 2, 2]
-    # one item, one worker, or an unknown CPU count: no pool at all
-    assert statespace.fan_out(abs, [-1], 100_000) == [1]
-    assert statespace.fan_out(abs, range(-3, 0), 1) == [3, 2, 1]
-    assert statespace.fan_out(abs, [], 4) == []
+    # the slices cover the items in order, the last one short
+    assert statespace.fan_out(lambda items: [items], 10, 4, 2) == \
+        [range(0, 4), range(4, 8), range(8, 10)]
+    assert started == [3, 2, 2, 2]
+    # one slice, one worker, or an unknown CPU count: no pool at all
+    assert statespace.fan_out(negated, 1, 1, 100_000) == [0]
+    assert statespace.fan_out(negated, 5, 8, 100_000) == [0, -1, -2, -3, -4]
+    assert statespace.fan_out(negated, 3, 1, 1) == [0, -1, -2]
+    assert statespace.fan_out(negated, 0, 1, 4) == []
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert statespace.fan_out(abs, range(-3, 0), 8) == [3, 2, 1]
-    assert started == [3, 2, 2]
+    assert statespace.fan_out(negated, 3, 1, 8) == [0, -1, -2]
+    assert started == [3, 2, 2, 2]

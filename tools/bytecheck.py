@@ -59,6 +59,12 @@ SINGLE = (
     # the powers of the persistences, and a row longer than one array pass
     ["sweep", "--axis1", "rho_ybar:-0.99:0.99:9", "--axis2", "rho_g:-0.99:0.99:11"],
     ["sweep", "--axis1", "alpha_pi:1.2:1.2:1", "--axis2", "rho_chi:-1.1:1.1:300"],
+    # array passes across row ends: a one-column grid, and three passes
+    # whose edges fall inside rows, over one and two worker processes
+    *(["sweep", "--axis1", "rho_chi:-1.1:1.1:300", "--axis2", "alpha_pi:1.2:1.2:1",
+       "--workers", w] for w in ("1", "2")),
+    *(["sweep", "--axis1", "alpha_pi:0.5:2.5:23", "--axis2", "rho_chi:0:1.1:25",
+       "--workers", w] for w in ("1", "2")),
     # extreme values: failed sweep cells, overflow, non-finite spectra
     ["sweep", "--axis1", "sigma:1e-300:1e300:5", "--axis2", "k:0:1e308:5"],
     ["sweep", "--axis1", "c1:0.5:1e300:3", "--axis2", "k:0:1:2"],
@@ -69,6 +75,8 @@ SINGLE = (
     ["transparency", "--param", "k=1e308"],
     ["simulate", "--T", "3", "--param", "k=1e308"],
     ["shocks", "--T", "3", "--param", "sd_omega=1e308"],
+    # a horizon whose paths cannot be allocated
+    ["shocks", "--T", "100000000000000000"],
     ["determinacy", "--param", "k=1e40"],
     ["determinacy", "--param", "k=1e160"],
     ["audit", "--param", "c1=0.5", "--param", "s2=0.1", "--param", "gamma2=0.4",
