@@ -17,12 +17,17 @@ import sys
 import numpy as np
 
 from . import coeffs, oracle, shocks, sim, slots, statespace
-from .params import InvalidParams, load_calibration, printable, validate
+from .params import InvalidDomain, InvalidParams, load_calibration, printable, validate
 from .shocks import KINDS
 from .sim import BudgetModeConflict
 from .statespace import ConvergenceFailure, UnknownParameter
 
 SCHEMA = "v1"
+
+#: most periods a command may draw: a float64 path of more has more bytes
+#: than numpy can address, while one of fewer that does not fit in memory
+#: fails to allocate (exit 3)
+MAX_PERIODS = np.iinfo(np.intp).max // 8
 
 
 def _write(args, text: str) -> None:
@@ -120,6 +125,15 @@ def _axis(text: str) -> tuple[str, float, float, int]:
     if n < 1:
         raise argparse.ArgumentTypeError(f"axis count must be >= 1 in {text!r}")
     return name, lo, hi, n
+
+
+def _check_horizon(args) -> None:
+    """Refuse a horizon beyond ``MAX_PERIODS``; a command draws --T plus
+    --burn periods, or --H."""
+    periods = sum(getattr(args, name, 0) for name in ("T", "burn", "H"))
+    if periods > MAX_PERIODS:
+        raise InvalidParams([InvalidDomain(
+            "<horizon>", f"{periods} periods, more than {MAX_PERIODS}")])
 
 
 def _load_params(args):
@@ -317,6 +331,7 @@ def main(argv: list[str] | None = None) -> int:
                         format="nkji: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        _check_horizon(args)
         # a non-finite result ends in exit 3 (see ``_floats``, ``_json``),
         # not in numpy warnings
         with np.errstate(all="ignore"):

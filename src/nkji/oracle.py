@@ -155,16 +155,14 @@ _NFREE = len(FREE_BLOCKS)
 _N = _NFREE * NSLOT
 
 
-def _block_take(groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Flat indices into ``M`` of the diagonal blocks of ``groups``:
-    ``M.take`` of the result is the ``(len(groups), m, m)`` block stack."""
-    idx = np.array([[j * NSLOT + s for s in group for j in range(_NFREE)]
-                    for group in groups])
-    return idx[:, :, None] * _N + idx[:, None, :]
+def _group_index(groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Unknown (and equation) indices of each group's block, (len(groups), m)."""
+    return np.array([[j * NSLOT + s for s in group for j in range(_NFREE)]
+                     for group in groups])
 
 
-_LONE_TAKE = _block_take(_LONE_SLOTS)        # (4, 9, 9)
-_LINKED_TAKE = _block_take(_LINKED_SLOTS)    # (6, 18, 18)
+_LONE_INDEX = _group_index(_LONE_SLOTS)       # (4, 9)
+_LINKED_INDEX = _group_index(_LINKED_SLOTS)   # (6, 18)
 
 #: the probe of the matching system: per free block, one column with 1 in
 #: the first slot of every group and one with 1 in every linked innovation
@@ -177,67 +175,83 @@ _POSITION = {s: k for group in _LONE_SLOTS + _LINKED_SLOTS for k, s in enumerate
 _PROBE_COLUMN = np.array([_POSITION[u % NSLOT] * _NFREE + u // NSLOT for u in range(_N)])
 _PROBE = np.zeros((_N, 2 * _NFREE + 1))
 _PROBE[np.arange(_N), _PROBE_COLUMN] = 1.0
-#: every entry of the ten blocks: its flat index into ``M``, and the row
-#: and probe column of the response it is read from
-_BLOCK_TAKE = np.concatenate([_LONE_TAKE.ravel(), _LINKED_TAKE.ravel()])
+#: every entry of the ten blocks, lone blocks first, each block row-major:
+#: its flat index into ``M``, and the row and probe column of the response
+#: it is read from
+_BLOCK_TAKE = np.concatenate([(idx[:, :, None] * _N + idx[:, None, :]).ravel()
+                              for idx in (_LONE_INDEX, _LINKED_INDEX)])
 _BLOCK_ROWS = _BLOCK_TAKE // _N
 _BLOCK_PROBES = _PROBE_COLUMN[_BLOCK_TAKE % _N]
+_LONE_SIZE = len(_LONE_SLOTS) * _NFREE ** 2   # entries of the four 9x9 blocks
 
 
-def _matching_system(p: StructuralParams) -> tuple[np.ndarray, Vec]:
-    """``M`` (144, 144) and ``b`` (144,) of ``M z = b``, or one per cell,
-    (n, 144, 144) and (n, 144), when fields hold one value per cell.
+def _matching_blocks(p: StructuralParams) -> tuple[np.ndarray, np.ndarray, Vec]:
+    """The direct-sum blocks of ``M`` and ``b`` of ``M z = b``: lone blocks
+    (4, 9, 9) and linked blocks (6, 18, 18) over the unknowns
+    ``_LONE_INDEX`` and ``_LINKED_INDEX``, and ``b`` (144,); or with a
+    leading cell axis on each when fields hold one value per cell.
 
     The affine residual is evaluated once, on the 19 columns of ``_PROBE``
-    instead of the 144 of the identity and a zero vector; the ten blocks
-    are gathered from that response and scattered into zeros, bitwise equal
-    to the identity evaluation ``_residual(eye, p) + b[:, None]``, whose
-    entries outside the blocks are exactly 0."""
+    instead of the 144 of the identity and a zero vector, and the blocks
+    are gathered from that response, bitwise equal to the blocks of the
+    identity evaluation ``_residual(eye, p) + b[:, None]``."""
     cells = p.cells
     probe = np.broadcast_to(_PROBE.reshape(*_PROBE.shape, *(1,) * len(cells)),
                             (*_PROBE.shape, *cells))
     response = _residual(probe, p)
     b = -response[:, -1]
-    blocks = response[_BLOCK_ROWS, _BLOCK_PROBES] + b[_BLOCK_ROWS]
+    entries = np.moveaxis(response[_BLOCK_ROWS, _BLOCK_PROBES] + b[_BLOCK_ROWS], 0, -1)
+    lone = entries[..., :_LONE_SIZE].reshape(*cells, *_LONE_INDEX.shape, -1)
+    linked = entries[..., _LONE_SIZE:].reshape(*cells, *_LINKED_INDEX.shape, -1)
+    return lone, linked, np.moveaxis(b, 0, -1)
+
+
+def _dense_matrix(lone: np.ndarray, linked: np.ndarray) -> np.ndarray:
+    """``M`` (144, 144), or one per cell, (n, 144, 144): the blocks
+    scattered into zeros, bitwise equal to the identity evaluation, whose
+    entries outside the blocks are exactly 0."""
+    cells = lone.shape[:-3]
     M = np.zeros((*cells, _N * _N))
-    M[..., _BLOCK_TAKE] = np.moveaxis(blocks, 0, -1)
-    return M.reshape(*cells, _N, _N), np.moveaxis(b, 0, -1)
+    M[..., _BLOCK_TAKE] = np.concatenate(
+        [lone.reshape(*cells, -1), linked.reshape(*cells, -1)], axis=-1)
+    return M.reshape(*cells, _N, _N)
 
 
-def _condition_number(M: np.ndarray) -> Vec:
-    """Exact 2-norm condition number of the matching matrix, or of each of
-    a stack (n, 144, 144): the singular values of a direct sum are those
-    of its blocks, so two stacked SVDs of the small blocks replace one of
-    all of ``M``.  Infinite for a singular block."""
-    flat = M.reshape(*M.shape[:-2], -1)
-    sv = [np.linalg.svd(flat[..., take], compute_uv=False)
-          for take in (_LONE_TAKE, _LINKED_TAKE)]
+def _condition_number(lone: np.ndarray, linked: np.ndarray) -> Vec:
+    """Exact 2-norm condition number of the matching matrix whose blocks are
+    ``lone`` and ``linked``, or of each of a stack: the singular values of a
+    direct sum are those of its blocks, so two stacked SVDs of the small
+    blocks replace one of all of ``M``.  Infinite for a singular block."""
+    sv = [np.linalg.svd(blocks, compute_uv=False) for blocks in (lone, linked)]
     smax = np.maximum(*(s.max(axis=(-2, -1)) for s in sv))
     smin = np.minimum(*(s.min(axis=(-2, -1)) for s in sv))
     cond = np.divide(smax, smin, out=np.full(smax.shape, np.inf), where=smin > 0)
     return cond[()]
 
 
-def _solve(p: StructuralParams) -> tuple[dict[str, Vec], Vec]:
-    """The solved coefficient blocks (16,) and the condition number of
-    :func:`solve_undetermined`, or blocks (16, n) and condition numbers (n,)
-    when fields hold one value per cell; raises for the first failing cell."""
-    M, b = _matching_system(p)
-    cond = _condition_number(M)
+def _nonsingular(lone: np.ndarray, linked: np.ndarray) -> Vec:
+    """The condition number(s) of :func:`_condition_number`; raises
+    :class:`SingularSystem` for the first numerically singular cell."""
+    cond = _condition_number(lone, linked)
     singular = np.flatnonzero(~(cond <= 1e15))
     if singular.size:
         raise SingularSystem("matching system is singular "
                              f"(cond ~ {np.ravel(cond)[singular[0]]:.3e})")
-    try:
-        zflat = np.linalg.solve(M, b[..., None])[..., 0]
-    except np.linalg.LinAlgError as err:
-        raise SingularSystem(str(err)) from err
-    gap = np.abs((M @ zflat[..., None])[..., 0] - b).max(axis=-1)
+    return cond
+
+
+def _check_gap(gap: Vec, b: Vec) -> None:
+    """Raise :class:`AnsatzInconsistent` for the first cell whose largest
+    equation gap after the solve exceeds its bound."""
     unsatisfied = np.flatnonzero(gap > 1e-8 * (1.0 + np.abs(b).max(axis=-1)))
     if unsatisfied.size:
         raise AnsatzInconsistent("matching equations unsatisfied after solve "
                                  f"(gap {np.ravel(gap)[unsatisfied[0]]:.3e})")
 
+
+def _coefficient_blocks(zflat: Vec, p: StructuralParams) -> dict[str, Vec]:
+    """The slot blocks of every variable from the solved unknowns ``zflat``
+    (144,), or (n, 144) for blocks (16, n)."""
     zflat = np.moveaxis(zflat, -1, 0)
     blocks = {v: zflat[j * NSLOT:(j + 1) * NSLOT].copy()
               for j, v in enumerate(FREE_BLOCKS)}
@@ -246,23 +260,61 @@ def _solve(p: StructuralParams) -> tuple[dict[str, Vec], Vec]:
     # scrub numerical dust so structural zeros are exact in the output
     for vec in blocks.values():
         vec[np.abs(vec) < 1e-13] = 0.0
-    return {v: blocks[v] for v in slots.VARIABLES}, cond
+    return {v: blocks[v] for v in slots.VARIABLES}
+
+
+def _solve(p: StructuralParams) -> tuple[dict[str, Vec], float]:
+    """The solved coefficient blocks and condition number of
+    :func:`solve_undetermined`, by one dense ``np.linalg.solve`` of ``M``:
+    the solve whose digits the audit report prints."""
+    lone, linked, b = _matching_blocks(p)
+    cond = _nonsingular(lone, linked)
+    M = _dense_matrix(lone, linked)
+    try:
+        zflat = np.linalg.solve(M, b[..., None])[..., 0]
+    except np.linalg.LinAlgError as err:
+        raise SingularSystem(str(err)) from err
+    _check_gap(np.abs((M @ zflat[..., None])[..., 0] - b).max(axis=-1), b)
+    return _coefficient_blocks(zflat, p), cond
+
+
+def _block_solve(p: StructuralParams) -> tuple[dict[str, Vec], Vec]:
+    """The solved coefficient blocks (16, n) and condition numbers (n,) of
+    the cells of ``p``, or (16,) and a scalar for float fields, by one
+    stacked ``np.linalg.solve`` per block shape; no dense ``M`` is built.
+    Equal to the dense solve up to rounding; raises for the first failing
+    cell."""
+    lone, linked, b = _matching_blocks(p)
+    cond = _nonsingular(lone, linked)
+    zflat = np.empty(b.shape)
+    gap = np.zeros(b.shape[:-1])
+    for blocks, index in ((lone, _LONE_INDEX), (linked, _LINKED_INDEX)):
+        rhs = b[..., index, None]
+        try:
+            z = np.linalg.solve(blocks, rhs)
+        except np.linalg.LinAlgError as err:
+            raise SingularSystem(str(err)) from err
+        gap = np.maximum(gap, np.abs(blocks @ z - rhs).max(axis=(-3, -2, -1)))
+        zflat[..., index] = z[..., 0]
+    _check_gap(gap, b)
+    return _coefficient_blocks(zflat, p), cond
 
 
 def solve_undetermined(p: StructuralParams) -> ReducedForm:
     """Solve the matching system ``M z = b`` for all coefficient blocks.
 
-    ``M`` comes from one vectorised evaluation of the affine residual on 18
-    probe columns and a zero column, from which its ten direct-sum blocks
-    and ``b`` are gathered (see :func:`_matching_system`).  Its condition number is exact and comes
+    The ten direct-sum blocks of ``M`` and ``b`` come from one vectorised
+    evaluation of the affine residual on 18 probe columns and a zero column
+    (see :func:`_matching_blocks`).  The condition number is exact and comes
     from those blocks (see :func:`_condition_number`); the solve itself is
-    one full ``np.linalg.solve``.  Returns a :class:`ReducedForm`
+    one full ``np.linalg.solve`` of ``M`` with the blocks scattered in.  Returns a :class:`ReducedForm`
     interchangeable with the closed-form one (same block keys and index
     sets) with that condition number attached.  Raises
     :class:`SingularSystem` for a numerically singular matching matrix and
     :class:`AnsatzInconsistent` if the solved coefficients fail to satisfy
-    the matching equations.  The stability draws run the same code on a
-    slice of parameterizations at once.
+    the matching equations.  The stability draws solve the same blocks one
+    by one instead, for a slice of parameterizations at once (see
+    :func:`_block_solve`).
     """
     blocks, cond = _solve(p)
     for vec in blocks.values():
@@ -464,9 +516,11 @@ class DrawSummary:
     condition_number: float
 
 
-#: most stability draws evaluated in one array pass; each draw of a pass
-#: holds a dense 144x144 matching matrix, so this bounds the pass's memory
-AUDIT_SLICE = 6
+#: most stability draws evaluated in one array pass, which bounds the pass's
+#: memory: a draw holds its blocks and the 19-column probe response (about
+#: 63 KB of allocations at the peak), so a pass of 20 peaks at about 1.25 MB,
+#: what a pass of 6 draws with a dense 144x144 matrix each used to
+AUDIT_SLICE = 20
 
 #: what a draw's comparison raises when one of its steps fails
 _DRAW_FAILURES = (ConvergenceFailure, SingularSystem, AnsatzInconsistent,
@@ -477,7 +531,7 @@ def _summaries(p: StructuralParams, tol: float) -> list[DrawSummary]:
     """Closed form, numerical solution and comparison at ``p``, one summary
     per cell (one for float fields); raises for the first failing cell."""
     tables = _checked_blocks(p)
-    solved, cond = _solve(p)
+    solved, cond = _block_solve(p)
     # compare's default abs_floor
     _, _, _, flagged, confirmed = _compared(tables, solved, p, tol, 1e-12)
     columns = zip(flagged.reshape(len(slots.ENTRIES), -1).T.tolist(),

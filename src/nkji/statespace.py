@@ -316,7 +316,9 @@ def fan_out(fn: Callable[[range], list], n_items: int, size: int,
     ``workers > 1`` the calls run in a process pool, so ``fn`` must pickle
     (a module-level function or a :func:`functools.partial` of one).  The
     pool starts at most one process per slice and per CPU, whatever
-    ``workers`` asks."""
+    ``workers`` asks, and hands each process one run of consecutive slices,
+    so ``fn`` and what it binds are pickled once per process, not once per
+    slice."""
     slices = [range(start, min(start + size, n_items))
               for start in range(0, n_items, size)]
     workers = min(workers, len(slices), os.cpu_count() or 1)
@@ -325,7 +327,8 @@ def fan_out(fn: Callable[[range], list], n_items: int, size: int,
     import concurrent.futures
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return [x for part in pool.map(fn, slices) for x in part]
+        parts = pool.map(fn, slices, chunksize=-(-len(slices) // workers))
+        return [x for part in parts for x in part]
 
 
 def sweep(base: StructuralParams,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nkji
-from nkji.cli import main
+from nkji.cli import MAX_PERIODS, main
 from nkji.params import FIELD_NAMES
 from nkji.shocks import AR_STATES, KINDS
 from nkji.sim import SERIES
@@ -253,6 +253,23 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
         assert err.startswith("nkji: numerical failure: ") and "\n" not in err, argv
 
 
+def test_huge_horizon_exits_2(tmp_path, capsys):
+    # horizons no float64 path can hold are refused as input, before any
+    # computation; one period fewer is an allocation failure (exit 3)
+    beyond = str(MAX_PERIODS + 1)
+    for argv in (("shocks", "--T", "99999999999999999999999"),
+                 ("irf", "--shock", "lambda", "--H", "99999999999999999999999"),
+                 ("simulate", "--T", "3", "--burn", "9999999999999999999"),
+                 ("audit", "--T", "99999999999999999999999"),
+                 ("shocks", "--T", beyond),
+                 ("simulate", "--T", "1", "--burn", str(MAX_PERIODS))):
+        err = _invalid_input(capsys, [*argv, "--out", str(tmp_path / "out.txt")])
+        assert f"more than {MAX_PERIODS}" in err, argv
+        assert os.listdir(tmp_path) == [], argv
+    assert run(tmp_path, "shocks", "--T", str(MAX_PERIODS)) == (3, "")
+    assert os.listdir(tmp_path) == []
+
+
 def test_argument_guards(tmp_path, capsys):
     for argv in (["simulate", "--T", "0"],
                  ["shocks", "--seed", "-5"],
@@ -462,6 +479,7 @@ _NON_FINITE = re.compile(r"\b(NaN|Infinity|nan|inf)\b")
 @example(argv=["coeffs"], calib=b'{"\\r": 0}')
 @example(argv=["sweep", "--axis1", "k:0:1:99999999999999999999999", "--axis2", "s0:0:1:2"],
          calib=None)
+@example(argv=["simulate", "--T", "3", "--burn", "9999999999999999999"], calib=None)
 def test_cli_fuzz_exit_codes_and_no_partial_output(argv, calib):
     with tempfile.TemporaryDirectory() as d:
         out = Path(d) / "out"

@@ -7,8 +7,8 @@ from nkji import compute_all, draw, simulate, solve_undetermined
 from nkji.coeffs import ReducedForm, _chain_expectation
 from nkji import oracle
 from nkji.oracle import (AUDIT_SLICE, SUSPECT_ENTRIES, Erratum, SingularSystem,
-                         _condition_number, _matching_system, _residual, compare,
-                         random_params, residuals, stability_run)
+                         _condition_number, _dense_matrix, _matching_blocks, _residual,
+                         compare, random_params, residuals, stability_run)
 from nkji.params import DEFAULTS, FIELD_NAMES, StructuralParams, validate
 from nkji.shocks import impulse_path
 from nkji import slots
@@ -192,32 +192,34 @@ def test_block_condition_number_is_exact():
     # values are all of M's: nothing lies outside them, and the condition
     # number is that of the full SVD up to rounding
     block = np.zeros(144 * 144, dtype=bool)
-    block[oracle._LONE_TAKE.ravel()] = True
-    block[oracle._LINKED_TAKE.ravel()] = True
+    block[oracle._BLOCK_TAKE] = True
     assert block.sum() == 4 * 9 * 9 + 6 * 18 * 18
     rng = np.random.default_rng(11)
     points = ([validate(DEFAULTS)]
               + [validate({**DEFAULTS, **point}) for point in _BOUNDARY_POINTS]
               + [random_params(rng) for _ in range(300)])
     for p in points:
-        M, _ = _matching_system(p)
+        lone, linked, _ = _matching_blocks(p)
+        M = _dense_matrix(lone, linked)
         assert np.all(M.ravel()[~block] == 0.0)
-        cond = _condition_number(M)
+        cond = _condition_number(lone, linked)
         assert cond == pytest.approx(np.linalg.cond(M), rel=1e-10)
         assert solve_undetermined(p).condition_number == cond
 
 
 def test_singular_block_is_a_singular_system(monkeypatch):
     # an exactly singular block gives an infinite condition number, without
-    # a division warning, and the solve reports it
-    M, b = _matching_system(validate(DEFAULTS))
-    M[:, slots.XI::16] = 0.0
+    # a division warning, and the dense and the block solve report it
+    lone, linked, b = _matching_blocks(validate(DEFAULTS))
+    lone[oracle._LONE_SLOTS.index((slots.XI,))] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _condition_number(M) == np.inf
-        monkeypatch.setattr(oracle, "_matching_system", lambda p: (M, b))
+        assert _condition_number(lone, linked) == np.inf
+        monkeypatch.setattr(oracle, "_matching_blocks", lambda p: (lone, linked, b))
         with pytest.raises(SingularSystem, match="cond ~ inf"):
             solve_undetermined(validate(DEFAULTS))
+        with pytest.raises(SingularSystem, match="cond ~ inf"):
+            oracle._block_solve(validate(DEFAULTS))
 
 
 def _compare_reference(tables, oracle_rf, tol, abs_floor):
@@ -282,32 +284,63 @@ def _stacked(points):
                                for name in FIELD_NAMES})
 
 
+def _points(seed):
+    """The defaults, the boundary points and 300 random draws."""
+    rng = np.random.default_rng(seed)
+    return ([validate(DEFAULTS)]
+            + [validate({**DEFAULTS, **point}) for point in _BOUNDARY_POINTS]
+            + [random_params(rng) for _ in range(300)])
+
+
+def _scrubbed(z):
+    z = z.copy()
+    z[np.abs(z) < 1e-13] = 0.0
+    return z
+
+
 def test_probe_assembly_equals_identity_evaluation():
-    # the 19-column probe against the dense evaluation on the identity, one
-    # parameterization at a time and as stacked slices; the stacked
-    # condition numbers and solved blocks against the dense per-draw solve
-    rng = np.random.default_rng(17)
-    points = ([validate(DEFAULTS)]
-              + [validate({**DEFAULTS, **point}) for point in _BOUNDARY_POINTS]
-              + [random_params(rng) for _ in range(300)])
+    # the blocks gathered from the 19-column probe, scattered into M,
+    # against the dense evaluation on the identity, one parameterization at
+    # a time and as stacked slices; the stacked condition numbers against
+    # the SVDs of the blocks read off the dense matrix; the printed solve
+    # against the dense solve of the identity evaluation
+    points = _points(17)
     dense = []
     for p in points:
         b = -_residual(np.zeros(144), p)
         dense.append((_residual(np.eye(144), p) + b[:, None], b))
-        M, got_b = _matching_system(p)
+        lone, linked, got_b = _matching_blocks(p)
+        M = _dense_matrix(lone, linked)
         assert np.array_equal(M, dense[-1][0]) and np.array_equal(got_b, b)
+        z = np.concatenate([solve_undetermined(p).block(v) for v in oracle.FREE_BLOCKS])
+        assert np.array_equal(z, _scrubbed(np.linalg.solve(*dense[-1])))
     for start in range(0, len(points), 50):
-        part = _stacked(points[start:start + 50])
-        M, b = _matching_system(part)
-        blocks, cond = oracle._solve(part)
+        lone, linked, b = _matching_blocks(_stacked(points[start:start + 50]))
+        M = _dense_matrix(lone, linked)
+        cond = _condition_number(lone, linked)
         assert M.shape == (len(points[start:start + 50]), 144, 144)
         for j, (M_ref, b_ref) in enumerate(dense[start:start + 50]):
             assert np.array_equal(M[j], M_ref) and np.array_equal(b[j], b_ref)
-            assert cond[j].hex() == float(_condition_number(M_ref)).hex()
-            z = np.linalg.solve(M_ref, b_ref)
-            z[np.abs(z) < 1e-13] = 0.0
-            assert np.array_equal(
-                np.concatenate([blocks[v][:, j] for v in oracle.FREE_BLOCKS]), z)
+            flat = M_ref.ravel()
+            blocks = [flat[oracle._BLOCK_TAKE[:oracle._LONE_SIZE]].reshape(4, 9, 9),
+                      flat[oracle._BLOCK_TAKE[oracle._LONE_SIZE:]].reshape(6, 18, 18)]
+            assert cond[j].hex() == float(_condition_number(*blocks)).hex()
+
+
+def test_block_solve_equals_dense_solve():
+    # the stacked solve of the ten blocks against the printed dense solve,
+    # point by point: the same condition numbers, and every coefficient
+    # within 1e-12 (1 + |z|)
+    points = _points(31)
+    for start in range(0, len(points), 50):
+        part = points[start:start + 50]
+        blocks, cond = oracle._block_solve(_stacked(part))
+        for j, p in enumerate(part):
+            ref = solve_undetermined(p)
+            assert cond[j].hex() == ref.condition_number.hex()
+            for v in slots.VARIABLES:
+                z = ref.block(v)
+                assert np.all(np.abs(blocks[v][:, j] - z) <= 1e-12 * (1 + np.abs(z))), v
 
 
 def _reference_random_params(rng):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -390,7 +391,7 @@ def test_fan_out_bounds_the_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     def negated(items):
@@ -414,3 +415,31 @@ def test_fan_out_bounds_the_pool(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert statespace.fan_out(negated, 3, 1, 8) == [0, -1, -2]
     assert started == [3, 2, 2, 2]
+
+
+class _CountingPartial(partial):
+    """A partial that counts how often it is pickled, and unpickles as a
+    plain :func:`functools.partial`."""
+
+    pickled = 0
+
+    def __reduce__(self):
+        type(self).pickled += 1
+        return partial, (self.func, *self.args)
+
+
+def test_fan_out_pickles_the_work_once_per_process(monkeypatch):
+    # a pooled run ships its work function (and the grids it binds) to each
+    # process once, however many slices there are
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    base = validate(DEFAULTS).as_dict()
+    for n2 in (3, 30):
+        fn = _CountingPartial(statespace._sweep_slice, base, "alpha_pi",
+                              np.linspace(0.5, 2.5, 1), "alpha_y",
+                              np.linspace(0.0, 1.0, n2), 9, 1e-8)
+        _CountingPartial.pickled = 0
+        pooled = statespace.fan_out(fn, n2, 1, 2)
+        assert _CountingPartial.pickled == 2, n2
+        assert pooled == statespace.fan_out(fn, n2, 1, 1)

@@ -56,6 +56,10 @@ SINGLE = (
     *(["audit", "--T", "100", "--draws", "7", "--seed", "3", "--workers", w]
       for w in ("1", "3")),
     ["audit", "--T", "100", "--draws", "5", "--param", "theta=0"],
+    # two full array passes of 20 draws and a short one, over one and two
+    # worker processes
+    *(["audit", "--T", "100", "--draws", "43", "--seed", "5", "--workers", w]
+      for w in ("1", "2")),
     # the powers of the persistences, and a row longer than one array pass
     ["sweep", "--axis1", "rho_ybar:-0.99:0.99:9", "--axis2", "rho_g:-0.99:0.99:11"],
     ["sweep", "--axis1", "alpha_pi:1.2:1.2:1", "--axis2", "rho_chi:-1.1:1.1:300"],
@@ -77,6 +81,11 @@ SINGLE = (
     ["shocks", "--T", "3", "--param", "sd_omega=1e308"],
     # a horizon whose paths cannot be allocated
     ["shocks", "--T", "100000000000000000"],
+    # horizons beyond what a float64 path can hold
+    ["shocks", "--T", "99999999999999999999999"],
+    ["irf", "--shock", "lambda", "--H", "99999999999999999999999"],
+    ["simulate", "--T", "3", "--burn", "9999999999999999999"],
+    ["audit", "--T", "99999999999999999999999"],
     ["determinacy", "--param", "k=1e40"],
     ["determinacy", "--param", "k=1e160"],
     ["audit", "--param", "c1=0.5", "--param", "s2=0.1", "--param", "gamma2=0.4",
