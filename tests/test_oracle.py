@@ -222,6 +222,19 @@ def test_singular_block_is_a_singular_system(monkeypatch):
             oracle._block_solve(validate(DEFAULTS))
 
 
+def test_unsatisfied_solve_is_ansatz_inconsistent(monkeypatch):
+    # a solve whose result misses the equations is caught by the gap check
+    # of the dense and of the block solve, for one and for stacked cells
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-3)
+    for p in (validate(DEFAULTS), _stacked([validate(DEFAULTS), random_params(
+            np.random.default_rng(5))])):
+        with pytest.raises(oracle.AnsatzInconsistent, match="gap"):
+            oracle._block_solve(p)
+    with pytest.raises(oracle.AnsatzInconsistent, match="gap"):
+        solve_undetermined(validate(DEFAULTS))
+
+
 def _compare_reference(tables, oracle_rf, tol, abs_floor):
     """The per-entry loop ``compare`` replaces."""
     out = []
