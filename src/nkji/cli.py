@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -30,16 +31,17 @@ SCHEMA = "v1"
 MAX_PERIODS = np.iinfo(np.intp).max // 8
 
 
-def _write(args, text: str) -> None:
-    """Write ``text`` to stdout, or atomically to --out: a sibling
-    temporary file renamed onto it, so a failed run leaves no partial file."""
+def _write(args, *parts: str) -> None:
+    """Write the text ``parts`` in order to stdout, or atomically to --out:
+    a sibling temporary file renamed onto it, so a failed run leaves no
+    partial file."""
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     tmp = f"{args.out}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         os.replace(tmp, args.out)
     except BaseException:
         if os.path.exists(tmp):
@@ -47,12 +49,22 @@ def _write(args, text: str) -> None:
         raise
 
 
-def _csv(header: str, columns: list[str], rows) -> str:
-    """CSV text with a schema line; cells are Python scalars, so ``str``
-    writes floats at full round-trip precision.  None is an empty cell."""
-    lines = [f"# nkji {header} csv {SCHEMA}", ",".join(columns)]
-    lines += (",".join("" if x is None else str(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
+#: CSV rows formatted at a time, which bounds the cell strings held at once
+CSV_CHUNK = 1024
+
+
+def _csv(header: str, columns: dict[str, Sequence]) -> list[str]:
+    """CSV text in parts: a schema line and a header of the column names,
+    then one row per position of the equal-length columns, in parts of at
+    most ``CSV_CHUNK`` rows.  Cells are Python scalars, formatted a column
+    at a time, so ``str`` writes floats at full round-trip precision.  None
+    is an empty cell."""
+    parts = [f"# nkji {header} csv {SCHEMA}\n{','.join(columns)}\n"]
+    for start in range(0, len(next(iter(columns.values()))), CSV_CHUNK):
+        cells = [["" if x is None else str(x) for x in col[start:start + CSV_CHUNK]]
+                 for col in columns.values()]
+        parts.append("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
+    return parts
 
 
 def _floats(values: np.ndarray) -> list[float]:
@@ -148,9 +160,11 @@ def cmd_coeffs(args) -> int:
         obj = {var: {str(i): v for i, v in idx.items()} for var, idx in table.items()}
         _write(args, _json(obj))
     else:
-        rows = [(var, i, table[var][i])
-                for var in slots.VARIABLES for i in sorted(table[var])]
-        _write(args, _csv("coeffs", ["variable", "index", "value"], rows))
+        variable, index = zip(*((var, i) for var in slots.VARIABLES
+                                for i in sorted(table[var])))
+        _write(args, *_csv("coeffs", {
+            "variable": variable, "index": index,
+            "value": [table[var][i] for var, i in zip(variable, index)]}))
     return 0
 
 
@@ -164,9 +178,9 @@ def cmd_shocks(args) -> int:
         **{name: path.state(name) for name in ("g", "tax", "eps", "ubar")},
         "signal": shocks.signal(path, transparent=args.transparent),
     }
-    rows = zip(range(args.T), *(_floats(col[args.burn:]) for col in columns.values()),
-               strict=True)
-    _write(args, _csv("shocks", ["t", *columns], rows))
+    _write(args, *_csv("shocks", {"t": range(args.T),
+                                 **{name: _floats(col[args.burn:])
+                                    for name, col in columns.items()}}))
     return 0
 
 
@@ -174,19 +188,20 @@ def cmd_simulate(args) -> int:
     p = _load_params(args)
     path = shocks.draw(p, args.seed, args.T + args.burn)
     ep = sim.simulate(coeffs.compute_all(p), path, budget_mode=args.budget)
-    # the final period has no realized forecast error
-    fe = _floats(ep.forecast_error[args.burn:]) + [None]
-    rows = zip(range(args.T), *(_floats(ep[v][args.burn:]) for v in sim.SERIES), fe,
-               strict=True)
-    _write(args, _csv("simulate", ["t", *sim.SERIES, "fe"], rows))
+    _write(args, *_csv("simulate", {
+        "t": range(args.T), **{v: _floats(ep[v][args.burn:]) for v in sim.SERIES},
+        # the final period has no realized forecast error
+        "fe": _floats(ep.forecast_error[args.burn:]) + [None]}))
     return 0
 
 
 def cmd_irf(args) -> int:
     table = sim.irf(coeffs.compute_all(_load_params(args)), args.shock, args.H)
-    rows = [(h, var, x) for var in (*sim.SERIES, *shocks.AR_STATES)
-            for h, x in enumerate(_floats(table[var]))]
-    _write(args, _csv("irf", ["h", "variable", "response"], rows))
+    series = {var: _floats(table[var]) for var in (*sim.SERIES, *shocks.AR_STATES)}
+    _write(args, *_csv("irf", {
+        "h": [h for xs in series.values() for h in range(len(xs))],
+        "variable": [var for var, xs in series.items() for _ in xs],
+        "response": [x for xs in series.values() for x in xs]}))
     return 0
 
 
@@ -216,11 +231,8 @@ def cmd_determinacy(args) -> int:
 def cmd_sweep(args) -> int:
     result = statespace.sweep(_load_params(args), args.axis1, args.axis2,
                               n_pre=args.n_pre, tau=args.tol, workers=args.workers)
-    name1, name2 = args.axis1[0], args.axis2[0]
-    rows = [(c[name1], c[name2], c["stable"], c["unstable"], c["borderline"],
-             c["verdict"]) for c in result.cells]
-    _write(args, _csv("sweep", [name1, name2, "stable", "unstable",
-                                "borderline", "verdict"], rows))
+    names = (args.axis1[0], args.axis2[0], "stable", "unstable", "borderline", "verdict")
+    _write(args, *_csv("sweep", {name: [c[name] for c in result.cells] for name in names}))
     return 0
 
 
@@ -243,8 +255,8 @@ def cmd_audit(args) -> int:
         "residuals": {"tables": res_tables.max_abs, "oracle": res_oracle.max_abs},
     }
     if args.draws > 0:
-        first, stable, _ = oracle.stability_run(args.draws, args.seed,
-                                                tol=args.tol, workers=args.workers)
+        first, stable = oracle.stability_run(args.draws, args.seed,
+                                             tol=args.tol, workers=args.workers)
         obj["stability"] = {
             "draws": args.draws,
             "identical_across_draws": stable,

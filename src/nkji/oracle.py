@@ -557,18 +557,31 @@ def _stability_slice(seed: int, tol: float, draws: range) -> list[DrawSummary]:
         return [s for p in ps for s in _summaries(p, tol)]
 
 
+def _folded_slice(seed: int, tol: float, draws: range
+                  ) -> list[tuple[frozenset[tuple[str, int]], bool]]:
+    """The flagged keys of the first of ``draws``, and whether every draw of
+    the slice flags the same keys."""
+    summaries = _stability_slice(seed, tol, draws)
+    first = summaries[0].keys
+    return [(first, all(s.keys == first for s in summaries))]
+
+
 def stability_run(n_draws: int, seed: int, tol: float = 1e-6, workers: int = 1
-                  ) -> tuple[set[tuple[str, int]], bool, list[DrawSummary]]:
+                  ) -> tuple[set[tuple[str, int]], bool]:
     """Compare closed forms against the numerical solution across random
     parameterizations; a genuine formula divergence flags the same entries
-    on every draw, a numerical accident moves around.
+    on every draw, a numerical accident moves around.  Returns the entries
+    the first draw flags, and whether every draw flags the same.
 
     Each draw gets its own counter-derived substream.  The draws are
-    evaluated in slices of at most ``AUDIT_SLICE``, each in one array pass,
-    and ``workers`` processes share the slices, so results are independent
-    of the worker count.  A failing draw raises what it raises alone: the
-    first failing draw, at its first failing step.
+    evaluated in slices of at most ``AUDIT_SLICE``, each in one array pass
+    and folded to its first key set and its all-equal flag, so memory does
+    not grow with the draws kept.  ``workers`` processes share the slices,
+    so results are independent of the worker count.  A failing draw raises
+    what it raises alone: the first failing draw, at its first failing step.
     """
-    summaries = fan_out(partial(_stability_slice, seed, tol), n_draws, AUDIT_SLICE, workers)
-    first = set(summaries[0].keys) if summaries else set()
-    return first, all(s.keys == first for s in summaries), summaries
+    folds = fan_out(partial(_folded_slice, seed, tol), n_draws, AUDIT_SLICE, workers)
+    if not folds:
+        return set(), True
+    first = folds[0][0]
+    return set(first), all(same and keys == first for keys, same in folds)

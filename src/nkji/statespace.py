@@ -12,6 +12,14 @@ so row ordering (variables) and column meaning (lags) deliberately differ;
 the matrix is reproduced cell-for-cell from the derivation, including the
 row-7 column-2 entry that squares the drift persistence where every other
 row carries the first power.
+
+Every column of the matrix is a loading block of the eight variables times
+a power of one persistence, so A = U V' with factors U, V of shape 9 x 6
+(:func:`_factors`).  Its nonzero eigenvalues are those of the 6 x 6 V' U,
+and its other three are exactly zero.  The sweep solves that 6 x 6 matrix
+for the cells that pass validation, and checks each eigenpair lifted back
+to A; ``eigen``, ``report`` and ``determinacy`` solve A itself, whose
+eigenvalues ``determinacy`` prints.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ from .params import (FIELD_NAMES, ConvergenceFailure, InvalidDomain, InvalidPara
 from .slots import Vec
 
 ORDER = 9
+#: rank of the transition matrix: the columns of its factors U, V
+RANK = 6
 
 ROW_VARS = ("r", "y", "yhat", "pi", "c", "I", "i", "u")   # row 8 is the signal
 
@@ -94,31 +104,39 @@ def build(rf: ReducedForm) -> TransitionSystem:
     return TransitionSystem(A=A, B=B)
 
 
+def _loadings(blocks: dict[str, Vec]) -> tuple[Vec, ...]:
+    """The lag-carrier loadings f, h, m, n, e of the eight variable rows,
+    each (8,), or (8, n) for blocks (16, n)."""
+    rows = np.stack([blocks[var] for var in ROW_VARS])
+    return tuple(rows[:, s] for s in (slots.YBAR_LAG2, slots.G_LAG1,
+                                      slots.TAX_LAG1, slots.CHI_LAG1,
+                                      slots.EPS_LAG1))
+
+
+_POLICY = ROW_VARS.index("i")
+_COST_PUSH = [ROW_VARS.index("pi"), _POLICY]   # rows loading on eps_{t-1}
+
+
 def _matrices(blocks: dict[str, Vec], p: StructuralParams) -> tuple[Vec, Vec]:
     """A (9, 9) and B (9, 8) from slot blocks (16,); with blocks (16, n) and
     fields of one value per cell, A (9, 9, n) and B (9, 8, n)."""
     rho, rg, rt, rx, re_ = p.rho_ybar, p.rho_g, p.rho_tax, p.rho_chi, p.rho_eps
     rho2, rho3 = power(rho, 2), power(rho, 3)
     rg2, rg3, rg4 = power(rg, 2), power(rg, 3), power(rg, 4)
-    rows = np.stack([blocks[var] for var in ROW_VARS])
-    f, h, m, n, e = (rows[:, s] for s in (slots.YBAR_LAG2, slots.G_LAG1,
-                                           slots.TAX_LAG1, slots.CHI_LAG1,
-                                           slots.EPS_LAG1))
-    policy = ROW_VARS.index("i")
-    cost_push = [ROW_VARS.index("pi"), policy]   # rows loading on eps_{t-1}
-    cells = rows.shape[2:]
+    f, h, m, n, e = _loadings(blocks)
+    cells = f.shape[1:]
 
     A = np.zeros((ORDER, ORDER, *cells))
     A[:8, 0] = f * rho3
     A[:8, 1] = f * rho
-    A[policy, 1] = f[policy] * rho2
+    A[_POLICY, 1] = f[_POLICY] * rho2
     A[:8, 2] = -f * rho2
     A[:8, 3] = h * rg4
     A[:8, 4] = h * rg2
     A[:8, 5] = -h * rg3
     A[:8, 6] = rt * m
     A[:8, 7] = rx * n
-    A[cost_push, 8] = re_ * e[cost_push]
+    A[_COST_PUSH, 8] = re_ * e[_COST_PUSH]
     A[8, 7] = power(rx, 2)
 
     B = np.zeros((ORDER, len(B_COLUMNS), *cells))
@@ -129,9 +147,48 @@ def _matrices(blocks: dict[str, Vec], p: StructuralParams) -> tuple[Vec, Vec]:
     B[:8, 4] = h * rg3
     B[:8, 5] = m
     B[:8, 6] = n
-    B[cost_push, 7] = e[cost_push]
+    B[_COST_PUSH, 7] = e[_COST_PUSH]
     B[8, 6] = 1.0
     return A, B
+
+
+def _factors(blocks: dict[str, Vec], p: StructuralParams) -> tuple[Vec, Vec]:
+    """Factors U, V (9, 6) of the A of :func:`_matrices`, from the same
+    blocks and powers; (9, 6, n) each for blocks (16, n).
+
+    Each entry of A is one product ``U[i, k] * V[j, k]`` and the other five
+    terms of its row-column sum vanish, so ``U @ V.T`` equals A entry for
+    entry.  The columns of U: f off the policy row and f on it (the policy
+    row carries rho^2 in column 1 where the others carry rho), h, m, the
+    chi loadings with the signal row's rho_chi^2, and the cost-push rows'
+    eps loadings."""
+    rho, rg, rt, rx, re_ = p.rho_ybar, p.rho_g, p.rho_tax, p.rho_chi, p.rho_eps
+    rho2 = power(rho, 2)
+    f, h, m, n, e = _loadings(blocks)
+    cells = f.shape[1:]
+
+    U = np.zeros((ORDER, RANK, *cells))
+    U[:8, 0] = f
+    U[_POLICY, 0] = 0.0
+    U[_POLICY, 1] = f[_POLICY]
+    U[:8, 2] = h
+    U[:8, 3] = m
+    U[:8, 4] = rx * n
+    U[8, 4] = power(rx, 2)
+    U[_COST_PUSH, 5] = e[_COST_PUSH]
+
+    V = np.zeros((ORDER, RANK, *cells))
+    V[0, :2] = power(rho, 3)
+    V[1, 0] = rho
+    V[1, 1] = rho2
+    V[2, :2] = -rho2
+    V[3, 2] = power(rg, 4)
+    V[4, 2] = power(rg, 2)
+    V[5, 2] = -power(rg, 3)
+    V[6, 3] = rt
+    V[7, 4] = 1.0
+    V[8, 5] = re_
+    return U, V
 
 
 def eigen(A: Vec) -> Vec:
@@ -146,26 +203,89 @@ def eigen(A: Vec) -> Vec:
     return vals[0]
 
 
-def _spectra(A: Vec) -> tuple[Vec, Vec]:
+def _spectra(A: Vec, factors: tuple[Vec, Vec] | None = None) -> tuple[Vec, Vec]:
     """Eigenvalues of a stack of matrices (n, 9, 9), and per matrix the
     index into ``_EIGEN_FAILURES`` of the first check it fails (0: none).
-    A matrix with non-finite entries is solved as zeros.  Raises
-    ``LinAlgError`` when the solver rejects any matrix of the stack."""
+
+    With ``factors`` U, V (n, 9, 6) of A = U V', the solver sees the 6 x 6
+    V' U instead: each of its eigenpairs (a, w) lifts to the pair (a, U w)
+    of A, and the three eigenvalues rank 6 leaves are exact zeros, appended
+    last.  Every check is made on A and the lifted pairs.  A matrix with
+    non-finite entries is solved as zeros.  Raises ``LinAlgError`` when the
+    solver rejects any matrix of the stack."""
     finite = np.isfinite(A).all(axis=(1, 2))
+    if factors is None:
+        S = A
+    else:
+        U, V = factors
+        S = np.swapaxes(V, 1, 2) @ U
     if not finite.all():
         A = np.where(finite[:, None, None], A, 0.0)
-    vals, vecs = np.linalg.eig(A)
+        S = np.where(finite[:, None, None], S, 0.0)
+    vals, vecs = np.linalg.eig(S)
+    # real when every eigenvalue of the stack is
+    vecs = vecs.astype(complex, copy=False)
+    if factors is not None:
+        vecs = _real_times(U, vecs)
     with np.errstate(all="ignore"):
         # entries beyond ~1e154 overflow the Frobenius norm, and an infinite
         # norm would pass every residual check
         norm = np.linalg.norm(A, axis=(1, 2))
-        resid = np.linalg.norm(A @ vecs - vecs * vals[:, None, :], axis=1)
+        resid = np.linalg.norm(_real_times(A, vecs) - vecs * vals[:, None, :], axis=1)
         bound = 1e-8 * norm[:, None] * np.linalg.norm(vecs, axis=1)
         bad_pair = (norm[:, None] > 0) & (resid > bound)
     failure = np.select([~finite, ~np.isfinite(vals).all(axis=1),
                          ~np.isfinite(norm), bad_pair.any(axis=1)],
                         [1, 2, 3, 4], 0)
+    if factors is not None:
+        vals = np.concatenate([vals, np.zeros((len(vals), ORDER - RANK))], axis=1)
     return vals, failure
+
+
+def _real_times(M: Vec, Z: Vec) -> Vec:
+    """``M @ Z`` for a real stack M and a complex stack Z, as one real
+    product on the interleaved real and imaginary parts of Z."""
+    return (M @ Z.view(np.float64)).view(complex)
+
+
+def _sweep_spectra(A: Vec, U: Vec, V: Vec) -> tuple[Vec, Vec]:
+    """:func:`_spectra` of a stack of matrices A (n, 9, 9) with factors U, V
+    (n, 9, 6), by the rank-6 route where it is known to give the verdicts
+    of the 9 x 9 one.
+
+    Where A's nonzero entries span more than 1/eps, some of them are at the
+    9 x 9 solve's noise level, and the two routes pass and fail different
+    checks; those matrices, and every one the rank-6 route fails, take the
+    9 x 9 route that :func:`eigen` takes."""
+    mag = np.abs(A).reshape(len(A), ORDER * ORDER)
+    narrow = (np.where(mag > 0, mag, np.inf).min(axis=1)
+              >= np.finfo(float).eps * mag.max(axis=1))
+    vals = np.zeros((len(A), ORDER), dtype=complex)
+    failure = np.zeros(len(A), dtype=int)
+    vals[narrow], failure[narrow] = _isolated(A[narrow], (U[narrow], V[narrow]))
+    full = ~narrow | (failure != 0)
+    if full.any():
+        vals[full], failure[full] = _isolated(A[full])
+    return vals, failure
+
+
+def _isolated(A: Vec, factors: tuple[Vec, Vec] | None = None) -> tuple[Vec, Vec]:
+    """:func:`_spectra`, except that when the solver rejects the stack the
+    matrices are solved one at a time, so that a rejected one fails alone
+    (code -1)."""
+    try:
+        return _spectra(A, factors)
+    except np.linalg.LinAlgError:
+        vals = np.zeros((len(A), ORDER), dtype=complex)
+        failure = np.full(len(A), -1)
+        for k in range(len(A)):
+            one = slice(k, k + 1)
+            try:
+                (vals[k],), (failure[k],) = _spectra(
+                    A[one], None if factors is None else tuple(x[one] for x in factors))
+            except np.linalg.LinAlgError:
+                pass
+        return vals, failure
 
 
 def char_poly(A: Vec) -> Vec:
@@ -280,20 +400,13 @@ def _sweep_slice(base: dict[str, float], name1: str, grid1: Vec, name2: str,
     blocks = _slot_blocks(p)
     invalid = invalid_cells(values)
     solved = ~invalid & finite_cells(blocks)
-    A = np.moveaxis(_matrices(blocks, p)[0], -1, 0)
-    A[~solved] = 0.0
-    try:
-        vals, failure = _spectra(A)
-        solved &= failure == 0
-    except np.linalg.LinAlgError:
-        # the solver rejected some matrix: solve one at a time, so that
-        # only that cell fails
-        vals = np.zeros(A.shape[:2], dtype=complex)
-        for j in np.flatnonzero(solved):
-            try:
-                vals[j] = eigen(A[j])
-            except ConvergenceFailure:
-                solved[j] = False
+    # only the cells that pass both checks are solved
+    idx = np.flatnonzero(solved)
+    A, U, V = (np.moveaxis(x, -1, 0)[idx]
+               for x in (_matrices(blocks, p)[0], *_factors(blocks, p)))
+    vals = np.zeros((len(cells), ORDER), dtype=complex)
+    vals[idx], failure = _sweep_spectra(A, U, V)
+    solved[idx] = failure == 0
     stable, unstable, borderline = _counts(vals, tau)
     records = []
     for v1, v2, ok, bad, s, u, b in zip(values[name1].tolist(), values[name2].tolist(),

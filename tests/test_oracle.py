@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from nkji.coeffs import ReducedForm, _chain_expectation
 from nkji import oracle
 from nkji.oracle import (AUDIT_SLICE, SUSPECT_ENTRIES, Erratum, SingularSystem,
                          _condition_number, _dense_matrix, _matching_blocks, _residual,
-                         compare, random_params, residuals, stability_run)
+                         _stability_slice, compare, random_params, residuals,
+                         stability_run)
 from nkji.params import DEFAULTS, FIELD_NAMES, StructuralParams, validate
 from nkji.shocks import impulse_path
+from nkji.statespace import fan_out
 from nkji import slots
 
 
@@ -85,11 +88,13 @@ def test_compare_oracle_with_itself_is_empty(oracle_rf):
 
 
 def test_stability_run_without_draws():
-    assert stability_run(0, seed=5) == (set(), True, [])
+    assert stability_run(0, seed=5) == (set(), True)
 
 
 def test_compare_flags_stable_set(rng):
-    first, identical, summaries = stability_run(10, seed=rng.integers(2**31))
+    seed = rng.integers(2**31)
+    first, identical = stability_run(10, seed=seed)
+    summaries = _stability_slice(seed, 1e-6, range(10))
     assert identical
     assert len(first) == 124
     assert ("pi", 4) in first and ("Eyhat", 0) in first
@@ -413,12 +418,32 @@ def _per_draw(n_draws, seed, tol=1e-6):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_stability_run_equals_per_draw_reference(workers):
     for n_draws in (1, AUDIT_SLICE, AUDIT_SLICE + 1, 2 * AUDIT_SLICE + 3):
-        first, identical, summaries = stability_run(n_draws, seed=23, workers=workers)
+        first, identical = stability_run(n_draws, seed=23, workers=workers)
+        # every draw, through the slices the run folds
+        summaries = fan_out(partial(_stability_slice, 23, 1e-6), n_draws, AUDIT_SLICE,
+                            workers)
         ref = _per_draw(n_draws, seed=23)
         assert [(s.keys, s.variant_confirmed, s.condition_number.hex())
                 for s in summaries] == ref
         assert first == ref[0][0]
         assert identical == all(keys == ref[0][0] for keys, _, _ in ref)
+
+
+@pytest.mark.parametrize("differing", [0, 5, AUDIT_SLICE, AUDIT_SLICE + 3])
+def test_stability_run_sees_a_differing_draw_in_any_slice(monkeypatch, differing):
+    # theta = 0 clears 20 of the 124 flagged entries: one such draw, first
+    # in the run, inside the first slice, or first or inside a later one
+    unpatched = oracle.random_params
+
+    def patched(rng):
+        p = unpatched(rng)
+        i = rng.bit_generator.seed_seq.spawn_key[0]
+        return validate({**p.as_dict(), "theta": 0.0}) if i == differing else p
+
+    monkeypatch.setattr(oracle, "random_params", patched)
+    first, identical = stability_run(2 * AUDIT_SLICE + 3, seed=31)
+    assert not identical
+    assert len(first) == (104 if differing == 0 else 124)
 
 
 #: a parameterization whose matching system is singular, one whose closed

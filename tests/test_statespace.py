@@ -9,8 +9,8 @@ from nkji import statespace
 from nkji.coeffs import power
 from nkji.oracle import random_params
 from nkji.params import DEFAULTS, InvalidParams, validate
-from nkji.coeffs import _slot_blocks
-from nkji.params import FIELD_NAMES, StructuralParams
+from nkji.coeffs import _slot_blocks, finite_cells
+from nkji.params import FIELD_NAMES, StructuralParams, invalid_cells
 from nkji.statespace import (SWEEP_SLICE, ConvergenceFailure, UnknownParameter,
                              _counts, _matrices, _spectra, report, sweep)
 
@@ -229,6 +229,14 @@ def test_sweep_parallel_determinism(default_params):
         assert serial.cells == parallel.cells, (n1, n2)
 
 
+def test_sweep_without_a_valid_cell(default_params):
+    # nothing to solve in any array pass
+    res = sweep(default_params, ("sigma", 0.0, 0.0, 1), ("theta", 0.0, 0.0, 1))
+    assert [c["verdict"] for c in res.cells] == ["invalid"]
+    res = sweep(default_params, ("rho_chi", 1.0, 2.0, 3), ("alpha_pi", 1.2, 1.8, 100))
+    assert {c["verdict"] for c in res.cells} == {"invalid"}
+
+
 def test_sweep_unknown_parameter(default_params):
     with pytest.raises(UnknownParameter):
         sweep(default_params, ("alpha_zz", 0.0, 1.0, 3), ("alpha_y", 0.0, 1.0, 3))
@@ -328,6 +336,110 @@ def test_batched_layers_are_bitwise_the_scalar_layers(rng):
         assert failure[j] == 0 and np.array_equal(vals[j], eigen(A_j)), j
 
 
+def _signed_batch(rng, n):
+    """``n`` valid parameterizations with every persistence, c1 and s1 drawn
+    on both signs, as one StructuralParams of arrays."""
+    draws = []
+    while len(draws) < n:
+        raw = {**random_params(rng).as_dict(),
+               **{name: rng.uniform(-0.99, 0.99)
+                  for name in ("rho_ybar", "rho_g", "rho_chi", "rho_tax", "rho_eps")},
+               "c1": rng.uniform(-2.0, 2.0), "s1": rng.uniform(-2.0, 2.0)}
+        try:
+            draws.append(validate(raw))
+        except InvalidParams:
+            continue
+    return StructuralParams(**{name: np.array([getattr(p, name) for p in draws])
+                               for name in FIELD_NAMES})
+
+
+def _stacks(blocks, p):
+    """A, U and V of every cell, each with the cell axis first."""
+    return tuple(np.moveaxis(x, -1, 0)
+                 for x in (_matrices(blocks, p)[0], *statespace._factors(blocks, p)))
+
+
+def _assert_same_counts(got, want, tau):
+    for g, w in zip(_counts(got, tau), _counts(want, tau)):
+        assert np.array_equal(g, w), tau
+
+
+def test_rank6_factors_reproduce_the_transition_matrix(rng, default_rf, default_params):
+    batch = _signed_batch(rng, 2000)
+    A, U, V = _stacks(_slot_blocks(batch), batch)
+    assert np.array_equal(U @ np.swapaxes(V, 1, 2), A)
+    U, V = statespace._factors(default_rf.slot_blocks, default_params)
+    assert U.shape == V.shape == (9, 6)
+    assert np.array_equal(U @ V.T, build(default_rf).A)
+
+
+def test_rank6_route_gives_the_9x9_counts_and_failures(rng):
+    # 2000 parameterizations with persistences of both signs: the rank-6
+    # route passes and fails the checks the 9 x 9 one does, with the same
+    # counts at several tolerances
+    batch = _signed_batch(rng, 2000)
+    A, U, V = _stacks(_slot_blocks(batch), batch)
+    vals6, failure6 = _spectra(A, (U, V))
+    vals9, failure9 = _spectra(A)
+    assert np.array_equal(failure6, failure9)
+    assert np.array_equal(vals6[:, 6:], np.zeros((2000, 3)))
+    for tau in (1e-8, 1e-6, 1e-3):
+        _assert_same_counts(vals6, vals9, tau)
+    # the moduli part most near zero, where A has a cluster of four zero
+    # eigenvalues, and not near the unit circle: on the draws where they
+    # part most, both routes are within 1e-4 of a 60-digit solve of A, within
+    # 1e-9 of it for moduli in (0.5, 1.5), and give its counts
+    mpmath = pytest.importorskip("mpmath")
+    mod6, mod9 = np.sort(abs(vals6), axis=1), np.sort(abs(vals9), axis=1)
+    gap = np.abs(mod6 - mod9).max(axis=1)
+    assert gap.max() > 1e-7
+    with mpmath.workdps(60):
+        for j in np.argsort(gap)[-3:]:
+            ref = np.array([complex(a) for a in mpmath.eig(mpmath.matrix(A[j].tolist()))[0]])
+            mod = np.sort(abs(ref))
+            near = np.abs(mod - 1.0) < 0.5
+            for vals, mods in ((vals6, mod6), (vals9, mod9)):
+                assert np.abs(mods[j] - mod).max() < 1e-4, j
+                assert np.abs(mods[j] - mod)[near].max(initial=0.0) < 1e-9, j
+                for tau in (1e-8, 1e-6):
+                    _assert_same_counts(vals[j], ref, tau)
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS)
+def test_sweep_route_gives_the_9x9_counts_and_failures(default_params, grid):
+    # every solved cell of the reference grids, through the sweep's choice of
+    # route against the 9 x 9 route alone
+    (name1, lo1, hi1, n1), (name2, lo2, hi2, n2), *_ = REFERENCE_GRIDS[grid]
+    g1, g2 = np.meshgrid(np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2),
+                         indexing="ij")
+    values = {**default_params.as_dict(), name1: g1.ravel(), name2: g2.ravel()}
+    p = StructuralParams(**values)
+    with np.errstate(all="ignore"):
+        blocks = _slot_blocks(p)
+        solved = ~invalid_cells(values) & finite_cells(blocks)
+        A, U, V = (x[solved] for x in _stacks(blocks, p))
+        vals, failure = statespace._sweep_spectra(A, U, V)
+        vals9, failure9 = _spectra(A)
+    assert np.array_equal(failure, failure9)
+    keep = failure == 0
+    for tau in (1e-8, 1e-6):
+        _assert_same_counts(vals[keep], vals9[keep], tau)
+
+
+def test_wide_matrices_take_the_9x9_route(default_params):
+    # at sigma = 1e-300 the interest-rate row is 1e-300 times the output
+    # row: the 9 x 9 solve returns a false eigenpair there and fails its
+    # residual check, which the rank-6 route passes; the sweep keeps the
+    # 9 x 9 verdict
+    p = default_params.replace(sigma=1e-300, k=0.0)
+    rf = compute_all(p)
+    A = build(rf).A[None]
+    U, V = (x[None] for x in statespace._factors(rf.slot_blocks, p))
+    assert _spectra(A)[1][0] == 4
+    assert _spectra(A, (U, V))[1][0] == 0
+    assert statespace._sweep_spectra(A, U, V)[1][0] == 4
+
+
 def test_power_is_scalar_pow_per_element():
     rng = np.random.default_rng(7)
     x = np.concatenate([rng.uniform(-1.0, 1.0, 5000),
@@ -351,12 +463,16 @@ def test_stacked_eig_failure_fails_only_its_cell(default_params, monkeypatch):
     bad_cell = (float(np.linspace(*axis1[1:])[1]), float(np.linspace(*axis2[1:])[1]))
     bad = validate({**default_params.as_dict(), "alpha_pi": bad_cell[0],
                     "rho_chi": bad_cell[1]})
-    bad_A = build(compute_all(bad)).A
+    rf = compute_all(bad)
+    U, V = statespace._factors(rf.slot_blocks, bad)
+    # the bad cell's matrix as either route solves it: the rank-6 route's
+    # V'U and, for a matrix that route fails, the 9 x 9 A
+    bad_forms = (V.T @ U, build(rf).A)
     eig = np.linalg.eig
 
     def refuse(a):
         # reject every stack, and the one matrix of the bad cell
-        if len(a) > 1 or np.array_equal(a[0], bad_A):
+        if len(a) > 1 or any(np.array_equal(a[0], form) for form in bad_forms):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eig(a)
 

@@ -69,6 +69,21 @@ SINGLE = (
        "--workers", w] for w in ("1", "2")),
     *(["sweep", "--axis1", "alpha_pi:0.5:2.5:23", "--axis2", "rho_chi:0:1.1:25",
        "--workers", w] for w in ("1", "2")),
+    # hard cells for the sweep's rank-6 route: rho_chi up to 1 - 1e-9 on
+    # both signs, the drift and spending persistences near +-1 at several
+    # predetermined counts, a modulus crossing the unit circle inside the
+    # borderline band (rho_ybar near 0.41578425 and 0.69246222), and the
+    # Taylor denominator 1 - alpha_pi*beta through zero (beta = 0.99)
+    ["sweep", "--axis1", "rho_chi:0.9999999:0.999999999:9", "--axis2", "alpha_pi:1.2:1.8:3"],
+    ["sweep", "--axis1", "rho_chi:-0.999999999:-0.9999999:9", "--axis2", "alpha_pi:1.2:1.8:3",
+     "--tol", "1e-9"],
+    *(["sweep", "--axis1", "rho_ybar:-0.99999999:0.99999999:7",
+       "--axis2", "rho_g:-0.99999999:0.99999999:7", "--n-pre", n] for n in ("3", "6", "8")),
+    ["sweep", "--axis1", "rho_ybar:0.4157842038:0.4157843038:21", "--axis2", "theta:0.5:0.5:1"],
+    ["sweep", "--axis1", "rho_ybar:0.6924617233:0.6924627233:21", "--axis2", "theta:0.5:0.5:1",
+     "--tol", "1e-6"],
+    ["sweep", "--axis1", "alpha_pi:1.0101:1.0102:21", "--axis2", "rho_chi:0.1:0.9:3"],
+    ["sweep", "--axis1", "alpha_pi:1.01010091:1.01010111:21", "--axis2", "rho_chi:0.1:0.9:3"],
     # extreme values: failed sweep cells, overflow, non-finite spectra
     ["sweep", "--axis1", "sigma:1e-300:1e300:5", "--axis2", "k:0:1e308:5"],
     ["sweep", "--axis1", "c1:0.5:1e300:3", "--axis2", "k:0:1:2"],
