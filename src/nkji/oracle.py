@@ -508,14 +508,6 @@ def random_params(rng: np.random.Generator) -> StructuralParams:
         return p
 
 
-@dataclass(frozen=True)
-class DrawSummary:
-    """What the stability check keeps of one draw's comparison."""
-    keys: frozenset[tuple[str, int]]      # the flagged entries
-    variant_confirmed: dict[str, bool]    # suspect label -> verdict
-    condition_number: float
-
-
 #: most stability draws evaluated in one array pass, which bounds the pass's
 #: memory: a draw holds its blocks and the 19-column probe response (about
 #: 63 KB of allocations at the peak), so a pass of 20 peaks at about 1.25 MB,
@@ -527,43 +519,36 @@ _DRAW_FAILURES = (ConvergenceFailure, SingularSystem, AnsatzInconsistent,
                   AssertionError, np.linalg.LinAlgError)
 
 
-def _summaries(p: StructuralParams, tol: float) -> list[DrawSummary]:
-    """Closed form, numerical solution and comparison at ``p``, one summary
-    per cell (one for float fields); raises for the first failing cell."""
+def _flag_rows(p: StructuralParams, tol: float) -> np.ndarray:
+    """Closed form, numerical solution and comparison at ``p``: which
+    entries of ``slots.ENTRIES`` differ, one row per cell (one row for
+    float fields), (draws, 130); raises for the first failing cell."""
     tables = _checked_blocks(p)
-    solved, cond = _block_solve(p)
+    solved, _ = _block_solve(p)
     # compare's default abs_floor
-    _, _, _, flagged, confirmed = _compared(tables, solved, p, tol, 1e-12)
-    columns = zip(flagged.reshape(len(slots.ENTRIES), -1).T.tolist(),
-                  np.ravel(cond).tolist(),
-                  *(np.ravel(c).tolist() for c in confirmed.values()))
-    return [DrawSummary(keys=frozenset(compress(slots.ENTRIES, flags)),
-                        variant_confirmed=dict(zip(confirmed, verdicts)),
-                        condition_number=c)
-            for flags, c, *verdicts in columns]
+    flagged = _compared(tables, solved, p, tol, 1e-12)[3]
+    return flagged.reshape(len(slots.ENTRIES), -1).T
 
 
-def _stability_slice(seed: int, tol: float, draws: range) -> list[DrawSummary]:
-    """The summaries of ``draws``, evaluated in one array pass."""
+def _stability_slice(seed: int, tol: float, draws: range) -> np.ndarray:
+    """The flag rows of ``draws``, evaluated in one array pass."""
     ps = [random_params(np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(i,)))) for i in draws]
     stacked = StructuralParams(**{name: np.array([getattr(p, name) for p in ps])
                                   for name in FIELD_NAMES})
     try:
-        return _summaries(stacked, tol)
+        return _flag_rows(stacked, tol)
     except _DRAW_FAILURES:
         # some draw fails: take the draws one at a time, so that the first
         # failing draw raises just as it does alone
-        return [s for p in ps for s in _summaries(p, tol)]
+        return np.concatenate([_flag_rows(p, tol) for p in ps])
 
 
-def _folded_slice(seed: int, tol: float, draws: range
-                  ) -> list[tuple[frozenset[tuple[str, int]], bool]]:
-    """The flagged keys of the first of ``draws``, and whether every draw of
-    the slice flags the same keys."""
-    summaries = _stability_slice(seed, tol, draws)
-    first = summaries[0].keys
-    return [(first, all(s.keys == first for s in summaries))]
+def _folded_slice(seed: int, tol: float, draws: range) -> list[tuple[np.ndarray, bool]]:
+    """The flag row of the first of ``draws``, and whether every draw of the
+    slice flags the same entries."""
+    rows = _stability_slice(seed, tol, draws)
+    return [(rows[0], bool((rows == rows[0]).all()))]
 
 
 def stability_run(n_draws: int, seed: int, tol: float = 1e-6, workers: int = 1
@@ -575,13 +560,16 @@ def stability_run(n_draws: int, seed: int, tol: float = 1e-6, workers: int = 1
 
     Each draw gets its own counter-derived substream.  The draws are
     evaluated in slices of at most ``AUDIT_SLICE``, each in one array pass
-    and folded to its first key set and its all-equal flag, so memory does
-    not grow with the draws kept.  ``workers`` processes share the slices,
-    so results are independent of the worker count.  A failing draw raises
-    what it raises alone: the first failing draw, at its first failing step.
+    that keeps only the draws' flag rows (no per-draw verdicts or condition
+    numbers) and folds them to the slice's first row and its all-equal
+    flag, so memory does not grow with the draws.  ``workers`` processes
+    share the slices, so results are independent of the worker count.  A
+    failing draw raises what it raises alone: the first failing draw, at
+    its first failing step.
     """
     folds = fan_out(partial(_folded_slice, seed, tol), n_draws, AUDIT_SLICE, workers)
     if not folds:
         return set(), True
     first = folds[0][0]
-    return set(first), all(same and keys == first for keys, same in folds)
+    return (set(compress(slots.ENTRIES, first.tolist())),
+            all(same and np.array_equal(row, first) for row, same in folds))

@@ -268,9 +268,14 @@ def validate(raw: Mapping[str, Any] | StructuralParams) -> StructuralParams:
 
 
 def load_calibration(path: str) -> dict[str, float]:
-    """Read a flat name -> number JSON calibration file."""
+    """Read a flat name -> number JSON calibration file.  Booleans and
+    strings, which ``float`` would accept, are rejected as not numbers."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise InvalidParams([InvalidDomain("<file>", "calibration must be a JSON object")])
+    bad = [InvalidDomain(name, "not a number") for name, value in data.items()
+           if isinstance(value, (bool, str))]
+    if bad:
+        raise InvalidParams(bad)
     return data

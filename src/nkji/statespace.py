@@ -15,11 +15,14 @@ row carries the first power.
 
 Every column of the matrix is a loading block of the eight variables times
 a power of one persistence, so A = U V' with factors U, V of shape 9 x 6
-(:func:`_factors`).  Its nonzero eigenvalues are those of the 6 x 6 V' U,
-and its other three are exactly zero.  The sweep solves that 6 x 6 matrix
-for the cells that pass validation, and checks each eigenpair lifted back
-to A; ``eigen``, ``report`` and ``determinacy`` solve A itself, whose
-eigenvalues ``determinacy`` prints.
+(:func:`_factors`, the one place that writes out A's layout).  A itself is
+gathered from the factors, one product per entry (:func:`_transition`).
+Its nonzero eigenvalues are those of the 6 x 6 V' U, and its other three
+are exactly zero.  The sweep solves that 6 x 6 matrix for the cells that
+pass validation, and checks each eigenpair lifted back to A; ``eigen``,
+``report`` and ``determinacy`` solve A itself, whose eigenvalues
+``determinacy`` prints.  Only :func:`build` assembles the innovation
+loadings B; the sweep has no use for them.
 """
 
 from __future__ import annotations
@@ -98,7 +101,8 @@ class DeterminacyReport:
 def build(rf: ReducedForm) -> TransitionSystem:
     """Assemble the transition matrix A and innovation loadings B from a
     coefficient set."""
-    A, B = _matrices(rf.slot_blocks, rf.params)
+    A = _transition(*_factors(rf.slot_blocks, rf.params))
+    B = _innovations(rf.slot_blocks, rf.params)
     A.flags.writeable = False
     B.flags.writeable = False
     return TransitionSystem(A=A, B=B)
@@ -117,51 +121,31 @@ _POLICY = ROW_VARS.index("i")
 _COST_PUSH = [ROW_VARS.index("pi"), _POLICY]   # rows loading on eps_{t-1}
 
 
-def _matrices(blocks: dict[str, Vec], p: StructuralParams) -> tuple[Vec, Vec]:
-    """A (9, 9) and B (9, 8) from slot blocks (16,); with blocks (16, n) and
-    fields of one value per cell, A (9, 9, n) and B (9, 8, n)."""
-    rho, rg, rt, rx, re_ = p.rho_ybar, p.rho_g, p.rho_tax, p.rho_chi, p.rho_eps
-    rho2, rho3 = power(rho, 2), power(rho, 3)
-    rg2, rg3, rg4 = power(rg, 2), power(rg, 3), power(rg, 4)
+def _innovations(blocks: dict[str, Vec], p: StructuralParams) -> Vec:
+    """B (9, 8) from slot blocks (16,)."""
     f, h, m, n, e = _loadings(blocks)
-    cells = f.shape[1:]
-
-    A = np.zeros((ORDER, ORDER, *cells))
-    A[:8, 0] = f * rho3
-    A[:8, 1] = f * rho
-    A[_POLICY, 1] = f[_POLICY] * rho2
-    A[:8, 2] = -f * rho2
-    A[:8, 3] = h * rg4
-    A[:8, 4] = h * rg2
-    A[:8, 5] = -h * rg3
-    A[:8, 6] = rt * m
-    A[:8, 7] = rx * n
-    A[_COST_PUSH, 8] = re_ * e[_COST_PUSH]
-    A[8, 7] = power(rx, 2)
-
-    B = np.zeros((ORDER, len(B_COLUMNS), *cells))
+    B = np.zeros((ORDER, len(B_COLUMNS)))
     B[:8, 0] = f
-    B[:8, 1] = f * rho2
+    B[:8, 1] = f * power(p.rho_ybar, 2)
     B[:8, 2] = h
-    B[:8, 3] = rg * h
-    B[:8, 4] = h * rg3
+    B[:8, 3] = p.rho_g * h
+    B[:8, 4] = h * power(p.rho_g, 3)
     B[:8, 5] = m
     B[:8, 6] = n
     B[_COST_PUSH, 7] = e[_COST_PUSH]
     B[8, 6] = 1.0
-    return A, B
+    return B
 
 
 def _factors(blocks: dict[str, Vec], p: StructuralParams) -> tuple[Vec, Vec]:
-    """Factors U, V (9, 6) of the A of :func:`_matrices`, from the same
-    blocks and powers; (9, 6, n) each for blocks (16, n).
+    """Factors U, V (9, 6) of A = U V' from slot blocks (16,); (9, 6, n)
+    each for blocks (16, n).  The one place that knows A's layout.
 
     Each entry of A is one product ``U[i, k] * V[j, k]`` and the other five
-    terms of its row-column sum vanish, so ``U @ V.T`` equals A entry for
-    entry.  The columns of U: f off the policy row and f on it (the policy
-    row carries rho^2 in column 1 where the others carry rho), h, m, the
-    chi loadings with the signal row's rho_chi^2, and the cost-push rows'
-    eps loadings."""
+    terms of its row-column sum vanish (:func:`_transition`).  The columns
+    of U: f off the policy row and f on it (the policy row carries rho^2 in
+    column 1 where the others carry rho), h, m, the chi loadings with the
+    signal row's rho_chi^2, and the cost-push rows' eps loadings."""
     rho, rg, rt, rx, re_ = p.rho_ybar, p.rho_g, p.rho_tax, p.rho_chi, p.rho_eps
     rho2 = power(rho, 2)
     f, h, m, n, e = _loadings(blocks)
@@ -189,6 +173,24 @@ def _factors(blocks: dict[str, Vec], p: StructuralParams) -> tuple[Vec, Vec]:
     V[7, 4] = 1.0
     V[8, 5] = re_
     return U, V
+
+
+#: the one structurally nonzero term of each entry of A: its row i, column j
+#: and factor column k, read off :func:`_factors` where every loading and
+#: persistence is nonzero
+_TERM_ROW, _TERM_COL, _TERM_K = np.nonzero(np.einsum("ik,jk->ijk", *_factors(
+    dict.fromkeys(ROW_VARS, np.ones(slots.NSLOT)),
+    StructuralParams(**dict.fromkeys(FIELD_NAMES, 0.5)))))
+
+
+def _transition(U: Vec, V: Vec) -> Vec:
+    """A (..., 9, 9) from its factors U, V (..., 9, 6): each entry is its one
+    structurally nonzero term ``U[..., i, k] * V[..., j, k]``, or 0.0 where
+    it has none.  Unlike ``U @ V.T`` this keeps signed zeros and non-finite
+    entries as the single products give them."""
+    A = np.zeros((*U.shape[:-2], ORDER, ORDER))
+    A[..., _TERM_ROW, _TERM_COL] = U[..., _TERM_ROW, _TERM_K] * V[..., _TERM_COL, _TERM_K]
+    return A
 
 
 def eigen(A: Vec) -> Vec:
@@ -402,10 +404,9 @@ def _sweep_slice(base: dict[str, float], name1: str, grid1: Vec, name2: str,
     solved = ~invalid & finite_cells(blocks)
     # only the cells that pass both checks are solved
     idx = np.flatnonzero(solved)
-    A, U, V = (np.moveaxis(x, -1, 0)[idx]
-               for x in (_matrices(blocks, p)[0], *_factors(blocks, p)))
+    U, V = (np.moveaxis(x, -1, 0)[idx] for x in _factors(blocks, p))
     vals = np.zeros((len(cells), ORDER), dtype=complex)
-    vals[idx], failure = _sweep_spectra(A, U, V)
+    vals[idx], failure = _sweep_spectra(_transition(U, V), U, V)
     solved[idx] = failure == 0
     stable, unstable, borderline = _counts(vals, tau)
     records = []

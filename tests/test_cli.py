@@ -117,6 +117,17 @@ def test_unknown_calib_key_exits_2(tmp_path):
     assert code == 2
 
 
+def test_calib_values_must_be_numbers(tmp_path, capsys):
+    # float() would take true as 1.0 and "2" as 2.0
+    calib = tmp_path / "calib.json"
+    calib.write_text(json.dumps({"theta": True, "sigma": "2", "k": 0.1}))
+    err = _invalid_input(capsys, ["coeffs", "--calib", str(calib),
+                                  "--out", str(tmp_path / "out.json")])
+    assert err == ("nkji: invalid input: InvalidDomain(theta: not a number); "
+                   "InvalidDomain(sigma: not a number)")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_budget_conflict_exits_2(tmp_path):
     code, _ = run(tmp_path, "simulate", "--budget", "balanced",
                   "--param", "rho_g=0.8", "--param", "rho_tax=0.5")

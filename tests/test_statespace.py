@@ -12,7 +12,7 @@ from nkji.params import DEFAULTS, InvalidParams, validate
 from nkji.coeffs import _slot_blocks, finite_cells
 from nkji.params import FIELD_NAMES, StructuralParams, invalid_cells
 from nkji.statespace import (SWEEP_SLICE, ConvergenceFailure, UnknownParameter,
-                             _counts, _matrices, _spectra, report, sweep)
+                             _counts, _factors, _spectra, _transition, report, sweep)
 
 
 def test_zero_persistence_zero_matrix():
@@ -325,14 +325,14 @@ def test_batched_layers_are_bitwise_the_scalar_layers(rng):
     batch = StructuralParams(**{name: np.array([getattr(p, name) for p in draws])
                                 for name in FIELD_NAMES})
     blocks = _slot_blocks(batch)
-    A = np.moveaxis(_matrices(blocks, batch)[0], -1, 0)
+    A = _stacks(blocks, batch)[0]
     vals, failure = _spectra(A)
     for j, p in enumerate(draws):
         rf = compute_all(p)
         for var, blk in rf.slot_blocks.items():
             assert np.array_equal(blocks[var][:, j], blk), (j, var)
         A_j = build(rf).A
-        assert np.array_equal(A[j], A_j), j
+        assert np.array_equal(A[j].view(np.uint64), A_j.view(np.uint64)), j
         assert failure[j] == 0 and np.array_equal(vals[j], eigen(A_j)), j
 
 
@@ -355,8 +355,64 @@ def _signed_batch(rng, n):
 
 def _stacks(blocks, p):
     """A, U and V of every cell, each with the cell axis first."""
-    return tuple(np.moveaxis(x, -1, 0)
-                 for x in (_matrices(blocks, p)[0], *statespace._factors(blocks, p)))
+    U, V = (np.moveaxis(x, -1, 0) for x in _factors(blocks, p))
+    return _transition(U, V), U, V
+
+
+def _reference_transition(blocks, p):
+    """A (n, 9, 9) written out entry by entry from the derivation, from slot
+    blocks (16, n): the layout the factors must reproduce."""
+    rho, rg, rt, rx, re_ = p.rho_ybar, p.rho_g, p.rho_tax, p.rho_chi, p.rho_eps
+    rho2, rho3 = power(rho, 2), power(rho, 3)
+    rg2, rg3, rg4 = power(rg, 2), power(rg, 3), power(rg, 4)
+    f, h, m, n, e = statespace._loadings(blocks)
+    policy, cost_push = statespace._POLICY, statespace._COST_PUSH
+    A = np.zeros((9, 9, *f.shape[1:]))
+    A[:8, 0] = f * rho3
+    A[:8, 1] = f * rho
+    A[policy, 1] = f[policy] * rho2
+    A[:8, 2] = -f * rho2
+    A[:8, 3] = h * rg4
+    A[:8, 4] = h * rg2
+    A[:8, 5] = -h * rg3
+    A[:8, 6] = rt * m
+    A[:8, 7] = rx * n
+    A[cost_push, 8] = re_ * e[cost_push]
+    A[8, 7] = power(rx, 2)
+    return np.moveaxis(A, -1, 0)
+
+
+def _with(batch, **fields):
+    return StructuralParams(**{**batch.as_dict(), **fields})
+
+
+def test_transition_gathers_the_reference_matrix_bitwise(rng):
+    # mixed signs, and theta = 0 and c0 = 0, whose loadings hold signed
+    # zeros that a sum of products would turn into +0.0
+    batch = _signed_batch(rng, 2000)
+    zeros = np.zeros(2000)
+    for p in (batch, _with(batch, theta=zeros), _with(batch, c0=zeros),
+              _with(batch, theta=zeros, c0=zeros)):
+        blocks = _slot_blocks(p)
+        A = _stacks(blocks, p)[0]
+        assert np.array_equal(A.view(np.uint64),
+                              _reference_transition(blocks, p).view(np.uint64))
+    theta0 = _with(batch, theta=zeros)
+    A = _stacks(_slot_blocks(theta0), theta0)[0]
+    assert (np.signbit(A) & (A == 0.0)).any()
+
+
+def test_each_transition_entry_has_at_most_one_term(rng):
+    # at random nonzero loadings and persistences, every entry of A has at
+    # most one nonzero term U[i, k] V[j, k], and those terms are the table
+    # the gather reads
+    blocks = {var: rng.uniform(0.5, 2.0, 16) for var in statespace.ROW_VARS}
+    p = StructuralParams(**{name: rng.uniform(0.1, 0.9) for name in FIELD_NAMES})
+    U, V = _factors(blocks, p)
+    terms = U[:, None, :] * V[None, :, :] != 0.0
+    assert terms.sum(axis=2).max() == 1
+    assert np.array_equal(np.nonzero(terms), (statespace._TERM_ROW, statespace._TERM_COL,
+                                              statespace._TERM_K))
 
 
 def _assert_same_counts(got, want, tau):
@@ -368,7 +424,7 @@ def test_rank6_factors_reproduce_the_transition_matrix(rng, default_rf, default_
     batch = _signed_batch(rng, 2000)
     A, U, V = _stacks(_slot_blocks(batch), batch)
     assert np.array_equal(U @ np.swapaxes(V, 1, 2), A)
-    U, V = statespace._factors(default_rf.slot_blocks, default_params)
+    U, V = _factors(default_rf.slot_blocks, default_params)
     assert U.shape == V.shape == (9, 6)
     assert np.array_equal(U @ V.T, build(default_rf).A)
 
@@ -434,7 +490,7 @@ def test_wide_matrices_take_the_9x9_route(default_params):
     p = default_params.replace(sigma=1e-300, k=0.0)
     rf = compute_all(p)
     A = build(rf).A[None]
-    U, V = (x[None] for x in statespace._factors(rf.slot_blocks, p))
+    U, V = (x[None] for x in _factors(rf.slot_blocks, p))
     assert _spectra(A)[1][0] == 4
     assert _spectra(A, (U, V))[1][0] == 0
     assert statespace._sweep_spectra(A, U, V)[1][0] == 4
@@ -464,7 +520,7 @@ def test_stacked_eig_failure_fails_only_its_cell(default_params, monkeypatch):
     bad = validate({**default_params.as_dict(), "alpha_pi": bad_cell[0],
                     "rho_chi": bad_cell[1]})
     rf = compute_all(bad)
-    U, V = statespace._factors(rf.slot_blocks, bad)
+    U, V = _factors(rf.slot_blocks, bad)
     # the bad cell's matrix as either route solves it: the rank-6 route's
     # V'U and, for a matrix that route fails, the 9 x 9 A
     bad_forms = (V.T @ U, build(rf).A)

@@ -109,6 +109,11 @@ SINGLE = (
     # where all 124 frozen entries differ
     ["audit", "--T", "100", "--param", "theta=0"],
     ["audit", "--T", "100", "--param", "c0=0.2", "--param", "s0=-0.1"],
+    # signed zeros in the transition matrix: theta = 0 prints -0.0 entries
+    # and eigenvalues, here also with negative persistences
+    ["determinacy", "--param", "theta=0"],
+    ["determinacy", "--param", "theta=0", "--param", "rho_ybar=-0.5", "--param", "rho_g=-0.7"],
+    ["sweep", "--axis1", "theta:0:0:1", "--axis2", "rho_ybar:-0.99:0.99:41"],
     # invalid input
     ["sweep", "--axis1", "k:0:1:3", "--axis2", "k:2:3:2"],
     ["sweep", "--axis1", "nosuch:0:1:3", "--axis2", "k:0:1:2"],
