@@ -40,8 +40,7 @@ import numpy as np
 
 from . import slots
 from .coeffs import ReducedForm, _chain_expectation, _checked_blocks
-from .params import (FIELD_NAMES, ConvergenceFailure, InvalidParams, StructuralParams,
-                     validate)
+from .params import FIELD_NAMES, ConvergenceFailure, StructuralParams
 from .sim import EquilibriumPath
 from .slots import NSLOT, Vec
 from .statespace import fan_out
@@ -64,6 +63,8 @@ SUSPECT_ENTRIES = {
 }
 
 COND_WARN = 1e12
+#: absolute difference below which :func:`compare` never flags an entry
+ABS_FLOOR = 1e-12
 
 
 class SingularSystem(RuntimeError):
@@ -263,21 +264,6 @@ def _coefficient_blocks(zflat: Vec, p: StructuralParams) -> dict[str, Vec]:
     return {v: blocks[v] for v in slots.VARIABLES}
 
 
-def _solve(p: StructuralParams) -> tuple[dict[str, Vec], float]:
-    """The solved coefficient blocks and condition number of
-    :func:`solve_undetermined`, by one dense ``np.linalg.solve`` of ``M``:
-    the solve whose digits the audit report prints."""
-    lone, linked, b = _matching_blocks(p)
-    cond = _nonsingular(lone, linked)
-    M = _dense_matrix(lone, linked)
-    try:
-        zflat = np.linalg.solve(M, b[..., None])[..., 0]
-    except np.linalg.LinAlgError as err:
-        raise SingularSystem(str(err)) from err
-    _check_gap(np.abs((M @ zflat[..., None])[..., 0] - b).max(axis=-1), b)
-    return _coefficient_blocks(zflat, p), cond
-
-
 def _block_solve(p: StructuralParams) -> tuple[dict[str, Vec], Vec]:
     """The solved coefficient blocks (16, n) and condition numbers (n,) of
     the cells of ``p``, or (16,) and a scalar for float fields, by one
@@ -307,16 +293,25 @@ def solve_undetermined(p: StructuralParams) -> ReducedForm:
     evaluation of the affine residual on 18 probe columns and a zero column
     (see :func:`_matching_blocks`).  The condition number is exact and comes
     from those blocks (see :func:`_condition_number`); the solve itself is
-    one full ``np.linalg.solve`` of ``M`` with the blocks scattered in.  Returns a :class:`ReducedForm`
-    interchangeable with the closed-form one (same block keys and index
-    sets) with that condition number attached.  Raises
+    one full ``np.linalg.solve`` of ``M`` with the blocks scattered in, the
+    solve whose digits the audit report prints.  Returns a
+    :class:`ReducedForm` interchangeable with the closed-form one (same
+    block keys and index sets) with that condition number attached.  Raises
     :class:`SingularSystem` for a numerically singular matching matrix and
     :class:`AnsatzInconsistent` if the solved coefficients fail to satisfy
     the matching equations.  The stability draws solve the same blocks one
     by one instead, for a slice of parameterizations at once (see
     :func:`_block_solve`).
     """
-    blocks, cond = _solve(p)
+    lone, linked, b = _matching_blocks(p)
+    cond = _nonsingular(lone, linked)
+    M = _dense_matrix(lone, linked)
+    try:
+        z = np.linalg.solve(M, b[:, None])
+    except np.linalg.LinAlgError as err:
+        raise SingularSystem(str(err)) from err
+    _check_gap(np.abs(M @ z - b[:, None]).max(), b)
+    blocks = _coefficient_blocks(z[:, 0], p)
     for vec in blocks.values():
         vec.flags.writeable = False
     return ReducedForm(
@@ -406,7 +401,7 @@ class ErrataReport:
 
 
 def compare(tables: ReducedForm, oracle: ReducedForm,
-            tol: float = 1e-6, abs_floor: float = 1e-12) -> ErrataReport:
+            tol: float = 1e-6, abs_floor: float = ABS_FLOOR) -> ErrataReport:
     """Entry-wise comparison of two coefficient sets over the exported
     index sets, with a resolution of the two pattern-breaking entries.
 
@@ -484,11 +479,18 @@ _DRAW_RANGES = (
 )
 _DRAW_NAMES = tuple(name for name, _, _ in _DRAW_RANGES)
 _DRAW_LOW, _DRAW_HIGH = np.array([bounds for _, *bounds in _DRAW_RANGES]).T
+#: smallest magnitude of either denominator :func:`random_params` accepts
+_DRAW_SCREEN = 0.05
 
 
 def random_params(rng: np.random.Generator) -> StructuralParams:
     """A generic valid parameterization, kept away from the closed-form and
-    matching-system singular surfaces."""
+    matching-system singular surfaces.
+
+    Built without :func:`~nkji.params.validate`: every range of
+    ``_DRAW_RANGES`` lies inside its field's domain, ``s1`` is at least
+    0.1, and ``_DRAW_SCREEN`` on both denominators is stricter than their
+    ``EPS_SING`` rules, so no candidate the screen passes is invalid."""
     c0, s0 = _DRAW_NAMES.index("c0"), _DRAW_NAMES.index("s0")
     while True:
         # one call per run of uniform draws between the sign draws of c0
@@ -499,11 +501,8 @@ def random_params(rng: np.random.Generator) -> StructuralParams:
         values.append(rng.uniform(_DRAW_LOW[s0], _DRAW_HIGH[s0])
                       * (-1.0, 1.0)[rng.integers(0, 2)])
         values += rng.uniform(_DRAW_LOW[s0 + 1:], _DRAW_HIGH[s0 + 1:]).tolist()
-        try:
-            p = validate(dict(zip(_DRAW_NAMES, values)))
-        except InvalidParams:
-            continue
-        if abs(p.denominator()) < 0.05 or abs(p.taylor_denominator()) < 0.05:
+        p = StructuralParams(**dict(zip(_DRAW_NAMES, values)))
+        if min(abs(p.denominator()), abs(p.taylor_denominator())) < _DRAW_SCREEN:
             continue
         return p
 
@@ -525,8 +524,7 @@ def _flag_rows(p: StructuralParams, tol: float) -> np.ndarray:
     float fields), (draws, 130); raises for the first failing cell."""
     tables = _checked_blocks(p)
     solved, _ = _block_solve(p)
-    # compare's default abs_floor
-    flagged = _compared(tables, solved, p, tol, 1e-12)[3]
+    flagged = _compared(tables, solved, p, tol, ABS_FLOOR)[3]
     return flagged.reshape(len(slots.ENTRIES), -1).T
 
 

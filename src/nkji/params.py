@@ -269,9 +269,14 @@ def validate(raw: Mapping[str, Any] | StructuralParams) -> StructuralParams:
 
 def load_calibration(path: str) -> dict[str, float]:
     """Read a flat name -> number JSON calibration file.  Booleans and
-    strings, which ``float`` would accept, are rejected as not numbers."""
+    strings, which ``float`` would accept, are rejected as not numbers.
+    Integers are read as floats, so one too long for ``int`` reads as not
+    finite; a value nested too deeply for the parser is rejected."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh, parse_int=float)
+        except RecursionError:
+            raise InvalidParams([InvalidDomain("<file>", "JSON nested too deeply")]) from None
     if not isinstance(data, dict):
         raise InvalidParams([InvalidDomain("<file>", "calibration must be a JSON object")])
     bad = [InvalidDomain(name, "not a number") for name, value in data.items()

@@ -60,11 +60,13 @@ SWEEP_SLICE = 256
 #: CSV are all held in memory
 SWEEP_MAX_CELLS = 1_000_000
 
-#: why an eigen-solve is rejected, indexed by the codes of :func:`_spectra`
+#: why an eigen-solve is rejected, indexed by the codes of :func:`_spectra`;
+#: the last is numpy's own message for a matrix the solver rejects
 _EIGEN_FAILURES = (None, "transition matrix has non-finite entries",
                    "eigensolver returned non-finite values",
                    "transition matrix norm overflows",
-                   "eigenpair residual check failed")
+                   "eigenpair residual check failed",
+                   "Eigenvalues did not converge")
 
 
 class UnknownParameter(ValueError):
@@ -196,10 +198,7 @@ def _transition(U: Vec, V: Vec) -> Vec:
 def eigen(A: Vec) -> Vec:
     """Eigenvalues of A, with a residual check ||A v - a v|| <= 1e-8 ||A|| ||v||
     per pair.  Raises :class:`ConvergenceFailure` instead of returning NaN."""
-    try:
-        vals, failure = _spectra(np.asarray(A)[None])
-    except np.linalg.LinAlgError as err:
-        raise ConvergenceFailure(str(err)) from err
+    vals, failure = _spectra(np.asarray(A)[None])
     if failure[0]:
         raise ConvergenceFailure(_EIGEN_FAILURES[failure[0]])
     return vals[0]
@@ -213,18 +212,24 @@ def _spectra(A: Vec, factors: tuple[Vec, Vec] | None = None) -> tuple[Vec, Vec]:
     V' U instead: each of its eigenpairs (a, w) lifts to the pair (a, U w)
     of A, and the three eigenvalues rank 6 leaves are exact zeros, appended
     last.  Every check is made on A and the lifted pairs.  A matrix with
-    non-finite entries is solved as zeros.  Raises ``LinAlgError`` when the
-    solver rejects any matrix of the stack."""
+    non-finite entries is solved as zeros.  When the solver rejects the
+    stack, its matrices are solved one at a time, so that a rejected matrix
+    fails alone, with the last code of ``_EIGEN_FAILURES``."""
     finite = np.isfinite(A).all(axis=(1, 2))
     if factors is None:
         S = A
     else:
         U, V = factors
         S = np.swapaxes(V, 1, 2) @ U
-    if not finite.all():
-        A = np.where(finite[:, None, None], A, 0.0)
-        S = np.where(finite[:, None, None], S, 0.0)
-    vals, vecs = np.linalg.eig(S)
+    try:
+        vals, vecs = np.linalg.eig(np.where(finite[:, None, None], S, 0.0))
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.zeros((1, ORDER), dtype=complex), np.array([len(_EIGEN_FAILURES) - 1])
+        return tuple(map(np.concatenate, zip(*(
+            _spectra(A[k:k + 1], factors and (U[k:k + 1], V[k:k + 1]))
+            for k in range(len(A))))))
+    A = np.where(finite[:, None, None], A, 0.0)
     # real when every eigenvalue of the stack is
     vecs = vecs.astype(complex, copy=False)
     if factors is not None:
@@ -264,30 +269,11 @@ def _sweep_spectra(A: Vec, U: Vec, V: Vec) -> tuple[Vec, Vec]:
               >= np.finfo(float).eps * mag.max(axis=1))
     vals = np.zeros((len(A), ORDER), dtype=complex)
     failure = np.zeros(len(A), dtype=int)
-    vals[narrow], failure[narrow] = _isolated(A[narrow], (U[narrow], V[narrow]))
+    vals[narrow], failure[narrow] = _spectra(A[narrow], (U[narrow], V[narrow]))
     full = ~narrow | (failure != 0)
     if full.any():
-        vals[full], failure[full] = _isolated(A[full])
+        vals[full], failure[full] = _spectra(A[full])
     return vals, failure
-
-
-def _isolated(A: Vec, factors: tuple[Vec, Vec] | None = None) -> tuple[Vec, Vec]:
-    """:func:`_spectra`, except that when the solver rejects the stack the
-    matrices are solved one at a time, so that a rejected one fails alone
-    (code -1)."""
-    try:
-        return _spectra(A, factors)
-    except np.linalg.LinAlgError:
-        vals = np.zeros((len(A), ORDER), dtype=complex)
-        failure = np.full(len(A), -1)
-        for k in range(len(A)):
-            one = slice(k, k + 1)
-            try:
-                (vals[k],), (failure[k],) = _spectra(
-                    A[one], None if factors is None else tuple(x[one] for x in factors))
-            except np.linalg.LinAlgError:
-                pass
-        return vals, failure
 
 
 def char_poly(A: Vec) -> Vec:

@@ -329,8 +329,12 @@ def test_missing_calib_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("content", [b'{"theta": 0.25,', b'\xff\xfe{}'],
-                         ids=["truncated", "not-utf8"])
+@pytest.mark.parametrize("content", [
+    b'{"theta": 0.25,', b'\xff\xfe{}',
+    # beyond the JSON parser's recursion limit, and beyond int's digit limit
+    b'{"sigma": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    b'{"sigma": ' + b"1" * 5000 + b"}",
+], ids=["truncated", "not-utf8", "deeply-nested", "long-integer"])
 def test_malformed_calib_json_exits_2(tmp_path, capsys, content):
     calib = tmp_path / "calib.json"
     calib.write_bytes(content)

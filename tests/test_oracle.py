@@ -11,7 +11,8 @@ from nkji.oracle import (AUDIT_SLICE, SUSPECT_ENTRIES, Erratum, SingularSystem,
                          _condition_number, _dense_matrix, _matching_blocks, _residual,
                          _stability_slice, compare, random_params, residuals,
                          stability_run)
-from nkji.params import DEFAULTS, FIELD_NAMES, StructuralParams, validate
+from nkji.params import (DEFAULTS, EPS_SING, FIELD_NAMES, InvalidParams,
+                         SingularDenominator, StructuralParams, _domain_rules, validate)
 from nkji.shocks import impulse_path
 from nkji.statespace import fan_out
 from nkji import slots
@@ -391,7 +392,7 @@ def _reference_random_params(rng):
         }
         try:
             p = validate(cand)
-        except oracle.InvalidParams:
+        except InvalidParams:
             continue
         if abs(p.denominator()) < 0.05 or abs(p.taylor_denominator()) < 0.05:
             continue
@@ -406,6 +407,22 @@ def test_random_params_equals_one_call_per_field():
                 == [x.hex() for x in want.as_dict().values()])
     # both generators are left in the same state
     assert ours.random() == ref.random()
+
+
+def test_draw_ranges_lie_inside_the_field_domains():
+    # random_params builds its parameterizations without validate: that
+    # holds while every bound it draws passes validate's per-field rules
+    # (c0 and s0 with either sign) and no denominator rule can fire, s1
+    # and both screened denominators staying above EPS_SING
+    assert sorted(oracle._DRAW_NAMES) == sorted(FIELD_NAMES)
+    for name, *bounds in oracle._DRAW_RANGES:
+        for bound in bounds + ([-x for x in bounds] if name in ("c0", "s0") else []):
+            broken = [(kind.kind, field) for bad, kind, field, _
+                      in _domain_rules({**DEFAULTS, name: bound})
+                      if bad and kind is not SingularDenominator]
+            assert not broken, (name, bound, broken)
+    low = dict((name, lo) for name, lo, _ in oracle._DRAW_RANGES)
+    assert low["s1"] > EPS_SING and oracle._DRAW_SCREEN > EPS_SING
 
 
 def _per_draw(n_draws, seed, tol=1e-6):

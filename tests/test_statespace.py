@@ -6,6 +6,7 @@ import pytest
 
 from nkji import build, char_poly, classify, classify_standard, compute_all, eigen
 from nkji import statespace
+from nkji.cli import main
 from nkji.coeffs import power
 from nkji.oracle import random_params
 from nkji.params import DEFAULTS, InvalidParams, validate
@@ -538,6 +539,24 @@ def test_stacked_eig_failure_fails_only_its_cell(default_params, monkeypatch):
     assert [(cells[i]["alpha_pi"], cells[i]["rho_chi"]) for i in failed] == [bad_cell]
     assert [c for i, c in enumerate(cells) if i not in failed] == \
         [c for i, c in enumerate(reference) if i not in failed]
+
+
+def test_eig_failure_is_a_convergence_failure(default_params, monkeypatch, tmp_path,
+                                             capsys):
+    # a matrix the solver rejects fails with numpy's own message, in eigen
+    # and through the CLI's numerical-failure exit
+    def refuse(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    A = build(compute_all(default_params)).A
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    with pytest.raises(ConvergenceFailure) as exc:
+        eigen(A)
+    assert str(exc.value) == "Eigenvalues did not converge"
+    out = tmp_path / "out.txt"
+    assert main(["determinacy", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "nkji: numerical failure: Eigenvalues did not converge\n"
+    assert not out.exists()
 
 
 def test_non_finite_coefficients_raise(default_params):
