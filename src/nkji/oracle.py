@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress
+from operator import attrgetter
 
 import numpy as np
 
@@ -230,6 +231,22 @@ def _condition_number(lone: np.ndarray, linked: np.ndarray) -> Vec:
     return cond[()]
 
 
+def _condition_bound(lone: np.ndarray, linked: np.ndarray) -> Vec:
+    """An upper bound on :func:`_condition_number` from the blocks' inverses:
+    the largest Frobenius norm of a block times the largest of an inverse,
+    which bound the largest singular value of ``M`` and the inverse of its
+    smallest.  Infinite for every cell when ``np.linalg.inv`` rejects a
+    block of the stack; a block that is not finite gives inf or NaN."""
+    with np.errstate(all="ignore"):
+        try:
+            inverses = [np.linalg.inv(blocks) for blocks in (lone, linked)]
+        except np.linalg.LinAlgError:
+            return np.full(lone.shape[:-3], np.inf)
+        largest = lambda stacks: np.maximum(
+            *(np.linalg.norm(x, axis=(-2, -1)).max(axis=-1) for x in stacks))
+        return largest((lone, linked)) * largest(inverses)
+
+
 def _nonsingular(lone: np.ndarray, linked: np.ndarray) -> Vec:
     """The condition number(s) of :func:`_condition_number`; raises
     :class:`SingularSystem` for the first numerically singular cell."""
@@ -264,14 +281,21 @@ def _coefficient_blocks(zflat: Vec, p: StructuralParams) -> dict[str, Vec]:
     return {v: blocks[v] for v in slots.VARIABLES}
 
 
-def _block_solve(p: StructuralParams) -> tuple[dict[str, Vec], Vec]:
-    """The solved coefficient blocks (16, n) and condition numbers (n,) of
-    the cells of ``p``, or (16,) and a scalar for float fields, by one
-    stacked ``np.linalg.solve`` per block shape; no dense ``M`` is built.
-    Equal to the dense solve up to rounding; raises for the first failing
-    cell."""
+def _block_solve(p: StructuralParams) -> dict[str, Vec]:
+    """The solved coefficient blocks (16, n) of the cells of ``p``, or (16,)
+    for float fields, by one stacked ``np.linalg.solve`` per block shape; no
+    dense ``M`` is built.  Equal to the dense solve up to rounding; raises
+    for the first failing cell.
+
+    Singularity is screened by :func:`_condition_bound`: a cell whose bound
+    is at most ``COND_WARN`` is nonsingular, 1000 times below the ``1e15``
+    threshold, a margin the inverses' rounding (a relative error of about
+    18 eps cond, under 0.5%) cannot close.  Only a slice with a cell above
+    it, or NaN, pays for the exact :func:`_nonsingular`, which raises what
+    the dense solve raises for the first singular cell."""
     lone, linked, b = _matching_blocks(p)
-    cond = _nonsingular(lone, linked)
+    if not np.all(_condition_bound(lone, linked) <= COND_WARN):
+        _nonsingular(lone, linked)
     zflat = np.empty(b.shape)
     gap = np.zeros(b.shape[:-1])
     for blocks, index in ((lone, _LONE_INDEX), (linked, _LINKED_INDEX)):
@@ -283,7 +307,7 @@ def _block_solve(p: StructuralParams) -> tuple[dict[str, Vec], Vec]:
         gap = np.maximum(gap, np.abs(blocks @ z - rhs).max(axis=(-3, -2, -1)))
         zflat[..., index] = z[..., 0]
     _check_gap(gap, b)
-    return _coefficient_blocks(zflat, p), cond
+    return _coefficient_blocks(zflat, p)
 
 
 def solve_undetermined(p: StructuralParams) -> ReducedForm:
@@ -479,6 +503,11 @@ _DRAW_RANGES = (
 )
 _DRAW_NAMES = tuple(name for name, _, _ in _DRAW_RANGES)
 _DRAW_LOW, _DRAW_HIGH = np.array([bounds for _, *bounds in _DRAW_RANGES]).T
+_DRAW_SPAN = _DRAW_HIGH - _DRAW_LOW
+_C0, _S0 = _DRAW_NAMES.index("c0"), _DRAW_NAMES.index("s0")
+#: where each field of ``FIELD_NAMES`` sits in ``_DRAW_RANGES``
+_DRAW_ORDER = np.array([_DRAW_NAMES.index(name) for name in FIELD_NAMES])
+_SIGNS = np.array([-1.0, 1.0])
 #: smallest magnitude of either denominator :func:`random_params` accepts
 _DRAW_SCREEN = 0.05
 
@@ -491,20 +520,23 @@ def random_params(rng: np.random.Generator) -> StructuralParams:
     ``_DRAW_RANGES`` lies inside its field's domain, ``s1`` is at least
     0.1, and ``_DRAW_SCREEN`` on both denominators is stricter than their
     ``EPS_SING`` rules, so no candidate the screen passes is invalid."""
-    c0, s0 = _DRAW_NAMES.index("c0"), _DRAW_NAMES.index("s0")
+    u = np.empty(len(_DRAW_RANGES))
     while True:
-        # one call per run of uniform draws between the sign draws of c0
-        # and s0, and signs indexed by the cheaper ``integers(0, 2)``: the
-        # same stream and values as one ``uniform`` or ``choice`` per field
-        values = rng.uniform(_DRAW_LOW[:c0 + 1], _DRAW_HIGH[:c0 + 1]).tolist()
-        values[c0] *= (-1.0, 1.0)[rng.integers(0, 2)]
-        values.append(rng.uniform(_DRAW_LOW[s0], _DRAW_HIGH[s0])
-                      * (-1.0, 1.0)[rng.integers(0, 2)])
-        values += rng.uniform(_DRAW_LOW[s0 + 1:], _DRAW_HIGH[s0 + 1:]).tolist()
-        p = StructuralParams(**dict(zip(_DRAW_NAMES, values)))
-        if min(abs(p.denominator()), abs(p.taylor_denominator())) < _DRAW_SCREEN:
-            continue
-        return p
+        # the stream of one ``uniform`` per field, each sign drawn by the
+        # cheaper ``integers(0, 2)`` right after its field (the same stream
+        # as ``choice``): ``low + (high - low) * u`` is ``uniform``'s own
+        # arithmetic, so the values are bitwise the same
+        rng.random(out=u[:_C0 + 1])
+        c0_sign = rng.integers(0, 2)
+        u[_S0] = rng.random()
+        s0_sign = rng.integers(0, 2)
+        rng.random(out=u[_S0 + 1:])
+        values = _DRAW_LOW + _DRAW_SPAN * u
+        values[_C0] *= _SIGNS[c0_sign]
+        values[_S0] *= _SIGNS[s0_sign]
+        p = StructuralParams(*values[_DRAW_ORDER].tolist())
+        if min(abs(p.denominator()), abs(p.taylor_denominator())) >= _DRAW_SCREEN:
+            return p
 
 
 #: most stability draws evaluated in one array pass, which bounds the pass's
@@ -512,6 +544,9 @@ def random_params(rng: np.random.Generator) -> StructuralParams:
 #: 63 KB of allocations at the peak), so a pass of 20 peaks at about 1.25 MB,
 #: what a pass of 6 draws with a dense 144x144 matrix each used to
 AUDIT_SLICE = 20
+
+#: a parameterization's fields as a tuple, in field order
+_FIELD_VALUES = attrgetter(*FIELD_NAMES)
 
 #: what a draw's comparison raises when one of its steps fails
 _DRAW_FAILURES = (ConvergenceFailure, SingularSystem, AnsatzInconsistent,
@@ -523,17 +558,24 @@ def _flag_rows(p: StructuralParams, tol: float) -> np.ndarray:
     entries of ``slots.ENTRIES`` differ, one row per cell (one row for
     float fields), (draws, 130); raises for the first failing cell."""
     tables = _checked_blocks(p)
-    solved, _ = _block_solve(p)
+    solved = _block_solve(p)
     flagged = _compared(tables, solved, p, tol, ABS_FLOOR)[3]
     return flagged.reshape(len(slots.ENTRIES), -1).T
 
 
+def _draw_slice(rngs: list[np.random.Generator]
+                ) -> tuple[list[StructuralParams], StructuralParams]:
+    """One :func:`random_params` draw from each generator, and the same draws
+    as one parameterization whose fields hold one value per draw."""
+    ps = [random_params(rng) for rng in rngs]
+    columns = np.array([_FIELD_VALUES(p) for p in ps]).T.copy()
+    return ps, StructuralParams(*columns)
+
+
 def _stability_slice(seed: int, tol: float, draws: range) -> np.ndarray:
     """The flag rows of ``draws``, evaluated in one array pass."""
-    ps = [random_params(np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(i,)))) for i in draws]
-    stacked = StructuralParams(**{name: np.array([getattr(p, name) for p in ps])
-                                  for name in FIELD_NAMES})
+    ps, stacked = _draw_slice([np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(i,))) for i in draws])
     try:
         return _flag_rows(stacked, tol)
     except _DRAW_FAILURES:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import nkji
 from nkji.cli import MAX_PERIODS, main
-from nkji.params import FIELD_NAMES
+from nkji.params import DEFAULTS, FIELD_NAMES, validate
 from nkji.shocks import AR_STATES, KINDS
 from nkji.sim import SERIES
 from nkji.slots import INDEX_SETS, VARIABLES
@@ -234,6 +235,23 @@ def test_audit_with_draws(tmp_path):
     assert code == 0
     obj = json.loads(text)
     assert obj["stability"]["identical_across_draws"] is True
+
+
+def test_rate_free_point_fails_the_audit_only(tmp_path, capsys):
+    # s2 = gamma2 = 0 takes the rate out of saving and investment: validate
+    # accepts the point and the closed forms give a finite rate block, but
+    # the matching system leaves the rate undetermined, so the audit exits 3
+    point = ("--param", "s2=0", "--param", "gamma2=0")
+    validate({**DEFAULTS, "s2": 0.0, "gamma2": 0.0})
+    code, text = run(tmp_path, "coeffs", *point)
+    assert code == 0
+    assert all(math.isfinite(x) for x in json.loads(text)["r"].values())
+    (tmp_path / "out.txt").unlink()
+    capsys.readouterr()
+    code, text = run(tmp_path, "audit", "--T", "50", *point)
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == ("nkji: numerical failure: matching system "
+                                       "is singular (cond ~ inf)\n")
 
 
 HUGE = str(10**17)

@@ -235,6 +235,63 @@ def test_singular_block_is_a_singular_system(monkeypatch):
             oracle._block_solve(validate(DEFAULTS))
 
 
+def test_condition_bound_bounds_the_condition_number():
+    # the screen's bound from the blocks' inverses is never below the exact
+    # condition number: over 2000 draws in stacked slices, at the boundary
+    # points and where s2 = gamma2 = 0 leaves the system singular
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        lone, linked, _ = _matching_blocks(_stacked([random_params(rng) for _ in range(100)]))
+        assert np.all(oracle._condition_bound(lone, linked) >= _condition_number(lone, linked))
+    for point in _BOUNDARY_POINTS + ({"s2": 0.0, "gamma2": 0.0},):
+        lone, linked, _ = _matching_blocks(validate({**DEFAULTS, **point}))
+        assert oracle._condition_bound(lone, linked) >= _condition_number(lone, linked), point
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of the oracle function ``name``."""
+    calls = []
+    unpatched = getattr(oracle, name)
+    monkeypatch.setattr(oracle, name, lambda *args: calls.append(1) or unpatched(*args))
+    return calls
+
+
+def test_slice_above_the_screen_takes_the_exact_path(monkeypatch):
+    # one block of one draw scaled by a power of two, with its right-hand
+    # side: the draw's condition number rises past COND_WARN, yet stays
+    # below the singular threshold, and the LU arithmetic scales exactly,
+    # so the slice takes the exact path and solves to the same bits
+    p = _stacked(_points(43)[:AUDIT_SLICE])
+    lone, linked, b = _matching_blocks(p)
+    exact = _counting(monkeypatch, "_nonsingular")
+    want = oracle._block_solve(p)
+    assert exact == []
+    for scale in (2.0 ** k for k in range(30, 60)):
+        scaled = lone.copy(), linked.copy(), b.copy()
+        scaled[0][3, 1] *= scale
+        scaled[2][3, oracle._LONE_INDEX[1]] *= scale
+        if 1e12 < _condition_number(*scaled[:2])[3] <= 1e15:
+            break
+    else:
+        pytest.fail("no scale puts the condition number between 1e12 and 1e15")
+    monkeypatch.setattr(oracle, "_matching_blocks", lambda p: scaled)
+    got = oracle._block_solve(p)
+    assert exact == [1]
+    for v in slots.VARIABLES:
+        assert np.array_equal(got[v], want[v]), v
+
+
+def test_block_solve_reports_the_singular_rate_block():
+    # at s2 = gamma2 = 0 the rate drops out of saving and investment: the
+    # block solve of the draws raises the message of the report's solve
+    p = validate({**DEFAULTS, "s2": 0.0, "gamma2": 0.0})
+    with pytest.raises(SingularSystem) as want:
+        solve_undetermined(p)
+    with pytest.raises(SingularSystem) as got:
+        oracle._block_solve(p)
+    assert str(got.value) == str(want.value) == "matching system is singular (cond ~ inf)"
+
+
 def test_unsatisfied_solve_is_ansatz_inconsistent(monkeypatch):
     # a solve whose result misses the equations is caught by the gap check
     # of the dense and of the block solve, for one and for stacked cells
@@ -355,22 +412,21 @@ def test_probe_assembly_equals_identity_evaluation():
 
 def test_block_solve_equals_dense_solve():
     # the stacked solve of the ten blocks against the printed dense solve,
-    # point by point: the same condition numbers, and every coefficient
-    # within 1e-12 (1 + |z|)
+    # point by point: every coefficient within 1e-12 (1 + |z|)
     points = _points(31)
     for start in range(0, len(points), 50):
         part = points[start:start + 50]
-        blocks, cond = oracle._block_solve(_stacked(part))
+        blocks = oracle._block_solve(_stacked(part))
         for j, p in enumerate(part):
             ref = solve_undetermined(p)
-            assert cond[j].hex() == ref.condition_number.hex()
             for v in slots.VARIABLES:
                 z = ref.block(v)
                 assert np.all(np.abs(blocks[v][:, j] - z) <= 1e-12 * (1 + np.abs(z))), v
 
 
-def _reference_random_params(rng):
-    """``random_params`` with one generator call per field."""
+def _reference_random_params(rng, screen=0.05, rejected=None):
+    """``random_params`` with one generator call per field; appends each
+    candidate the denominator screen rejects to ``rejected``."""
     while True:
         cand = {
             "sigma": rng.uniform(0.5, 3.0), "theta": rng.uniform(0.1, 1.0),
@@ -394,7 +450,9 @@ def _reference_random_params(rng):
             p = validate(cand)
         except InvalidParams:
             continue
-        if abs(p.denominator()) < 0.05 or abs(p.taylor_denominator()) < 0.05:
+        if abs(p.denominator()) < screen or abs(p.taylor_denominator()) < screen:
+            if rejected is not None:
+                rejected.append(p)
             continue
         return p
 
@@ -407,6 +465,29 @@ def test_random_params_equals_one_call_per_field():
                 == [x.hex() for x in want.as_dict().values()])
     # both generators are left in the same state
     assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("screen", [oracle._DRAW_SCREEN, 0.5])
+def test_slice_draws_equal_one_call_per_field(monkeypatch, screen):
+    # a slice's draws, one substream each, against the reference sampler on
+    # the same substreams: the scalar parameterizations and the stacked
+    # fields bit for bit, and every generator left in the same state; a
+    # screen of 0.5 rejects many candidates, each redrawn from its stream
+    monkeypatch.setattr(oracle, "_DRAW_SCREEN", screen)
+    substreams = lambda draws: [np.random.default_rng(np.random.SeedSequence(
+        entropy=37, spawn_key=(i,))) for i in draws]
+    rejected = []
+    for start in range(0, 1000, AUDIT_SLICE):
+        draws = range(start, start + AUDIT_SLICE)
+        ours, ref = substreams(draws), substreams(draws)
+        ps, stacked = oracle._draw_slice(ours)
+        want = [_reference_random_params(rng, screen, rejected) for rng in ref]
+        for name in FIELD_NAMES:
+            column = [getattr(p, name).hex() for p in want]
+            assert [getattr(p, name).hex() for p in ps] == column, name
+            assert [x.hex() for x in getattr(stacked, name).tolist()] == column, name
+        assert [rng.random() for rng in ours] == [rng.random() for rng in ref]
+    assert len(rejected) > (400 if screen == 0.5 else 0)
 
 
 def test_draw_ranges_lie_inside_the_field_domains():

@@ -60,6 +60,10 @@ SINGLE = (
     # worker processes
     *(["audit", "--T", "100", "--draws", "43", "--seed", "5", "--workers", w]
       for w in ("1", "2")),
+    # ten array passes of 20 draws, each certified nonsingular by the
+    # screen, over one and two worker processes
+    *(["audit", "--T", "100", "--draws", "200", "--seed", "11", "--workers", w]
+      for w in ("1", "2")),
     # the powers of the persistences, and a row longer than one array pass
     ["sweep", "--axis1", "rho_ybar:-0.99:0.99:9", "--axis2", "rho_g:-0.99:0.99:11"],
     ["sweep", "--axis1", "alpha_pi:1.2:1.2:1", "--axis2", "rho_chi:-1.1:1.1:300"],
@@ -105,6 +109,9 @@ SINGLE = (
     ["determinacy", "--param", "k=1e160"],
     ["audit", "--param", "c1=0.5", "--param", "s2=0.1", "--param", "gamma2=0.4",
      "--param", "s1=0.625"],
+    # the documented exception: valid, finite closed forms, singular audit
+    ["coeffs", "--param", "s2=0", "--param", "gamma2=0"],
+    ["audit", "--T", "100", "--param", "s2=0", "--param", "gamma2=0"],
     # the audit at a domain boundary (theta = 0: 104 entries flagged) and
     # where all 124 frozen entries differ
     ["audit", "--T", "100", "--param", "theta=0"],
