@@ -29,6 +29,8 @@ SCHEMA = "v1"
 #: than numpy can address, while one of fewer that does not fit in memory
 #: fails to allocate (exit 3)
 MAX_PERIODS = np.iinfo(np.intp).max // 8
+#: most stability draws `audit --draws` takes, as many as a sweep's cells
+AUDIT_MAX_DRAWS = 1_000_000
 
 
 def _write(args, *parts: str) -> None:
@@ -139,13 +141,17 @@ def _axis(text: str) -> tuple[str, float, float, int]:
     return name, lo, hi, n
 
 
-def _check_horizon(args) -> None:
-    """Refuse a horizon beyond ``MAX_PERIODS``; a command draws --T plus
-    --burn periods, or --H."""
+def _check_sizes(args) -> None:
+    """Refuse a horizon beyond ``MAX_PERIODS``, where a command draws --T
+    plus --burn periods, or --H; and more than ``AUDIT_MAX_DRAWS`` stability
+    draws."""
     periods = sum(getattr(args, name, 0) for name in ("T", "burn", "H"))
     if periods > MAX_PERIODS:
         raise InvalidParams([InvalidDomain(
             "<horizon>", f"{periods} periods, more than {MAX_PERIODS}")])
+    if getattr(args, "draws", 0) > AUDIT_MAX_DRAWS:
+        raise InvalidParams([InvalidDomain(
+            "<draws>", f"{args.draws} draws, more than {AUDIT_MAX_DRAWS}")])
 
 
 def _load_params(args):
@@ -343,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
                         format="nkji: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        _check_horizon(args)
+        _check_sizes(args)
         # a non-finite result ends in exit 3 (see ``_floats``, ``_json``),
         # not in numpy warnings
         with np.errstate(all="ignore"):
@@ -353,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
             UnicodeDecodeError) as err:
         print(f"nkji: invalid input: {err}", file=sys.stderr)
         return 2
-    except (oracle.SingularSystem, oracle.AnsatzInconsistent,
+    except (oracle.SingularSystem, oracle.AnsatzInconsistent, slots.StrayLoadings,
             ConvergenceFailure, OverflowError, MemoryError) as err:
         print(f"nkji: numerical failure: {err}", file=sys.stderr)
         return 3

@@ -148,7 +148,8 @@ def _residual(zflat: Vec, p: StructuralParams) -> Vec:
 #: equations share the layout ``block * NSLOT + slot``, and every equation
 #: is slot by slot except the AR links of ``_chain_expectation`` (lag state
 #: -> its innovation), so after a permutation ``M`` is the direct sum of one
-#: 9x9 block per unlinked slot and one 18x18 block per linked pair
+#: 9x9 block per unlinked slot and one 18x18 block per linked pair, block
+#: lower-triangular: a lag slot's equations read no innovation unknown
 _LONE_SLOTS = ((slots.CONST,), (slots.XI,), (slots.V,), (slots.OMEGA,))
 _LINKED_SLOTS = ((slots.YBAR_LAG2, slots.OMEGA_LAG1), (slots.G_LAG1, slots.ETA),
                  (slots.TAX_LAG1, slots.L_FISC), (slots.CHI_LAG1, slots.LAM),
@@ -231,20 +232,28 @@ def _condition_number(lone: np.ndarray, linked: np.ndarray) -> Vec:
     return cond[()]
 
 
-def _condition_bound(lone: np.ndarray, linked: np.ndarray) -> Vec:
-    """An upper bound on :func:`_condition_number` from the blocks' inverses:
-    the largest Frobenius norm of a block times the largest of an inverse,
-    which bound the largest singular value of ``M`` and the inverse of its
-    smallest.  Infinite for every cell when ``np.linalg.inv`` rejects a
-    block of the stack; a block that is not finite gives inf or NaN."""
+def _condition_bound(lone: np.ndarray, linked: np.ndarray) -> tuple[Vec, list[np.ndarray]]:
+    """An upper bound on :func:`_condition_number`, and the inverses of the
+    16 diagonal 9x9 blocks per cell it comes from, in one stacked
+    ``np.linalg.inv`` that raises for a singular one: of the lone blocks
+    (..., 4, 9, 9), then of ``D1`` and of ``D2`` (..., 6, 9, 9) of each
+    linked block ``[[D1, 0], [C, D2]]``, whose inverse has the squared
+    Frobenius norm ``|D1⁻¹|² + |D2⁻¹|² + |D2⁻¹ C D1⁻¹|²``.  The largest norm
+    of a block times the largest of an inverse bounds ``cond``; inf where a
+    linked block's upper-right 9x9 is not 0, inf or NaN where not finite."""
+    inverses = np.split(np.linalg.inv(np.concatenate(
+        [lone, linked[..., :_NFREE, :_NFREE], linked[..., _NFREE:, _NFREE:]], axis=-3)),
+        [len(_LONE_SLOTS), -len(_LINKED_SLOTS)], axis=-3)
+    lone_inv, d1_inv, d2_inv = inverses
+    squares = lambda x: (x * x).sum(axis=(-2, -1))
+    largest = lambda a, b: np.sqrt(np.maximum(a.max(axis=-1), b.max(axis=-1)))
     with np.errstate(all="ignore"):
-        try:
-            inverses = [np.linalg.inv(blocks) for blocks in (lone, linked)]
-        except np.linalg.LinAlgError:
-            return np.full(lone.shape[:-3], np.inf)
-        largest = lambda stacks: np.maximum(
-            *(np.linalg.norm(x, axis=(-2, -1)).max(axis=-1) for x in stacks))
-        return largest((lone, linked)) * largest(inverses)
+        linked_inv = (squares(d1_inv) + squares(d2_inv)
+                      + squares(d2_inv @ linked[..., _NFREE:, :_NFREE] @ d1_inv))
+        bound = (largest(squares(lone), squares(linked))
+                 * largest(squares(lone_inv), linked_inv))
+    triangular = np.all(linked[..., :_NFREE, _NFREE:] == 0, axis=(-3, -2, -1))
+    return np.where(triangular, bound, np.inf), inverses
 
 
 def _nonsingular(lone: np.ndarray, linked: np.ndarray) -> Vec:
@@ -283,27 +292,33 @@ def _coefficient_blocks(zflat: Vec, p: StructuralParams) -> dict[str, Vec]:
 
 def _block_solve(p: StructuralParams) -> dict[str, Vec]:
     """The solved coefficient blocks (16, n) of the cells of ``p``, or (16,)
-    for float fields, by one stacked ``np.linalg.solve`` per block shape; no
-    dense ``M`` is built.  Equal to the dense solve up to rounding; raises
-    for the first failing cell.
+    for float fields, without a dense ``M``: the inverses of
+    :func:`_condition_bound` serve its screen and the solve, ``D⁻¹ b`` for a
+    lone block and ``z1 = D1⁻¹ b1``, ``z2 = D2⁻¹ (b2 - C z1)`` for a linked
+    one.  Equal to the dense solve up to rounding; the gap is checked on the
+    full blocks.  Raises for the first failing cell.
 
-    Singularity is screened by :func:`_condition_bound`: a cell whose bound
-    is at most ``COND_WARN`` is nonsingular, 1000 times below the ``1e15``
-    threshold, a margin the inverses' rounding (a relative error of about
-    18 eps cond, under 0.5%) cannot close.  Only a slice with a cell above
-    it, or NaN, pays for the exact :func:`_nonsingular`, which raises what
-    the dense solve raises for the first singular cell."""
+    A cell whose bound is at most ``COND_WARN`` is nonsingular, 1000 times
+    below the ``1e15`` threshold, a margin the inverses' rounding (a
+    relative error of about 18 eps cond, under 0.5%) cannot close.  Only a
+    slice with a cell above it, or NaN, or whose inverse fails, pays for the
+    exact :func:`_nonsingular`, which raises what the dense solve raises."""
     lone, linked, b = _matching_blocks(p)
-    if not np.all(_condition_bound(lone, linked) <= COND_WARN):
+    try:
+        bound, (lone_inv, d1_inv, d2_inv) = _condition_bound(lone, linked)
+    except np.linalg.LinAlgError as err:
         _nonsingular(lone, linked)
+        raise SingularSystem(str(err)) from err
+    if not np.all(bound <= COND_WARN):
+        _nonsingular(lone, linked)
+    lone_rhs, linked_rhs = b[..., _LONE_INDEX, None], b[..., _LINKED_INDEX, None]
+    z1 = d1_inv @ linked_rhs[..., :_NFREE, :]
+    z2 = d2_inv @ (linked_rhs[..., _NFREE:, :] - linked[..., _NFREE:, :_NFREE] @ z1)
     zflat = np.empty(b.shape)
     gap = np.zeros(b.shape[:-1])
-    for blocks, index in ((lone, _LONE_INDEX), (linked, _LINKED_INDEX)):
-        rhs = b[..., index, None]
-        try:
-            z = np.linalg.solve(blocks, rhs)
-        except np.linalg.LinAlgError as err:
-            raise SingularSystem(str(err)) from err
+    for blocks, index, rhs, z in ((lone, _LONE_INDEX, lone_rhs, lone_inv @ lone_rhs),
+                                  (linked, _LINKED_INDEX, linked_rhs, np.concatenate(
+                                      [z1, z2], axis=-2))):
         gap = np.maximum(gap, np.abs(blocks @ z - rhs).max(axis=(-3, -2, -1)))
         zflat[..., index] = z[..., 0]
     _check_gap(gap, b)
@@ -323,9 +338,9 @@ def solve_undetermined(p: StructuralParams) -> ReducedForm:
     block keys and index sets) with that condition number attached.  Raises
     :class:`SingularSystem` for a numerically singular matching matrix and
     :class:`AnsatzInconsistent` if the solved coefficients fail to satisfy
-    the matching equations.  The stability draws solve the same blocks one
-    by one instead, for a slice of parameterizations at once (see
-    :func:`_block_solve`).
+    the matching equations.  The stability draws solve the same blocks by
+    their 9x9 inverses instead, for a slice of parameterizations at once
+    (see :func:`_block_solve`).
     """
     lone, linked, b = _matching_blocks(p)
     cond = _nonsingular(lone, linked)
@@ -550,7 +565,7 @@ _FIELD_VALUES = attrgetter(*FIELD_NAMES)
 
 #: what a draw's comparison raises when one of its steps fails
 _DRAW_FAILURES = (ConvergenceFailure, SingularSystem, AnsatzInconsistent,
-                  AssertionError, np.linalg.LinAlgError)
+                  slots.StrayLoadings, np.linalg.LinAlgError)
 
 
 def _flag_rows(p: StructuralParams, tol: float) -> np.ndarray:

@@ -87,6 +87,10 @@ def unit(slot: int) -> Vec:
     return v
 
 
+class StrayLoadings(AssertionError):
+    """A coefficient set loads a regressor outside a variable's index set."""
+
+
 def exported(blocks: NDArray[np.float64]) -> Vec:
     """The exported entries of the ``(11, 16)`` stack of slot vectors
     ``blocks`` (rows in ``VARIABLES`` order), in ``ENTRIES`` order: (130,),
@@ -101,6 +105,6 @@ def exported(blocks: NDArray[np.float64]) -> Vec:
     over = np.flatnonzero(stray > 1e-9)
     if over.size:
         row = over[0]
-        raise AssertionError(f"variable {VARIABLES[row]!r} has loadings outside "
+        raise StrayLoadings(f"variable {VARIABLES[row]!r} has loadings outside "
                              f"its index set (max {stray[row]:.3e})")
     return blocks[ENTRY_ROWS, ENTRY_SLOTS]

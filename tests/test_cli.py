@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nkji
-from nkji.cli import MAX_PERIODS, main
+from nkji import cli
+from nkji.cli import AUDIT_MAX_DRAWS, MAX_PERIODS, main
 from nkji.params import DEFAULTS, FIELD_NAMES, validate
 from nkji.shocks import AR_STATES, KINDS
 from nkji.sim import SERIES
@@ -260,6 +261,11 @@ HUGE = str(10**17)
 def test_numerical_failure_exits_3(tmp_path, capsys):
     for argv in (("audit", "--param", "c1=0.5", "--param", "s2=0.1",
                   "--param", "gamma2=0.4", "--param", "s1=0.625"),
+                 # the rate-free surface s2 + gamma2 = 0 is singular, and
+                 # near it the solved rate block's rounding exceeds the
+                 # bound on loadings outside its index set
+                 ("audit", "--param", "s2=0.2", "--param", "gamma2=-0.2"),
+                 ("audit", "--T", "50", "--param", "s2=1e-8", "--param", "gamma2=0"),
                  ("determinacy", "--param", "k=1e160"),   # overflowing norm
                  ("coeffs", "--param", "k=1e308"),        # non-finite coefficients
                  ("transparency", "--param", "k=1e308"),
@@ -330,6 +336,23 @@ def test_argument_guards(tmp_path, capsys):
         err = _invalid_input(capsys, [*argv, "--out", str(tmp_path / "x")])
         assert f"cells, more than {SWEEP_MAX_CELLS}" in err
         assert not (tmp_path / "x").exists()
+
+
+def test_draws_above_the_cap_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # more stability draws than AUDIT_MAX_DRAWS exit 2 before the
+    # parameters are loaded; as many as the cap pass the guard
+    def no_work(args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "_load_params", no_work)
+    out = tmp_path / "x"
+    for draws in (AUDIT_MAX_DRAWS + 1, 100_000_000_000_000):
+        err = _invalid_input(capsys, ["audit", "--draws", str(draws), "--out", str(out)])
+        assert err == ("nkji: invalid input: InvalidDomain(<draws>: "
+                       f"{draws} draws, more than {AUDIT_MAX_DRAWS})")
+        assert not out.exists()
+    with pytest.raises(AssertionError, match="work started"):
+        main(["audit", "--draws", str(AUDIT_MAX_DRAWS), "--out", str(out)])
 
 
 def _invalid_input(capsys, argv) -> str:

@@ -3,6 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nkji import compute_all, draw, simulate, solve_undetermined
 from nkji.coeffs import ReducedForm, _chain_expectation
@@ -16,6 +17,7 @@ from nkji.params import (DEFAULTS, EPS_SING, FIELD_NAMES, InvalidParams,
 from nkji.shocks import impulse_path
 from nkji.statespace import fan_out
 from nkji import slots
+from test_acceptance import EXPECTED_DIVERGENCES
 
 
 def test_solution_is_well_conditioned(oracle_rf):
@@ -235,17 +237,41 @@ def test_singular_block_is_a_singular_system(monkeypatch):
             oracle._block_solve(validate(DEFAULTS))
 
 
-def test_condition_bound_bounds_the_condition_number():
-    # the screen's bound from the blocks' inverses is never below the exact
-    # condition number: over 2000 draws in stacked slices, at the boundary
-    # points and where s2 = gamma2 = 0 leaves the system singular
+def _screened_blocks():
+    """The blocks of 2000 draws in stacked slices of 100, then those of the
+    boundary points and of s2 = gamma2 = 0, where the system is singular."""
     rng = np.random.default_rng(41)
     for _ in range(20):
-        lone, linked, _ = _matching_blocks(_stacked([random_params(rng) for _ in range(100)]))
-        assert np.all(oracle._condition_bound(lone, linked) >= _condition_number(lone, linked))
+        yield _matching_blocks(_stacked([random_params(rng) for _ in range(100)]))[:2]
     for point in _BOUNDARY_POINTS + ({"s2": 0.0, "gamma2": 0.0},):
-        lone, linked, _ = _matching_blocks(validate({**DEFAULTS, **point}))
-        assert oracle._condition_bound(lone, linked) >= _condition_number(lone, linked), point
+        yield _matching_blocks(validate({**DEFAULTS, **point}))[:2]
+
+
+def test_linked_blocks_are_block_lower_triangular():
+    # a lag slot's equations read no unknown of its innovation slot, so the
+    # upper-right 9x9 of every linked block is exactly 0; a slice whose
+    # linked block breaks this is not certified by the screen
+    for lone, linked in _screened_blocks():
+        assert np.all(linked[..., :9, 9:] == 0.0)
+    lone, linked, _ = _matching_blocks(_stacked(_points(43)[:AUDIT_SLICE]))
+    linked[3, 2, 0, 9] = 1e-3
+    bound = oracle._condition_bound(lone, linked)[0]
+    assert bound[3] == np.inf and np.all(np.delete(bound, 3) <= oracle.COND_WARN)
+
+
+def test_condition_bound_bounds_the_condition_number():
+    # the screen's bound from the inverses of the diagonal 9x9 blocks is
+    # never below the exact condition number: over 2000 draws in stacked
+    # slices and at the boundary points; where s2 = gamma2 = 0 leaves the
+    # system singular, the inverse raises, which sends the solve to the
+    # exact path
+    for lone, linked in _screened_blocks():
+        try:
+            bound = oracle._condition_bound(lone, linked)[0]
+        except np.linalg.LinAlgError:
+            assert _condition_number(lone, linked) == np.inf
+            continue
+        assert np.all(bound >= _condition_number(lone, linked))
 
 
 def _counting(monkeypatch, name):
@@ -292,11 +318,96 @@ def test_block_solve_reports_the_singular_rate_block():
     assert str(got.value) == str(want.value) == "matching system is singular (cond ~ inf)"
 
 
+def test_rate_free_surfaces_are_singular():
+    # the rate enters only saving and investment: where s2 + gamma2 = 0 the
+    # current potential-output slot, whose perceived output is projected
+    # out, leaves it undetermined, and where (s2 + gamma2)(1 - c1) =
+    # s1 gamma2 every other slot does; validate accepts both surfaces, and
+    # the dense and the block solve raise the same message on each
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        p = random_params(rng).as_dict()
+        for point in ({"gamma2": -p["s2"]},
+                      {"s1": (p["s2"] + p["gamma2"]) * (1.0 - p["c1"]) / p["gamma2"]}):
+            try:
+                q = validate({**p, **point})
+            except InvalidParams:
+                continue
+            with pytest.raises(SingularSystem) as want:
+                solve_undetermined(q)
+            with pytest.raises(SingularSystem) as got:
+                oracle._block_solve(q)
+            assert str(got.value) == str(want.value)
+
+
+#: magnitude at which the property below cuts the fields whose valid range
+#: is unbounded: from about 1e6 on, the fields' scales alone can spread the
+#: matching system's singular values past the singular threshold, and near
+#: 1e300 the closed forms overflow
+_BOX = 10.0
+_RHO_EDGE = 1.0 - 1e-6
+
+
+def _valid_range(name):
+    """Values of the field ``name`` over the whole range that ``validate``
+    accepts, unbounded ends cut at ``_BOX``, with point masses at 0 where 0
+    is valid and, for a persistence, at a distance of 1e-6 from a unit
+    root."""
+    if name.startswith("rho_"):
+        return (st.sampled_from((0.0, _RHO_EDGE, -_RHO_EDGE))
+                | st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    if name == "beta":
+        return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    if name == "sigma":
+        return st.floats(0.0, _BOX, exclude_min=True)
+    if name == "s1":
+        return (st.floats(EPS_SING, _BOX, exclude_min=True)
+                | st.floats(-_BOX, -EPS_SING, exclude_max=True))
+    low = 0.0 if name in ("theta", "k") or name.startswith("sd_") else -_BOX
+    return st.just(0.0) | st.floats(low, _BOX)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({name: _valid_range(name) for name in FIELD_NAMES}))
+@example({**dict.fromkeys(FIELD_NAMES, 0.0), "sigma": 1.0, "beta": 0.251953125,
+          "alpha_pi": 4.0, "alpha_y": -2.0, "s1": 2.0, "s2": -2.0, "gamma2": -1.0})
+def test_audit_claim_holds_over_the_valid_domain(raw):
+    # the report's route over the valid domain.  An entry it flags outside
+    # the frozen divergences differs by no more than the solve's rounding,
+    # eps cond times the largest coefficient: compare's absolute floor of
+    # 1e-12 lets such dust through where the coefficients are large, as at
+    # the example (cond 9.4e3, Epi up to 512: Epi[12] is 3.6e-12 against
+    # -0.0).  Where the route fails, it raises one of its numerical
+    # failures, and only where the matching system is ill-conditioned (on
+    # or near the rate-free surfaces, or at a sigma near 0, by which the
+    # demand equation divides): a backward-stable solve leaves a gap of
+    # about eps cond |b|, which reaches the gap check's 1e-8 |b| only past a
+    # condition number of about 4.5e7
+    try:
+        p = validate(raw)
+    except InvalidParams:
+        return
+    with np.errstate(all="ignore"):
+        try:
+            tables, solved = compute_all(p), solve_undetermined(p)
+            report = compare(tables, solved)
+        except (SingularSystem, oracle.AnsatzInconsistent, slots.StrayLoadings) as err:
+            assert _condition_number(*_matching_blocks(p)[:2]) > 1e7, err
+            return
+    scale = np.abs(np.concatenate([tables.exported(), solved.exported()])).max()
+    for e in report.entries:
+        if e.key() not in EXPECTED_DIVERGENCES:
+            assert abs(e.table_value - e.oracle_value) <= 1e-15 * report.condition_number * scale, e
+
+
 def test_unsatisfied_solve_is_ansatz_inconsistent(monkeypatch):
     # a solve whose result misses the equations is caught by the gap check
-    # of the dense and of the block solve, for one and for stacked cells
-    solve = np.linalg.solve
+    # of the dense and of the block solve, for one and for stacked cells:
+    # the dense solve goes through np.linalg.solve, the block solve through
+    # the inverses of np.linalg.inv
+    solve, inv = np.linalg.solve, np.linalg.inv
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-3)
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) + 1e-3)
     for p in (validate(DEFAULTS), _stacked([validate(DEFAULTS), random_params(
             np.random.default_rng(5))])):
         with pytest.raises(oracle.AnsatzInconsistent, match="gap"):
