@@ -224,8 +224,11 @@ def _condition_number(lone: np.ndarray, linked: np.ndarray) -> Vec:
     """Exact 2-norm condition number of the matching matrix whose blocks are
     ``lone`` and ``linked``, or of each of a stack: the singular values of a
     direct sum are those of its blocks, so two stacked SVDs of the small
-    blocks replace one of all of ``M``.  Infinite for a singular block."""
-    sv = [np.linalg.svd(blocks, compute_uv=False) for blocks in (lone, linked)]
+    blocks replace one of all of ``M``.  Infinite for a singular block, and
+    for non-finite ones, solved as zeros: LAPACK reports those on stdout."""
+    finite = np.logical_and(*(np.isfinite(b).all(axis=(-3, -2, -1)) for b in (lone, linked)))
+    sv = [np.linalg.svd(np.where(finite[..., None, None, None], blocks, 0.0), compute_uv=False)
+          for blocks in (lone, linked)]
     smax = np.maximum(*(s.max(axis=(-2, -1)) for s in sv))
     smin = np.minimum(*(s.min(axis=(-2, -1)) for s in sv))
     cond = np.divide(smax, smin, out=np.full(smax.shape, np.inf), where=smin > 0)

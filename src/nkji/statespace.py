@@ -19,10 +19,10 @@ a power of one persistence, so A = U V' with factors U, V of shape 9 x 6
 gathered from the factors, one product per entry (:func:`_transition`).
 Its nonzero eigenvalues are those of the 6 x 6 V' U, and its other three
 are exactly zero.  The sweep solves that 6 x 6 matrix for the cells that
-pass validation, and checks each eigenpair lifted back to A; ``eigen``,
-``report`` and ``determinacy`` solve A itself, whose eigenvalues
-``determinacy`` prints.  Only :func:`build` assembles the innovation
-loadings B; the sweep has no use for them.
+pass validation, and checks each eigenpair lifted back to A; ``report``
+solves A itself, whose eigenvalues ``determinacy`` prints.  Each takes the
+other route where its own fails.  Only :func:`build` assembles the
+innovation loadings B; the sweep has no use for them.
 """
 
 from __future__ import annotations
@@ -214,7 +214,8 @@ def _spectra(A: Vec, factors: tuple[Vec, Vec] | None = None) -> tuple[Vec, Vec]:
     last.  Every check is made on A and the lifted pairs.  A matrix with
     non-finite entries is solved as zeros.  When the solver rejects the
     stack, its matrices are solved one at a time, so that a rejected matrix
-    fails alone, with the last code of ``_EIGEN_FAILURES``."""
+    fails alone, with the last code of ``_EIGEN_FAILURES``.  At extreme
+    scales each route fails matrices the other solves (:func:`_retried`)."""
     finite = np.isfinite(A).all(axis=(1, 2))
     if factors is None:
         S = A
@@ -255,24 +256,17 @@ def _real_times(M: Vec, Z: Vec) -> Vec:
     return (M @ Z.view(np.float64)).view(complex)
 
 
-def _sweep_spectra(A: Vec, U: Vec, V: Vec) -> tuple[Vec, Vec]:
-    """:func:`_spectra` of a stack of matrices A (n, 9, 9) with factors U, V
-    (n, 9, 6), by the rank-6 route where it is known to give the verdicts
-    of the 9 x 9 one.
-
-    Where A's nonzero entries span more than 1/eps, some of them are at the
-    9 x 9 solve's noise level, and the two routes pass and fail different
-    checks; those matrices, and every one the rank-6 route fails, take the
-    9 x 9 route that :func:`eigen` takes."""
-    mag = np.abs(A).reshape(len(A), ORDER * ORDER)
-    narrow = (np.where(mag > 0, mag, np.inf).min(axis=1)
-              >= np.finfo(float).eps * mag.max(axis=1))
-    vals = np.zeros((len(A), ORDER), dtype=complex)
-    failure = np.zeros(len(A), dtype=int)
-    vals[narrow], failure[narrow] = _spectra(A[narrow], (U[narrow], V[narrow]))
-    full = ~narrow | (failure != 0)
-    if full.any():
-        vals[full], failure[full] = _spectra(A[full])
+def _retried(A: Vec, first: tuple[Vec, Vec] | None,
+             second: tuple[Vec, Vec] | None) -> tuple[Vec, Vec]:
+    """:func:`_spectra` of a stack A by the route ``first`` (factors U, V,
+    or None for the 9 x 9 route), and of each matrix it fails by ``second``,
+    which keeps ``first``'s failure code if it fails too.  The 9 x 9 solve
+    can return a false pair where A's entries span more than about 1/eps^2
+    (``sigma = 1e-40``), and V' U's noise floor can be far above A's."""
+    vals, failure = _spectra(A, first)
+    bad = np.flatnonzero(failure)
+    again, still = _spectra(A[bad], second and tuple(x[bad] for x in second))
+    vals[bad[still == 0]], failure[bad[still == 0]] = again[still == 0], 0
     return vals, failure
 
 
@@ -351,9 +345,13 @@ def report(rf: ReducedForm, tau: float = 1e-8,
     possible predetermined count (or a single one if ``n_pre`` is given)."""
     if n_pre is not None and not 0 <= n_pre <= ORDER:
         raise ValueError("n_pre must be in 0..9")
-    system = build(rf)
-    eigs = eigen(system.A)
-    k = char_poly(system.A)
+    U, V = _factors(rf.slot_blocks, rf.params)
+    A = _transition(U, V)
+    vals, failure = _retried(A[None], None, (U[None], V[None]))
+    if failure[0]:
+        raise ConvergenceFailure(_EIGEN_FAILURES[failure[0]])
+    eigs = vals[0]
+    k = char_poly(A)
     stable, unstable, borderline = map(int, _counts(eigs, tau))
     pres = range(ORDER + 1) if n_pre is None else (n_pre,)
     verdicts = {n: _verdict(stable, borderline, n) for n in pres}
@@ -392,7 +390,7 @@ def _sweep_slice(base: dict[str, float], name1: str, grid1: Vec, name2: str,
     idx = np.flatnonzero(solved)
     U, V = (np.moveaxis(x, -1, 0)[idx] for x in _factors(blocks, p))
     vals = np.zeros((len(cells), ORDER), dtype=complex)
-    vals[idx], failure = _sweep_spectra(_transition(U, V), U, V)
+    vals[idx], failure = _retried(_transition(U, V), (U, V), None)
     solved[idx] = failure == 0
     stable, unstable, borderline = _counts(vals, tau)
     records = []

@@ -20,7 +20,7 @@ from nkji.params import DEFAULTS, FIELD_NAMES, validate
 from nkji.shocks import AR_STATES, KINDS
 from nkji.sim import SERIES
 from nkji.slots import INDEX_SETS, VARIABLES
-from nkji.statespace import SWEEP_MAX_CELLS
+from nkji.statespace import SWEEP_MAX_CELLS, sweep
 
 
 def run(tmp_path, *argv):
@@ -151,6 +151,34 @@ def test_determinacy_single_n_pre(tmp_path):
     code, text = run(tmp_path, "determinacy", "--n-pre", "4")
     assert code == 0
     assert set(json.loads(text)["verdicts"]) == {"4"}
+
+
+def test_determinacy_retries_by_the_rank6_route(tmp_path, capsys):
+    # at sigma = 1e-40 the 9 x 9 route falsely fails its residual check and
+    # determinacy prints the rank-6 route's eigenvalues, three of them the
+    # exact zeros of rank 6, with the sweep's counts at the same parameters
+    code, text = run(tmp_path, "determinacy", "--param", "sigma=1e-40")
+    assert (code, capsys.readouterr().err) == (0, "")
+    obj = json.loads(text)
+    assert len(obj["eigenvalues"]) == 9
+    assert sum(v["re"] == v["im"] == 0.0 for v in obj["eigenvalues"]) >= 3
+    cell, = sweep(validate({**DEFAULTS, "sigma": 1e-40}), ("sigma", 1e-40, 1e-40, 1),
+                  ("k", DEFAULTS["k"], DEFAULTS["k"], 1)).cells
+    assert obj["counts"] == {key: cell[key] for key in ("stable", "unstable", "borderline")}
+    # where both routes fail, the 9 x 9 route's failure is the message
+    for param, err in (("k=1e40", "eigenpair residual check failed"),
+                       ("k=1e160", "transition matrix norm overflows")):
+        (tmp_path / "out.txt").unlink(missing_ok=True)
+        assert run(tmp_path, "determinacy", "--param", param) == (3, ""), param
+        assert capsys.readouterr().err == f"nkji: numerical failure: {err}\n", param
+
+
+def test_non_finite_matching_blocks_keep_lapack_off_stdout(capfd):
+    # 1/sigma is inf at sigma = 5e-324: the condition number is inf without
+    # an SVD, which would have LAPACK write to file descriptor 1 itself
+    assert main(["audit", "--T", "10", "--param", "sigma=5e-324"]) == 3
+    assert capfd.readouterr() == ("", "nkji: numerical failure: matching system is "
+                                      "singular (cond ~ inf)\n")
 
 
 def test_determinacy_n_pre_out_of_range(tmp_path):

@@ -17,6 +17,7 @@ from nkji.params import (DEFAULTS, EPS_SING, FIELD_NAMES, InvalidParams,
 from nkji.shocks import impulse_path
 from nkji.statespace import fan_out
 from nkji import slots
+from conftest import _valid_range
 from test_acceptance import EXPECTED_DIVERGENCES
 
 
@@ -222,6 +223,26 @@ def test_block_condition_number_is_exact():
         assert solve_undetermined(p).condition_number == cond
 
 
+def test_non_finite_blocks_have_an_infinite_condition_number(monkeypatch):
+    # no SVD sees a non-finite entry, which LAPACK would report on stdout;
+    # the finite cells of a stack keep their condition numbers
+    lone, linked, _ = _matching_blocks(_stacked([validate(DEFAULTS)] * 3))
+    want = _condition_number(lone, linked)
+    lone, linked = lone.copy(), linked.copy()
+    lone[0, 2, 4, 4] = np.inf
+    linked[1, 5, 0, 17] = np.nan
+    svd = np.linalg.svd
+
+    def finite_svd(a, **kwargs):
+        assert np.isfinite(a).all()
+        return svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", finite_svd)
+    got = _condition_number(lone, linked)
+    assert got[0] == got[1] == np.inf and got[2] == want[2]
+    assert _condition_number(lone[0], linked[0]) == np.inf
+
+
 def test_singular_block_is_a_singular_system(monkeypatch):
     # an exactly singular block gives an infinite condition number, without
     # a division warning, and the dense and the block solve report it
@@ -338,33 +359,6 @@ def test_rate_free_surfaces_are_singular():
             with pytest.raises(SingularSystem) as got:
                 oracle._block_solve(q)
             assert str(got.value) == str(want.value)
-
-
-#: magnitude at which the property below cuts the fields whose valid range
-#: is unbounded: from about 1e6 on, the fields' scales alone can spread the
-#: matching system's singular values past the singular threshold, and near
-#: 1e300 the closed forms overflow
-_BOX = 10.0
-_RHO_EDGE = 1.0 - 1e-6
-
-
-def _valid_range(name):
-    """Values of the field ``name`` over the whole range that ``validate``
-    accepts, unbounded ends cut at ``_BOX``, with point masses at 0 where 0
-    is valid and, for a persistence, at a distance of 1e-6 from a unit
-    root."""
-    if name.startswith("rho_"):
-        return (st.sampled_from((0.0, _RHO_EDGE, -_RHO_EDGE))
-                | st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
-    if name == "beta":
-        return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-    if name == "sigma":
-        return st.floats(0.0, _BOX, exclude_min=True)
-    if name == "s1":
-        return (st.floats(EPS_SING, _BOX, exclude_min=True)
-                | st.floats(-_BOX, -EPS_SING, exclude_max=True))
-    low = 0.0 if name in ("theta", "k") or name.startswith("sd_") else -_BOX
-    return st.just(0.0) | st.floats(low, _BOX)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

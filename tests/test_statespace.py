@@ -3,7 +3,9 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import _valid_range
 from nkji import build, char_poly, classify, classify_standard, compute_all, eigen
 from nkji import statespace
 from nkji.cli import main
@@ -13,7 +15,8 @@ from nkji.params import DEFAULTS, InvalidParams, validate
 from nkji.coeffs import _slot_blocks, finite_cells
 from nkji.params import FIELD_NAMES, StructuralParams, invalid_cells
 from nkji.statespace import (SWEEP_SLICE, ConvergenceFailure, UnknownParameter,
-                             _counts, _factors, _spectra, _transition, report, sweep)
+                             _counts, _factors, _retried, _spectra, _transition, report,
+                             sweep)
 
 
 def test_zero_persistence_zero_matrix():
@@ -255,7 +258,7 @@ def test_sweep_grid_size_limit(default_params, monkeypatch):
 # --- the batched sweep against the per-cell loop -----------------------------
 
 def _reference_cells(base, axis1, axis2, n_pre=9, tau=1e-8):
-    """The sweep as a per-cell loop: validate, compute_all, build, eigen and
+    """The sweep as a per-cell loop: validate, compute_all, report and
     classify, one cell at a time."""
     (name1, lo1, hi1, n1), (name2, lo2, hi2, n2) = axis1, axis2
     cells = []
@@ -265,7 +268,7 @@ def _reference_cells(base, axis1, axis2, n_pre=9, tau=1e-8):
                 cell = {name1: float(v1), name2: float(v2)}
                 try:
                     p = validate({**base.as_dict(), **cell})
-                    eigs = eigen(build(compute_all(p)).A)
+                    eigs = report(compute_all(p), tau).eigenvalues
                 except (InvalidParams, ConvergenceFailure) as err:
                     cells.append({**cell, "stable": None, "unstable": None,
                                   "borderline": None,
@@ -464,8 +467,9 @@ def test_rank6_route_gives_the_9x9_counts_and_failures(rng):
 
 @pytest.mark.parametrize("grid", REFERENCE_GRIDS)
 def test_sweep_route_gives_the_9x9_counts_and_failures(default_params, grid):
-    # every solved cell of the reference grids, through the sweep's choice of
-    # route against the 9 x 9 route alone
+    # every solved cell of the reference grids: wherever the 9 x 9 route
+    # passes, the sweep's route (rank-6, then 9 x 9) passes with its counts,
+    # and the sweep fails a cell only where both routes fail, as report does
     (name1, lo1, hi1, n1), (name2, lo2, hi2, n2), *_ = REFERENCE_GRIDS[grid]
     g1, g2 = np.meshgrid(np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2),
                          indexing="ij")
@@ -475,26 +479,84 @@ def test_sweep_route_gives_the_9x9_counts_and_failures(default_params, grid):
         blocks = _slot_blocks(p)
         solved = ~invalid_cells(values) & finite_cells(blocks)
         A, U, V = (x[solved] for x in _stacks(blocks, p))
-        vals, failure = statespace._sweep_spectra(A, U, V)
+        vals, failure = _retried(A, (U, V), None)
         vals9, failure9 = _spectra(A)
-    assert np.array_equal(failure, failure9)
-    keep = failure == 0
+        failure6 = _spectra(A, (U, V))[1]
+        failure_report = _retried(A, None, (U, V))[1]
+    assert np.array_equal(failure != 0, (failure9 != 0) & (failure6 != 0))
+    assert np.array_equal(failure != 0, failure_report != 0)
+    keep = failure9 == 0
     for tau in (1e-8, 1e-6):
         _assert_same_counts(vals[keep], vals9[keep], tau)
 
 
-def test_wide_matrices_take_the_9x9_route(default_params):
+def test_wide_matrices_take_the_rank6_route(default_params):
     # at sigma = 1e-300 the interest-rate row is 1e-300 times the output
     # row: the 9 x 9 solve returns a false eigenpair there and fails its
-    # residual check, which the rank-6 route passes; the sweep keeps the
-    # 9 x 9 verdict
+    # residual check, which the rank-6 route passes.  The sweep and report
+    # both take the rank-6 route's eigenvalues; eigen, the 9 x 9 route alone,
+    # still fails
     p = default_params.replace(sigma=1e-300, k=0.0)
     rf = compute_all(p)
-    A = build(rf).A[None]
-    U, V = (x[None] for x in _factors(rf.slot_blocks, p))
-    assert _spectra(A)[1][0] == 4
-    assert _spectra(A, (U, V))[1][0] == 0
-    assert statespace._sweep_spectra(A, U, V)[1][0] == 4
+    A = build(rf).A
+    U, V = _factors(rf.slot_blocks, p)
+    assert _spectra(A[None])[1][0] == 4
+    vals6, failure6 = _spectra(A[None], (U[None], V[None]))
+    assert failure6[0] == 0
+    with pytest.raises(ConvergenceFailure, match="eigenpair residual check failed"):
+        eigen(A)
+    rep = report(rf)
+    assert np.array_equal(rep.eigenvalues, vals6[0])
+    assert rep.counts() == {"stable": 8, "unstable": 1, "borderline": 0}
+    cell, = sweep(default_params, ("sigma", 1e-300, 1e-300, 1), ("k", 0.0, 0.0, 1)).cells
+    assert {key: cell[key] for key in rep.counts()} == rep.counts()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({name: _valid_range(name) for name in FIELD_NAMES}))
+@example({**dict.fromkeys(FIELD_NAMES, 0.0), "sigma": 5e-324, "beta": 0.5, "s1": 0.5,
+          "gamma1": -1.0, "rho_ybar": 0.999999, "rho_g": 0.999999})
+def test_routes_over_the_valid_domain(raw):
+    # the 9 x 9 and rank-6 routes over the audit property's domain.  Neither
+    # route's checks imply the other's: at extreme scales (a tiny sigma, beta
+    # or persistence beside loadings near 1e-300) each route fails matrices
+    # the other solves, so the sweep and report each retry a failed matrix by
+    # the other route.  Up to |A| = 1e8, and away from the unit circle by
+    # more than 2 sqrt(eps |A|), wherever the routes disagree, the sweep's
+    # choice (the rank-6 route where it passes) gives the counts of a
+    # 30-digit solve of A.  Closer, counts are not well posed: where two
+    # persistences are equal, A has a double root, which rounding A's
+    # entries moves by sqrt(eps |A|); at the example, a root at 1 - 1e-6 and
+    # |A| = 3e6.  Beyond |A| = 1e12 both routes can pass with wrong counts,
+    # next to an eigenvalue of 1e11 or more
+    try:
+        p = validate(raw)
+    except InvalidParams:
+        return
+    with np.errstate(all="ignore"):
+        try:
+            rf = compute_all(p)
+        except ConvergenceFailure:
+            return
+        U, V = (x[None] for x in _factors(rf.slot_blocks, p))
+        A = _transition(U, V)
+        vals9, failure9 = _spectra(A)
+        vals6, failure6 = _spectra(A, (U, V))
+        norm = np.linalg.norm(A)
+    passed = [vals for vals, failure in ((vals9, failure9), (vals6, failure6))
+              if not failure[0]]
+    radius = 2.0 * math.sqrt(np.finfo(float).eps * norm)
+    if not passed or not norm <= 1e8 or \
+            any(np.abs(np.abs(vals) - 1.0).min() <= radius for vals in passed):
+        return
+    counts6, counts9 = (tuple(map(int, _counts(v[0], 1e-8))) for v in (vals6, vals9))
+    if len(passed) == 2 and counts6 == counts9:
+        return
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = mpmath.eig(mpmath.matrix(A[0].tolist()), left=False, right=False)
+    assert (counts9 if failure6[0] else counts6) == \
+        tuple(map(int, _counts(np.array([complex(a) for a in ref]), 1e-8)))
 
 
 def test_power_is_scalar_pow_per_element():

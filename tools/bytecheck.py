@@ -8,14 +8,24 @@ its stderr to ``OUTDIR/<n>.err`` and its exit code to ``OUTDIR/<n>.code``;
 ``OUTDIR/commands.txt`` lists the commands by number.  Run it once per
 source tree and compare the two directories with ``diff -r``: a change that
 keeps the CLI's behaviour leaves no difference.
+
+``OUTDIR/digests.json`` holds every command's exit code and the sha256 of
+its stdout and stderr, with what :func:`versions` gives.
+``tests/test_bytecheck.py`` runs the commands in-process against the copy
+in ``tests/bytecheck_digests.json``; a change that means to move bytes
+copies the new file there.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from nkji.shocks import KINDS
 
@@ -145,10 +155,40 @@ SINGLE = (
     ["sweep", "--axis1", "k:0:1:99999999999999999999999", "--axis2", "s0:0:1:2"],
     ["coeffs", "--param", "\r=0"],
     ["sweep", "--axis1", "no\x1bsuch:0:1:3", "--axis2", "k:0:1:2"],
+    # a matrix the 9 x 9 eigen route falsely fails and the rank-6 route
+    # solves, through determinacy and the sweep
+    ["determinacy", "--param", "sigma=1e-40"],
+    ["sweep", "--axis1", "sigma:1e-40:1e-40:1", "--axis2", "k:0.3:0.3:1"],
+    # non-finite matching blocks: LAPACK must not write to stdout
+    ["audit", "--T", "10", "--param", "sigma=5e-324"],
 )
 
 COMMANDS = (*(argv + opts for opts in PARAMS.values() for argv in PER_PARAMS),
             *SINGLE)
+
+
+def versions() -> dict[str, str]:
+    """The numpy and BLAS builds that the float digits of an output depend
+    on, and the sha256 of a few BLAS and LAPACK results, which also moves
+    with the BLAS thread count and the CPU's kernels, as the dense 144 x 144
+    solve of ``audit`` does."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):   # numpy before 1.26 prints its config only
+        blas = "unknown"
+    rng = np.random.default_rng(0)
+    M, R, stack = (rng.standard_normal(shape) for shape in ((144, 145), (5000, 16), (64, 9, 9)))
+    results = (np.linalg.solve(M[:, :144], M[:, 144]), R @ M[:16, :12],
+               np.linalg.eig(stack)[0], np.linalg.svd(stack, compute_uv=False))
+    kernels = hashlib.sha256(b"".join(np.ascontiguousarray(x).tobytes() for x in results))
+    return {"numpy": np.__version__, "blas": blas, "kernels": kernels.hexdigest()}
+
+
+def digest(argv: list[str], code: int, stdout: bytes, stderr: bytes) -> dict:
+    return {"argv": list(argv), "code": code,
+            "stdout": hashlib.sha256(stdout).hexdigest(),
+            "stderr": hashlib.sha256(stderr).hexdigest()}
 
 
 def main(outdir: str) -> int:
@@ -156,7 +196,7 @@ def main(outdir: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # argparse wraps its usage lines to the terminal width
     env = {**os.environ, "COLUMNS": "80"}
-    listing = []
+    listing, digests = [], []
     for n, argv in enumerate(COMMANDS):
         proc = subprocess.run([sys.executable, "-m", "nkji.cli", *argv],
                               capture_output=True, env=env, timeout=600)
@@ -164,7 +204,12 @@ def main(outdir: str) -> int:
         (out / f"{n}.err").write_bytes(proc.stderr)
         (out / f"{n}.code").write_text(f"{proc.returncode}\n")
         listing.append(f"{n} {' '.join(argv)}\n")
+        digests.append(digest(argv, proc.returncode, proc.stdout, proc.stderr))
     (out / "commands.txt").write_text("".join(listing))
+    # one command a line, so that a diff of two files names the moved ones
+    lines = ",\n".join(f"  {json.dumps(d)}" for d in digests)
+    (out / "digests.json").write_text(
+        f'{json.dumps(versions())[:-1]}, "commands": [\n{lines}\n]}}\n')
     return 0
 
 
