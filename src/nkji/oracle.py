@@ -209,17 +209,6 @@ def _matching_blocks(p: StructuralParams) -> tuple[np.ndarray, np.ndarray, Vec]:
     return lone, linked, np.moveaxis(b, 0, -1)
 
 
-def _dense_matrix(lone: np.ndarray, linked: np.ndarray) -> np.ndarray:
-    """``M`` (144, 144), or one per cell, (n, 144, 144): the blocks
-    scattered into zeros, bitwise equal to the identity evaluation, whose
-    entries outside the blocks are exactly 0."""
-    cells = lone.shape[:-3]
-    M = np.zeros((*cells, _N * _N))
-    M[..., _BLOCK_TAKE] = np.concatenate(
-        [lone.reshape(*cells, -1), linked.reshape(*cells, -1)], axis=-1)
-    return M.reshape(*cells, _N, _N)
-
-
 def _condition_number(lone: np.ndarray, linked: np.ndarray) -> Vec:
     """Exact 2-norm condition number of the matching matrix whose blocks are
     ``lone`` and ``linked``, or of each of a stack: the singular values of a
@@ -270,15 +259,6 @@ def _nonsingular(lone: np.ndarray, linked: np.ndarray) -> Vec:
     return cond
 
 
-def _check_gap(gap: Vec, b: Vec) -> None:
-    """Raise :class:`AnsatzInconsistent` for the first cell whose largest
-    equation gap after the solve exceeds its bound."""
-    unsatisfied = np.flatnonzero(gap > 1e-8 * (1.0 + np.abs(b).max(axis=-1)))
-    if unsatisfied.size:
-        raise AnsatzInconsistent("matching equations unsatisfied after solve "
-                                 f"(gap {np.ravel(gap)[unsatisfied[0]]:.3e})")
-
-
 def _coefficient_blocks(zflat: Vec, p: StructuralParams) -> dict[str, Vec]:
     """The slot blocks of every variable from the solved unknowns ``zflat``
     (144,), or (n, 144) for blocks (16, n)."""
@@ -293,20 +273,21 @@ def _coefficient_blocks(zflat: Vec, p: StructuralParams) -> dict[str, Vec]:
     return {v: blocks[v] for v in slots.VARIABLES}
 
 
-def _block_solve(p: StructuralParams) -> dict[str, Vec]:
+def _block_solve(p: StructuralParams, lone: np.ndarray, linked: np.ndarray,
+                 b: Vec) -> dict[str, Vec]:
     """The solved coefficient blocks (16, n) of the cells of ``p``, or (16,)
-    for float fields, without a dense ``M``: the inverses of
+    for float fields, from their :func:`_matching_blocks`: the inverses of
     :func:`_condition_bound` serve its screen and the solve, ``D⁻¹ b`` for a
     lone block and ``z1 = D1⁻¹ b1``, ``z2 = D2⁻¹ (b2 - C z1)`` for a linked
-    one.  Equal to the dense solve up to rounding; the gap is checked on the
-    full blocks.  Raises for the first failing cell.
+    one.  Only 9x9 kernels, each cell on its own, so a cell solves to the
+    same bits alone and in a stack, at any BLAS thread count; the gap is
+    checked on the full blocks.  Raises for the first failing cell.
 
     A cell whose bound is at most ``COND_WARN`` is nonsingular, 1000 times
     below the ``1e15`` threshold, a margin the inverses' rounding (a
     relative error of about 18 eps cond, under 0.5%) cannot close.  Only a
     slice with a cell above it, or NaN, or whose inverse fails, pays for the
-    exact :func:`_nonsingular`, which raises what the dense solve raises."""
-    lone, linked, b = _matching_blocks(p)
+    exact :func:`_nonsingular`, which raises the report's message."""
     try:
         bound, (lone_inv, d1_inv, d2_inv) = _condition_bound(lone, linked)
     except np.linalg.LinAlgError as err:
@@ -324,7 +305,10 @@ def _block_solve(p: StructuralParams) -> dict[str, Vec]:
                                       [z1, z2], axis=-2))):
         gap = np.maximum(gap, np.abs(blocks @ z - rhs).max(axis=(-3, -2, -1)))
         zflat[..., index] = z[..., 0]
-    _check_gap(gap, b)
+    unsatisfied = np.flatnonzero(gap > 1e-8 * (1.0 + np.abs(b).max(axis=-1)))
+    if unsatisfied.size:
+        raise AnsatzInconsistent("matching equations unsatisfied after solve "
+                                 f"(gap {np.ravel(gap)[unsatisfied[0]]:.3e})")
     return _coefficient_blocks(zflat, p)
 
 
@@ -334,26 +318,19 @@ def solve_undetermined(p: StructuralParams) -> ReducedForm:
     The ten direct-sum blocks of ``M`` and ``b`` come from one vectorised
     evaluation of the affine residual on 18 probe columns and a zero column
     (see :func:`_matching_blocks`).  The condition number is exact and comes
-    from those blocks (see :func:`_condition_number`); the solve itself is
-    one full ``np.linalg.solve`` of ``M`` with the blocks scattered in, the
-    solve whose digits the audit report prints.  Returns a
-    :class:`ReducedForm` interchangeable with the closed-form one (same
-    block keys and index sets) with that condition number attached.  Raises
+    from those blocks (see :func:`_condition_number`); the solve is the one
+    the stability draws use, by the inverses of the 9x9 diagonal blocks
+    (see :func:`_block_solve`), so the report's coefficients are bitwise
+    those of its column in a stacked solve.  Returns a :class:`ReducedForm`
+    interchangeable with the closed-form one (same block keys and index
+    sets) with that condition number attached.  Raises
     :class:`SingularSystem` for a numerically singular matching matrix and
     :class:`AnsatzInconsistent` if the solved coefficients fail to satisfy
-    the matching equations.  The stability draws solve the same blocks by
-    their 9x9 inverses instead, for a slice of parameterizations at once
-    (see :func:`_block_solve`).
+    the matching equations.
     """
     lone, linked, b = _matching_blocks(p)
     cond = _nonsingular(lone, linked)
-    M = _dense_matrix(lone, linked)
-    try:
-        z = np.linalg.solve(M, b[:, None])
-    except np.linalg.LinAlgError as err:
-        raise SingularSystem(str(err)) from err
-    _check_gap(np.abs(M @ z - b[:, None]).max(), b)
-    blocks = _coefficient_blocks(z[:, 0], p)
+    blocks = _block_solve(p, lone, linked, b)
     for vec in blocks.values():
         vec.flags.writeable = False
     return ReducedForm(
@@ -559,8 +536,7 @@ def random_params(rng: np.random.Generator) -> StructuralParams:
 
 #: most stability draws evaluated in one array pass, which bounds the pass's
 #: memory: a draw holds its blocks and the 19-column probe response (about
-#: 63 KB of allocations at the peak), so a pass of 20 peaks at about 1.25 MB,
-#: what a pass of 6 draws with a dense 144x144 matrix each used to
+#: 63 KB of allocations at the peak), so a pass of 20 peaks at about 1.25 MB
 AUDIT_SLICE = 20
 
 #: a parameterization's fields as a tuple, in field order
@@ -576,7 +552,7 @@ def _flag_rows(p: StructuralParams, tol: float) -> np.ndarray:
     entries of ``slots.ENTRIES`` differ, one row per cell (one row for
     float fields), (draws, 130); raises for the first failing cell."""
     tables = _checked_blocks(p)
-    solved = _block_solve(p)
+    solved = _block_solve(p, *_matching_blocks(p))
     flagged = _compared(tables, solved, p, tol, ABS_FLOOR)[3]
     return flagged.reshape(len(slots.ENTRIES), -1).T
 

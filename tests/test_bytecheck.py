@@ -4,8 +4,9 @@ Every command of ``bytecheck.COMMANDS`` runs in-process through ``cli.main``
 with file descriptors 1 and 2 captured, so that what LAPACK writes there
 itself counts too.  Exit codes and stderr are compared under any build;
 stdout, whose float digits may legitimately move with the numpy or BLAS
-build, the BLAS thread count or the CPU's BLAS kernels, only where
-``bytecheck.versions`` gives what it gave when the digests were made.
+build or the CPU's BLAS kernels, only where ``bytecheck.versions`` gives
+what it gave when the digests were made.  The BLAS thread count moves
+neither, so stdout is compared at any thread count.
 """
 
 import json

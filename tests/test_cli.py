@@ -476,16 +476,29 @@ def test_failed_write_keeps_previous_out(tmp_path, monkeypatch, capsys):
     assert [f.name for f in tmp_path.iterdir()] == ["out.json"]
 
 
-def test_single_param_override_is_quiet(tmp_path):
+def _cli_process(*argv, **env):
+    """``python -m nkji.cli argv`` in a fresh process that imports this
+    nkji, with ``env`` added to the environment."""
     src = str(Path(nkji.__file__).resolve().parents[1])
-    env = {**os.environ,
+    env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "nkji.cli", "coeffs", "--param", "sigma=2",
-         "--out", str(tmp_path / "out.json")],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "nkji.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_single_param_override_is_quiet(tmp_path):
+    proc = _cli_process("coeffs", "--param", "sigma=2", "--out", str(tmp_path / "out.json"))
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_audit_bytes_do_not_depend_on_the_blas_thread_count():
+    # the report's solve and the draws' run only 9 x 9 and 18 x 18 kernels,
+    # none of whose results moves with the BLAS thread count
+    argv = ("audit", "--T", "100", "--draws", "6", "--seed", "3")
+    one, two = (_cli_process(*argv, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert one.returncode == two.returncode == 0
+    assert one.stdout == two.stdout
 
 
 # --- CLI fuzz: every input ends in exit 0, 2 or 3 and leaves no partial file

@@ -9,7 +9,7 @@ from nkji import compute_all, draw, simulate, solve_undetermined
 from nkji.coeffs import ReducedForm, _chain_expectation
 from nkji import oracle
 from nkji.oracle import (AUDIT_SLICE, SUSPECT_ENTRIES, Erratum, SingularSystem,
-                         _condition_number, _dense_matrix, _matching_blocks, _residual,
+                         _condition_number, _matching_blocks, _residual,
                          _stability_slice, compare, random_params, residuals,
                          stability_run)
 from nkji.params import (DEFAULTS, EPS_SING, FIELD_NAMES, InvalidParams,
@@ -216,7 +216,7 @@ def test_block_condition_number_is_exact():
               + [random_params(rng) for _ in range(300)])
     for p in points:
         lone, linked, _ = _matching_blocks(p)
-        M = _dense_matrix(lone, linked)
+        M = _identity_evaluation(p)[0]
         assert np.all(M.ravel()[~block] == 0.0)
         cond = _condition_number(lone, linked)
         assert cond == pytest.approx(np.linalg.cond(M), rel=1e-10)
@@ -245,7 +245,8 @@ def test_non_finite_blocks_have_an_infinite_condition_number(monkeypatch):
 
 def test_singular_block_is_a_singular_system(monkeypatch):
     # an exactly singular block gives an infinite condition number, without
-    # a division warning, and the dense and the block solve report it
+    # a division warning, and the report's solve and the block solve of a
+    # slice report it
     lone, linked, b = _matching_blocks(validate(DEFAULTS))
     lone[oracle._LONE_SLOTS.index((slots.XI,))] = 0.0
     with warnings.catch_warnings():
@@ -255,7 +256,7 @@ def test_singular_block_is_a_singular_system(monkeypatch):
         with pytest.raises(SingularSystem, match="cond ~ inf"):
             solve_undetermined(validate(DEFAULTS))
         with pytest.raises(SingularSystem, match="cond ~ inf"):
-            oracle._block_solve(validate(DEFAULTS))
+            oracle._block_solve(validate(DEFAULTS), lone, linked, b)
 
 
 def _screened_blocks():
@@ -311,7 +312,7 @@ def test_slice_above_the_screen_takes_the_exact_path(monkeypatch):
     p = _stacked(_points(43)[:AUDIT_SLICE])
     lone, linked, b = _matching_blocks(p)
     exact = _counting(monkeypatch, "_nonsingular")
-    want = oracle._block_solve(p)
+    want = oracle._block_solve(p, lone, linked, b)
     assert exact == []
     for scale in (2.0 ** k for k in range(30, 60)):
         scaled = lone.copy(), linked.copy(), b.copy()
@@ -321,8 +322,7 @@ def test_slice_above_the_screen_takes_the_exact_path(monkeypatch):
             break
     else:
         pytest.fail("no scale puts the condition number between 1e12 and 1e15")
-    monkeypatch.setattr(oracle, "_matching_blocks", lambda p: scaled)
-    got = oracle._block_solve(p)
+    got = oracle._block_solve(p, *scaled)
     assert exact == [1]
     for v in slots.VARIABLES:
         assert np.array_equal(got[v], want[v]), v
@@ -335,7 +335,7 @@ def test_block_solve_reports_the_singular_rate_block():
     with pytest.raises(SingularSystem) as want:
         solve_undetermined(p)
     with pytest.raises(SingularSystem) as got:
-        oracle._block_solve(p)
+        oracle._block_solve(p, *_matching_blocks(p))
     assert str(got.value) == str(want.value) == "matching system is singular (cond ~ inf)"
 
 
@@ -344,7 +344,8 @@ def test_rate_free_surfaces_are_singular():
     # current potential-output slot, whose perceived output is projected
     # out, leaves it undetermined, and where (s2 + gamma2)(1 - c1) =
     # s1 gamma2 every other slot does; validate accepts both surfaces, and
-    # the dense and the block solve raise the same message on each
+    # the report's solve and the block solve of a slice raise the same
+    # message on each
     rng = np.random.default_rng(47)
     for _ in range(40):
         p = random_params(rng).as_dict()
@@ -357,7 +358,7 @@ def test_rate_free_surfaces_are_singular():
             with pytest.raises(SingularSystem) as want:
                 solve_undetermined(q)
             with pytest.raises(SingularSystem) as got:
-                oracle._block_solve(q)
+                oracle._block_solve(q, *_matching_blocks(q))
             assert str(got.value) == str(want.value)
 
 
@@ -396,16 +397,14 @@ def test_audit_claim_holds_over_the_valid_domain(raw):
 
 def test_unsatisfied_solve_is_ansatz_inconsistent(monkeypatch):
     # a solve whose result misses the equations is caught by the gap check
-    # of the dense and of the block solve, for one and for stacked cells:
-    # the dense solve goes through np.linalg.solve, the block solve through
-    # the inverses of np.linalg.inv
-    solve, inv = np.linalg.solve, np.linalg.inv
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-3)
+    # of the block solve, for one and for stacked cells, and of the
+    # report's solve: both go through the inverses of np.linalg.inv
+    inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) + 1e-3)
     for p in (validate(DEFAULTS), _stacked([validate(DEFAULTS), random_params(
             np.random.default_rng(5))])):
         with pytest.raises(oracle.AnsatzInconsistent, match="gap"):
-            oracle._block_solve(p)
+            oracle._block_solve(p, *_matching_blocks(p))
     with pytest.raises(oracle.AnsatzInconsistent, match="gap"):
         solve_undetermined(validate(DEFAULTS))
 
@@ -480,53 +479,60 @@ def _points(seed):
             + [random_params(rng) for _ in range(300)])
 
 
-def _scrubbed(z):
-    z = z.copy()
-    z[np.abs(z) < 1e-13] = 0.0
-    return z
+def _identity_evaluation(p):
+    """``M`` (144, 144) and ``b`` (144,) of ``M z = b`` by the dense
+    evaluation of the affine residual on the identity and a zero vector."""
+    b = -_residual(np.zeros(144), p)
+    return _residual(np.eye(144), p) + b[:, None], b
+
+
+def _gathered(M):
+    """The lone and linked blocks of ``M`` at ``oracle._BLOCK_TAKE``."""
+    flat = M.ravel()
+    return (flat[oracle._BLOCK_TAKE[:oracle._LONE_SIZE]].reshape(4, 9, 9),
+            flat[oracle._BLOCK_TAKE[oracle._LONE_SIZE:]].reshape(6, 18, 18))
 
 
 def test_probe_assembly_equals_identity_evaluation():
-    # the blocks gathered from the 19-column probe, scattered into M,
-    # against the dense evaluation on the identity, one parameterization at
-    # a time and as stacked slices; the stacked condition numbers against
-    # the SVDs of the blocks read off the dense matrix; the printed solve
-    # against the dense solve of the identity evaluation
+    # the blocks gathered from the 19-column probe against those gathered
+    # from the dense evaluation on the identity, one parameterization at a
+    # time and as stacked slices; the stacked condition numbers against
+    # the SVDs of the blocks read off the dense matrix
     points = _points(17)
     dense = []
     for p in points:
-        b = -_residual(np.zeros(144), p)
-        dense.append((_residual(np.eye(144), p) + b[:, None], b))
-        lone, linked, got_b = _matching_blocks(p)
-        M = _dense_matrix(lone, linked)
-        assert np.array_equal(M, dense[-1][0]) and np.array_equal(got_b, b)
-        z = np.concatenate([solve_undetermined(p).block(v) for v in oracle.FREE_BLOCKS])
-        assert np.array_equal(z, _scrubbed(np.linalg.solve(*dense[-1])))
+        dense.append(_identity_evaluation(p))
+        lone, linked, b = _matching_blocks(p)
+        want_lone, want_linked = _gathered(dense[-1][0])
+        assert np.array_equal(lone, want_lone) and np.array_equal(linked, want_linked)
+        assert np.array_equal(b, dense[-1][1])
     for start in range(0, len(points), 50):
         lone, linked, b = _matching_blocks(_stacked(points[start:start + 50]))
-        M = _dense_matrix(lone, linked)
         cond = _condition_number(lone, linked)
-        assert M.shape == (len(points[start:start + 50]), 144, 144)
+        assert lone.shape == (len(points[start:start + 50]), 4, 9, 9)
         for j, (M_ref, b_ref) in enumerate(dense[start:start + 50]):
-            assert np.array_equal(M[j], M_ref) and np.array_equal(b[j], b_ref)
-            flat = M_ref.ravel()
-            blocks = [flat[oracle._BLOCK_TAKE[:oracle._LONE_SIZE]].reshape(4, 9, 9),
-                      flat[oracle._BLOCK_TAKE[oracle._LONE_SIZE:]].reshape(6, 18, 18)]
+            blocks = _gathered(M_ref)
+            assert np.array_equal(lone[j], blocks[0]) and np.array_equal(linked[j], blocks[1])
+            assert np.array_equal(b[j], b_ref)
             assert cond[j].hex() == float(_condition_number(*blocks)).hex()
 
 
 def test_block_solve_equals_dense_solve():
-    # the stacked solve of the ten blocks against the printed dense solve,
-    # point by point: every coefficient within 1e-12 (1 + |z|)
+    # the report's solve and the stacked solve of the ten blocks against
+    # the dense solve of the identity evaluation, point by point: every
+    # coefficient within 1e-12 (1 + |z|); and the report's coefficients
+    # are bitwise those of its column in the stacked solve
     points = _points(31)
     for start in range(0, len(points), 50):
-        part = points[start:start + 50]
-        blocks = oracle._block_solve(_stacked(part))
-        for j, p in enumerate(part):
+        part = _stacked(points[start:start + 50])
+        stacked = oracle._block_solve(part, *_matching_blocks(part))
+        for j, p in enumerate(points[start:start + 50]):
             ref = solve_undetermined(p)
             for v in slots.VARIABLES:
-                z = ref.block(v)
-                assert np.all(np.abs(blocks[v][:, j] - z) <= 1e-12 * (1 + np.abs(z))), v
+                assert np.array_equal(ref.block(v), stacked[v][:, j]), v
+            want = np.linalg.solve(*_identity_evaluation(p))
+            z = np.concatenate([ref.block(v) for v in oracle.FREE_BLOCKS])
+            assert np.all(np.abs(z - want) <= 1e-12 * (1 + np.abs(want)))
 
 
 def _reference_random_params(rng, screen=0.05, rejected=None):
