@@ -13,7 +13,8 @@ import logging
 import math
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import zip_longest
 
 import numpy as np
 
@@ -33,10 +34,10 @@ MAX_PERIODS = np.iinfo(np.intp).max // 8
 AUDIT_MAX_DRAWS = 1_000_000
 
 
-def _write(args, *parts: str) -> None:
-    """Write the text ``parts`` in order to stdout, or atomically to --out:
-    a sibling temporary file renamed onto it, so a failed run leaves no
-    partial file."""
+def _write(args, parts: Iterable[str]) -> None:
+    """Write the text ``parts`` in order, as they are made, to stdout, or
+    atomically to --out: a sibling temporary file renamed onto it, so a
+    failed run leaves no partial file."""
     if not args.out:
         sys.stdout.writelines(parts)
         return
@@ -55,25 +56,24 @@ def _write(args, *parts: str) -> None:
 CSV_CHUNK = 1024
 
 
-def _csv(header: str, columns: dict[str, Sequence]) -> list[str]:
+def _csv(header: str, columns: dict[str, Sequence]) -> Iterator[str]:
     """CSV text in parts: a schema line and a header of the column names,
-    then one row per position of the equal-length columns, in parts of at
-    most ``CSV_CHUNK`` rows.  Cells are Python scalars, formatted a column
-    at a time, so ``str`` writes floats at full round-trip precision.  None
-    is an empty cell."""
-    parts = [f"# nkji {header} csv {SCHEMA}\n{','.join(columns)}\n"]
-    for start in range(0, len(next(iter(columns.values()))), CSV_CHUNK):
-        cells = [["" if x is None else str(x) for x in col[start:start + CSV_CHUNK]]
-                 for col in columns.values()]
-        parts.append("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
-    return parts
-
-
-def _floats(values: np.ndarray) -> list[float]:
-    """``values`` as CSV cells; a non-finite value is a numerical failure."""
-    if not np.isfinite(values).all():
+    then one row per position of the first column, in parts of at most
+    ``CSV_CHUNK`` rows.  A column is an array, turned into Python scalars
+    one part at a time, or a sequence of them, so ``str`` writes floats at
+    full round-trip precision.  None, and every position past the end of a
+    shorter column, is an empty cell.  A non-finite value in a float array
+    is a numerical failure, raised before the first part."""
+    if not all(np.isfinite(col).all() for col in columns.values()
+               if isinstance(col, np.ndarray) and col.dtype.kind == "f"):
         raise ConvergenceFailure("output is not finite")
-    return values.tolist()
+    yield f"# nkji {header} csv {SCHEMA}\n{','.join(columns)}\n"
+    for start in range(0, len(next(iter(columns.values()))), CSV_CHUNK):
+        chunks = (col[start:start + CSV_CHUNK] for col in columns.values())
+        cells = [["" if x is None else str(x) for x in
+                  (chunk.tolist() if isinstance(chunk, np.ndarray) else chunk)]
+                 for chunk in chunks]
+        yield "\n".join(map(",".join, zip_longest(*cells, fillvalue=""))) + "\n"
 
 
 def _json(obj) -> str:
@@ -161,16 +161,13 @@ def _load_params(args):
 
 def cmd_coeffs(args) -> int:
     rf = coeffs.compute_all(_load_params(args))
-    table = rf.as_table()
     if args.format == "json":
-        obj = {var: {str(i): v for i, v in idx.items()} for var, idx in table.items()}
-        _write(args, _json(obj))
+        obj = {var: {str(i): v for i, v in idx.items()} for var, idx in rf.as_table().items()}
+        _write(args, [_json(obj)])
     else:
-        variable, index = zip(*((var, i) for var in slots.VARIABLES
-                                for i in sorted(table[var])))
-        _write(args, *_csv("coeffs", {
-            "variable": variable, "index": index,
-            "value": [table[var][i] for var, i in zip(variable, index)]}))
+        variable, index = zip(*slots.ENTRIES)
+        _write(args, _csv("coeffs", {"variable": variable, "index": index,
+                                     "value": rf.exported()}))
     return 0
 
 
@@ -184,9 +181,8 @@ def cmd_shocks(args) -> int:
         **{name: path.state(name) for name in ("g", "tax", "eps", "ubar")},
         "signal": shocks.signal(path, transparent=args.transparent),
     }
-    _write(args, *_csv("shocks", {"t": range(args.T),
-                                 **{name: _floats(col[args.burn:])
-                                    for name, col in columns.items()}}))
+    _write(args, _csv("shocks", {"t": range(args.T),
+                                **{name: col[args.burn:] for name, col in columns.items()}}))
     return 0
 
 
@@ -194,27 +190,27 @@ def cmd_simulate(args) -> int:
     p = _load_params(args)
     path = shocks.draw(p, args.seed, args.T + args.burn)
     ep = sim.simulate(coeffs.compute_all(p), path, budget_mode=args.budget)
-    _write(args, *_csv("simulate", {
-        "t": range(args.T), **{v: _floats(ep[v][args.burn:]) for v in sim.SERIES},
-        # the final period has no realized forecast error
-        "fe": _floats(ep.forecast_error[args.burn:]) + [None]}))
+    _write(args, _csv("simulate", {
+        "t": range(args.T), **{v: ep[v][args.burn:] for v in sim.SERIES},
+        # one row short: the final period has no realized forecast error
+        "fe": ep.forecast_error[args.burn:]}))
     return 0
 
 
 def cmd_irf(args) -> int:
     table = sim.irf(coeffs.compute_all(_load_params(args)), args.shock, args.H)
-    series = {var: _floats(table[var]) for var in (*sim.SERIES, *shocks.AR_STATES)}
-    _write(args, *_csv("irf", {
-        "h": [h for xs in series.values() for h in range(len(xs))],
-        "variable": [var for var, xs in series.items() for _ in xs],
-        "response": [x for xs in series.values() for x in xs]}))
+    names = (*sim.SERIES, *shocks.AR_STATES)
+    _write(args, _csv("irf", {
+        "h": np.tile(np.arange(args.H), len(names)),
+        "variable": np.repeat(np.array(names, dtype=object), args.H),
+        "response": np.concatenate([table[var] for var in names])}))
     return 0
 
 
 def cmd_transparency(args) -> int:
     rf = coeffs.compute_all(_load_params(args))
     audit = sim.transparency_audit(rf)
-    _write(args, _json(audit.entries))
+    _write(args, [_json(audit.entries)])
     return 0
 
 
@@ -230,7 +226,7 @@ def cmd_determinacy(args) -> int:
         "rule": rep.rule,
         "verdicts": {str(n): v for n, v in rep.verdicts.items()},
     }
-    _write(args, _json(obj))
+    _write(args, [_json(obj)])
     return 0
 
 
@@ -238,7 +234,7 @@ def cmd_sweep(args) -> int:
     result = statespace.sweep(_load_params(args), args.axis1, args.axis2,
                               n_pre=args.n_pre, tau=args.tol, workers=args.workers)
     names = (args.axis1[0], args.axis2[0], "stable", "unstable", "borderline", "verdict")
-    _write(args, *_csv("sweep", {name: [c[name] for c in result.cells] for name in names}))
+    _write(args, _csv("sweep", {name: [c[name] for c in result.cells] for name in names}))
     return 0
 
 
@@ -268,7 +264,7 @@ def cmd_audit(args) -> int:
             "identical_across_draws": stable,
             "flagged_entries": sorted(f"{v}[{i}]" for v, i in first),
         }
-    _write(args, _json(obj))
+    _write(args, [_json(obj)])
     return 0
 
 
@@ -350,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_sizes(args)
-        # a non-finite result ends in exit 3 (see ``_floats``, ``_json``),
+        # a non-finite result ends in exit 3 (see ``_csv``, ``_json``),
         # not in numpy warnings
         with np.errstate(all="ignore"):
             return args.run(args)

@@ -7,14 +7,16 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nkji
-from nkji import cli
+from nkji import cli, shocks
 from nkji.cli import AUDIT_MAX_DRAWS, MAX_PERIODS, main
 from nkji.params import DEFAULTS, FIELD_NAMES, validate
 from nkji.shocks import AR_STATES, KINDS
@@ -474,6 +476,37 @@ def test_failed_write_keeps_previous_out(tmp_path, monkeypatch, capsys):
     assert "rename refused" in capsys.readouterr().err
     assert out.read_text() == "previous\n"
     assert [f.name for f in tmp_path.iterdir()] == ["out.json"]
+
+
+#: a drift whose level overflows to inf at row 1407, past the first CSV part
+STREAM_OVERFLOW = ["shocks", "--seed", "0", "--T", "4000", "--param", "sd_omega=1.2e304",
+                   "--param", "rho_ybar=0.999"]
+
+
+def test_non_finite_past_the_first_part_writes_nothing(tmp_path, capfd):
+    with np.errstate(all="ignore"):
+        ybar = shocks.draw(validate({"sd_omega": 1.2e304, "rho_ybar": 0.999}), 0, 4000).ybar
+    assert np.isfinite(ybar[:cli.CSV_CHUNK]).all() and not np.isfinite(ybar).all()
+    assert main(STREAM_OVERFLOW) == 3
+    assert capfd.readouterr() == ("", "nkji: numerical failure: output is not finite\n")
+    out = tmp_path / "out.csv"
+    out.write_text("previous\n")
+    assert main([*STREAM_OVERFLOW, "--out", str(out)]) == 3
+    assert out.read_text() == "previous\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_csv_formats_one_part_at_a_time(tmp_path):
+    # the path's 17 float columns of 50 000 periods hold 6.8 MB; formatting
+    # them may add at most as much again
+    T, columns = 50_000, 17
+    tracemalloc.start()
+    try:
+        assert main(["shocks", "--T", str(T), "--out", str(tmp_path / "out.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * columns * T * 8
 
 
 def _cli_process(*argv, **env):

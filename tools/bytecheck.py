@@ -161,6 +161,14 @@ SINGLE = (
     ["sweep", "--axis1", "sigma:1e-40:1e-40:1", "--axis2", "k:0.3:0.3:1"],
     # non-finite matching blocks: LAPACK must not write to stdout
     ["audit", "--T", "10", "--param", "sigma=5e-324"],
+    # CSV longer than one formatting chunk of 1024 rows
+    ["simulate", "--seed", "5", "--T", "2500", "--burn", "7"],
+    ["shocks", "--seed", "5", "--T", "2100", "--burn", "3", "--transparent"],
+    ["irf", "--shock", "lambda", "--H", "60"],
+    ["coeffs", "--format", "csv", "--param", "theta=0"],
+    # a first non-finite cell past the first chunk: nothing is written
+    ["shocks", "--seed", "0", "--T", "4000", "--param", "sd_omega=1.2e304",
+     "--param", "rho_ybar=0.999"],
 )
 
 COMMANDS = (*(argv + opts for opts in PARAMS.values() for argv in PER_PARAMS),
