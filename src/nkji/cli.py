@@ -233,8 +233,17 @@ def cmd_determinacy(args) -> int:
 def cmd_sweep(args) -> int:
     result = statespace.sweep(_load_params(args), args.axis1, args.axis2,
                               n_pre=args.n_pre, tau=args.tol, workers=args.workers)
-    names = (args.axis1[0], args.axis2[0], "stable", "unstable", "borderline", "verdict")
-    _write(args, _csv("sweep", {name: [c[name] for c in result.cells] for name in names}))
+    (name1, grid1), (name2, grid2) = result.axis1, result.axis2
+    # each text is made once and repeated: a cell's axis values are bitwise
+    # grid points, and its counts are -1 (not solved: an empty cell) to 9
+    texts1, texts2, digits, verdicts = (np.array(list(texts), dtype=object) for texts in (
+        map(str, grid1.tolist()), map(str, grid2.tolist()), ["", *map(str, range(10))],
+        statespace.SWEEP_VERDICTS))
+    counts = digits[result.counts + 1]
+    _write(args, _csv("sweep", {
+        name1: np.repeat(texts1, len(grid2)), name2: np.tile(texts2, len(grid1)),
+        "stable": counts[:, 0], "unstable": counts[:, 1], "borderline": counts[:, 2],
+        "verdict": verdicts[result.verdicts]}))
     return 0
 
 

@@ -79,14 +79,15 @@ class ShockPath:
 
 
 def _accumulate(rho: float, innov: Vec, init: float) -> Vec:
-    # the same multiply-add in the same order over Python floats, which
-    # loop faster than numpy scalars
-    out = []
-    prev = init
-    for x in innov.tolist():
-        prev = rho * prev + x
-        out.append(prev)
-    return np.array(out)
+    # the same multiply-add in the same order over Python floats, which loop
+    # faster than numpy scalars, 1024 at a time: no list as long as the path
+    def states():
+        prev = init
+        for start in range(0, len(innov), 1024):
+            for x in innov[start:start + 1024].tolist():
+                prev = rho * prev + x
+                yield prev
+    return np.fromiter(states(), float, len(innov))
 
 
 def from_innovations(p: StructuralParams,

@@ -53,11 +53,13 @@ B_COLUMNS = ("omega_lag1", "omega_lag3", "eta", "eta_lag1", "eta_lag3",
              "L", "lambda", "sigma_cp")
 
 VERDICTS = ("determinate", "indeterminate", "no_equilibrium", "borderline")
+#: indexed by ``SweepResult.verdicts``
+SWEEP_VERDICTS = VERDICTS + ("invalid", "failed")
 
 #: most grid cells a sweep evaluates in one array pass; bounds its memory
 SWEEP_SLICE = 256
-#: largest grid (cells) a sweep accepts; the grid, its cell records and the
-#: CSV are all held in memory
+#: largest grid (cells) a sweep accepts; its count and verdict arrays, and the
+#: CSV columns formatted from them, are held in memory
 SWEEP_MAX_CELLS = 1_000_000
 
 #: why an eigen-solve is rejected, indexed by the codes of :func:`_spectra`;
@@ -265,6 +267,8 @@ def _retried(A: Vec, first: tuple[Vec, Vec] | None,
     (``sigma = 1e-40``), and V' U's noise floor can be far above A's."""
     vals, failure = _spectra(A, first)
     bad = np.flatnonzero(failure)
+    if not len(bad):
+        return vals, failure
     again, still = _spectra(A[bad], second and tuple(x[bad] for x in second))
     vals[bad[still == 0]], failure[bad[still == 0]] = again[still == 0], 0
     return vals, failure
@@ -303,17 +307,12 @@ def classify(eigs: Vec, n_pre: int, tau: float = 1e-8) -> str:
     if not 0 <= n_pre <= len(eigs):
         raise ValueError(f"n_pre must be in 0..{len(eigs)}")
     stable, _, borderline = _counts(eigs, tau)
-    return _verdict(stable, borderline, n_pre)
+    return VERDICTS[_verdict_codes(stable, borderline, n_pre)]
 
 
-def _verdict(stable: int, borderline: int, n_pre: int) -> str:
-    if borderline > 0:
-        return "borderline"
-    if stable == n_pre:
-        return "determinate"
-    if stable > n_pre:
-        return "indeterminate"
-    return "no_equilibrium"
+def _verdict_codes(stable: Vec, borderline: Vec, n_pre: int) -> Vec:
+    """Index into ``VERDICTS`` per stable and borderline count; 0-d for integers."""
+    return np.select([borderline > 0, stable == n_pre, stable > n_pre], [3, 0, 1], 2)
 
 
 def classify_standard(eigs: Vec, n_pre: int, tau: float = 1e-8) -> str:
@@ -354,7 +353,7 @@ def report(rf: ReducedForm, tau: float = 1e-8,
     k = char_poly(A)
     stable, unstable, borderline = map(int, _counts(eigs, tau))
     pres = range(ORDER + 1) if n_pre is None else (n_pre,)
-    verdicts = {n: _verdict(stable, borderline, n) for n in pres}
+    verdicts = {n: VERDICTS[_verdict_codes(stable, borderline, n)] for n in pres}
     return DeterminacyReport(eigenvalues=eigs, k=k, tau=tau, stable=stable,
                              unstable=unstable, borderline=borderline,
                              verdicts=verdicts)
@@ -366,19 +365,31 @@ class SweepResult:
     axis2: tuple[str, Vec]
     n_pre: int
     tau: float
-    # per-cell records in row-major (axis1, axis2) order; counts are None
-    # for cells whose parameterization fails validation ("invalid") or
-    # whose coefficients overflow or eigen-solve fails ("failed")
-    cells: list[dict]
+    # per cell in row-major (axis1, axis2) order: stable, unstable and borderline
+    # counts (n, 3), -1 where not solved, and an index into SWEEP_VERDICTS (n,)
+    counts: Vec = field(repr=False)
+    verdicts: Vec = field(repr=False)
+
+    @property
+    def cells(self) -> list[dict]:
+        """Records of the axis values, counts (None: not solved) and verdict
+        name, built on each call for the tests and perfbench's traced
+        ``_sweep_attrs``; spans inside nkji (ROADMAP item 1) delete both."""
+        (name1, grid1), (name2, grid2) = self.axis1, self.axis2
+        columns = (np.repeat(grid1, len(grid2)), np.tile(grid2, len(grid1)),
+                   *np.where(self.counts < 0, None, self.counts).T,
+                   np.array(SWEEP_VERDICTS)[self.verdicts])
+        keys = (name1, name2, "stable", "unstable", "borderline", "verdict")
+        return [dict(zip(keys, row)) for row in zip(*(col.tolist() for col in columns))]
 
 
 # overflow in an extreme cell is reported by its "failed" verdict, not by
 # numpy warnings
 @np.errstate(all="ignore")
 def _sweep_slice(base: dict[str, float], name1: str, grid1: Vec, name2: str,
-                 grid2: Vec, n_pre: int, tau: float, cells: range) -> list[dict]:
-    """The grid cells numbered ``cells`` in row-major order, evaluated in
-    one array pass."""
+                 grid2: Vec, n_pre: int, tau: float, cells: range) -> list[tuple[Vec, Vec]]:
+    """The counts and verdict codes of ``SweepResult`` for the grid cells
+    numbered ``cells`` in row-major order, evaluated in one array pass."""
     i1, i2 = np.divmod(np.arange(cells.start, cells.stop), len(grid2))
     # both swept fields are arrays, so no cell divides a Python float by zero
     values = {**base, name1: grid1[i1], name2: grid2[i2]}
@@ -392,19 +403,11 @@ def _sweep_slice(base: dict[str, float], name1: str, grid1: Vec, name2: str,
     vals = np.zeros((len(cells), ORDER), dtype=complex)
     vals[idx], failure = _retried(_transition(U, V), (U, V), None)
     solved[idx] = failure == 0
-    stable, unstable, borderline = _counts(vals, tau)
-    records = []
-    for v1, v2, ok, bad, s, u, b in zip(values[name1].tolist(), values[name2].tolist(),
-                                        solved.tolist(), invalid.tolist(), stable.tolist(),
-                                        unstable.tolist(), borderline.tolist()):
-        if ok:
-            records.append({name1: v1, name2: v2, "stable": s, "unstable": u,
-                        "borderline": b, "verdict": _verdict(s, b, n_pre)})
-        else:
-            records.append({name1: v1, name2: v2, "stable": None, "unstable": None,
-                        "borderline": None,
-                        "verdict": "invalid" if bad else "failed"})
-    return records
+    counts = np.stack(_counts(vals, tau), axis=1, dtype=np.int8)
+    verdicts = np.select([solved, invalid], [_verdict_codes(counts[:, 0], counts[:, 2], n_pre),
+                                             len(VERDICTS)], len(VERDICTS) + 1).astype(np.int8)
+    counts[~solved] = -1
+    return [(counts, verdicts)]
 
 
 def fan_out(fn: Callable[[range], list], n_items: int, size: int,
@@ -456,7 +459,9 @@ def sweep(base: StructuralParams,
             "<grid>", f"{n1} x {n2} cells, more than {SWEEP_MAX_CELLS}")])
     grid1 = np.linspace(lo1, hi1, n1)
     grid2 = np.linspace(lo2, hi2, n2)
-    cells = fan_out(partial(_sweep_slice, base.as_dict(), name1, grid1, name2, grid2,
+    parts = fan_out(partial(_sweep_slice, base.as_dict(), name1, grid1, name2, grid2,
                             n_pre, tau), n1 * n2, SWEEP_SLICE, workers)
+    empty = (np.empty((0, 3), np.int8), np.empty(0, np.int8))   # for a grid of no cells
+    counts, verdicts = map(np.concatenate, zip(*parts, empty))
     return SweepResult(axis1=(name1, grid1), axis2=(name2, grid2),
-                       n_pre=n_pre, tau=tau, cells=cells)
+                       n_pre=n_pre, tau=tau, counts=counts, verdicts=verdicts)

@@ -149,3 +149,26 @@ def test_paths_are_immutable(default_params):
     path = draw(default_params, 4, 50)
     with pytest.raises(ValueError):
         path.state("chi")[0] = 1.0
+
+
+def test_accumulate_holds_no_path_long_list():
+    # the recursion as one list over the whole path, bitwise; the traced peak
+    # of the chunked loop stays near the array it returns
+    import tracemalloc
+
+    from nkji.shocks import _accumulate
+
+    innov = np.random.default_rng(3).standard_normal(200_000)
+    want, prev = [], 0.25
+    for x in innov[:5000].tolist():
+        prev = 0.9 * prev + x
+        want.append(prev)
+    assert np.array_equal(_accumulate(0.9, innov[:5000], 0.25), want)
+    tracemalloc.start()
+    try:
+        out = _accumulate(0.9, innov, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == innov.shape
+    assert peak <= out.nbytes + 0.5 * 2**20, peak

@@ -14,9 +14,9 @@ from nkji.oracle import random_params
 from nkji.params import DEFAULTS, InvalidParams, validate
 from nkji.coeffs import _slot_blocks, finite_cells
 from nkji.params import FIELD_NAMES, StructuralParams, invalid_cells
-from nkji.statespace import (SWEEP_SLICE, ConvergenceFailure, UnknownParameter,
-                             _counts, _factors, _retried, _spectra, _transition, report,
-                             sweep)
+from nkji.statespace import (ORDER, SWEEP_SLICE, SWEEP_VERDICTS, ConvergenceFailure,
+                             UnknownParameter, _counts, _factors, _retried, _spectra,
+                             _transition, report, sweep)
 
 
 def test_zero_persistence_zero_matrix():
@@ -302,6 +302,11 @@ REFERENCE_GRIDS = {
     "extreme sigma x k": (("sigma", 1e-300, 1e300, 5), ("k", 0.0, 1e308, 5)),
     "extreme c1 x k": (("c1", 0.5, 1e300, 3), ("k", 0.0, 1.0, 2)),
     "extreme c0 x s0": (("c0", 0.0, 1e308, 5), ("s0", -0.1, 0.1, 3)),
+    # every verdict at n_pre 8 (and tau 0.3): invalid where |rho_ybar| >= 1,
+    # failed at sigma = 1e300, borderline moduli within the wide tolerance of
+    # 1, and stable counts 6 to 9.  No valid rho_ybar is within 0.1 of +-1,
+    # where the sweep's and report's routes may count apart
+    "every verdict": (("rho_ybar", -1.1, 1.1, 11), ("sigma", 0.5, 1e300, 2), 8, 0.3),
 }
 
 
@@ -310,6 +315,19 @@ def test_sweep_equals_per_cell_loop(default_params, grid):
     axis1, axis2, *n_pre = REFERENCE_GRIDS[grid]
     assert sweep(default_params, axis1, axis2, *n_pre).cells == \
         _reference_cells(default_params, axis1, axis2, *n_pre)
+
+
+def test_sweep_verdict_codes_are_classify(default_params):
+    # the sweep's verdict codes and classify are one rule, at every
+    # predetermined count
+    axis1, axis2, _, tau = REFERENCE_GRIDS["every verdict"]
+    seen = set()
+    for n_pre in range(ORDER + 1):
+        codes = sweep(default_params, axis1, axis2, n_pre, tau).verdicts.tolist()
+        want = [c["verdict"] for c in _reference_cells(default_params, axis1, axis2, n_pre, tau)]
+        assert [SWEEP_VERDICTS[code] for code in codes] == want, n_pre
+        seen.update(want)
+    assert seen == set(SWEEP_VERDICTS)
 
 
 def test_batched_layers_are_bitwise_the_scalar_layers(rng):
@@ -695,4 +713,7 @@ def test_fan_out_pickles_the_work_once_per_process(monkeypatch):
         _CountingPartial.pickled = 0
         pooled = statespace.fan_out(fn, n2, 1, 2)
         assert _CountingPartial.pickled == 2, n2
-        assert pooled == statespace.fan_out(fn, n2, 1, 1)
+        serial = statespace.fan_out(fn, n2, 1, 1)
+        assert len(pooled) == len(serial) == n2
+        for got, want in zip(pooled, serial):
+            assert all(map(np.array_equal, got, want)), n2

@@ -169,6 +169,9 @@ SINGLE = (
     # a first non-finite cell past the first chunk: nothing is written
     ["shocks", "--seed", "0", "--T", "4000", "--param", "sd_omega=1.2e304",
      "--param", "rho_ybar=0.999"],
+    # every sweep verdict, and every digit in the count columns
+    ["sweep", "--axis1", "rho_ybar:-1.2:1.2:13", "--axis2", "sigma:0.5:1e300:2",
+     "--n-pre", "8", "--tol", "0.3"],
 )
 
 COMMANDS = (*(argv + opts for opts in PARAMS.values() for argv in PER_PARAMS),
