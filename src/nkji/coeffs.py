@@ -64,30 +64,16 @@ def _chain_expectation(vec: Vec, p: StructuralParams) -> Vec:
     Conditioning convention: at time t agents know every current innovation
     except the potential-output one (slot ``OMEGA``), all time-t AR states
     built from those innovations, and the full history.  Next period's
-    regressors therefore map to: known lag-1 states via their AR laws,
+    regressors therefore map to: each lag slot of ``slots.AR_LINKS`` via
+    its AR law (rho times the lag slot plus the innovation slot),
     next-period innovations (and the current potential-output innovation)
     to zero.
     """
     out = np.zeros(vec.shape)
     out[slots.CONST] = vec[slots.CONST]
-    # ybar_{t-1} = rho_ybar * ybar_{t-2} + omega_{t-1}
-    out[slots.YBAR_LAG2] += p.rho_ybar * (x := vec[slots.YBAR_LAG2])
-    out[slots.OMEGA_LAG1] += x
-    # g_t = rho_g * g_{t-1} + eta_t
-    out[slots.G_LAG1] += p.rho_g * (x := vec[slots.G_LAG1])
-    out[slots.ETA] += x
-    # tax_t = rho_tax * tax_{t-1} + L_t
-    out[slots.TAX_LAG1] += p.rho_tax * (x := vec[slots.TAX_LAG1])
-    out[slots.L_FISC] += x
-    # chi_t = rho_chi * chi_{t-1} + lambda_t
-    out[slots.CHI_LAG1] += p.rho_chi * (x := vec[slots.CHI_LAG1])
-    out[slots.LAM] += x
-    # eps_t = rho_eps * eps_{t-1} + varsigma_t
-    out[slots.EPS_LAG1] += p.rho_eps * (x := vec[slots.EPS_LAG1])
-    out[slots.VARSIGMA] += x
-    # ubar_t = rho_u * ubar_{t-1} + T_t
-    out[slots.UBAR_LAG1] += p.rho_u * (x := vec[slots.UBAR_LAG1])
-    out[slots.T_NATU] += x
+    for link in slots.AR_LINKS:
+        out[link.lag] += getattr(p, link.rho) * vec[link.lag]
+        out[link.innovation] += vec[link.lag]
     return out
 
 

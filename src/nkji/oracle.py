@@ -146,14 +146,12 @@ def _residual(zflat: Vec, p: StructuralParams) -> Vec:
 
 #: slot groups of the matching system's direct-sum blocks.  Unknowns and
 #: equations share the layout ``block * NSLOT + slot``, and every equation
-#: is slot by slot except the AR links of ``_chain_expectation`` (lag state
-#: -> its innovation), so after a permutation ``M`` is the direct sum of one
-#: 9x9 block per unlinked slot and one 18x18 block per linked pair, block
-#: lower-triangular: a lag slot's equations read no innovation unknown
-_LONE_SLOTS = ((slots.CONST,), (slots.XI,), (slots.V,), (slots.OMEGA,))
-_LINKED_SLOTS = ((slots.YBAR_LAG2, slots.OMEGA_LAG1), (slots.G_LAG1, slots.ETA),
-                 (slots.TAX_LAG1, slots.L_FISC), (slots.CHI_LAG1, slots.LAM),
-                 (slots.EPS_LAG1, slots.VARSIGMA), (slots.UBAR_LAG1, slots.T_NATU))
+#: is slot by slot except ``slots.AR_LINKS`` (lag state -> its innovation,
+#: in ``_chain_expectation``), so after a permutation ``M`` is the direct sum
+#: of one 9x9 block per unlinked slot and one 18x18 block per linked pair,
+#: block lower-triangular: a lag slot's equations read no innovation unknown
+_LONE_SLOTS = ((slots.CONST,), *((slot,) for _, slot in slots.LONE_INNOVATIONS))
+_LINKED_SLOTS = tuple((link.lag, link.innovation) for link in slots.AR_LINKS)
 _NFREE = len(FREE_BLOCKS)
 _N = _NFREE * NSLOT
 
@@ -353,7 +351,7 @@ RESIDUAL_EQUATIONS = ("is_curve", "okun", "phillips", "taylor",
 @dataclass(frozen=True, eq=False)
 class ResidualReport:
     max_abs: dict[str, float]
-    threshold: float
+    threshold: float = field(default=1e-9, init=False)
     series: dict[str, Vec] = field(repr=False)
 
     def passed(self, eq: str) -> bool:
@@ -363,15 +361,14 @@ class ResidualReport:
         return all(self.passed(eq) for eq in self.max_abs)
 
 
-def residuals(ep: EquilibriumPath, p: StructuralParams | None = None,
-              threshold: float = 1e-9) -> ResidualReport:
+def residuals(ep: EquilibriumPath) -> ResidualReport:
     """Per-period residuals of the structural equations, recomputed from the
     emitted series (expectation terms evaluated from the emitted expectation
-    series, not from next-period realizations)."""
-    p = p or ep.rf.params
-    R = ep.regressors
+    series, not from next-period realizations) and the path's AR states, at
+    the coefficient set's parameters; each passes at most 1e-9 off zero."""
+    p = ep.rf.params
     path = ep.path
-    mu_l1 = p.rho_ybar * R[:, slots.YBAR_LAG2] + R[:, slots.OMEGA_LAG1]
+    mu_l1 = np.concatenate(([path.initial.mu[0]], path.state("mu")[:-1]))
     rbar = p.sigma * p.rho_ybar * (p.rho_ybar - 1.0) * mu_l1
     series = {
         "is_curve": ep["yhat"] - ep["Eyhat"]
@@ -387,7 +384,7 @@ def residuals(ep: EquilibriumPath, p: StructuralParams | None = None,
     if ep.budget_mode == "balanced":
         series["budget"] = path.state("g") - path.state("tax")
     max_abs = {eq: float(np.max(np.abs(s))) for eq, s in series.items()}
-    return ResidualReport(max_abs=max_abs, threshold=threshold, series=series)
+    return ResidualReport(max_abs=max_abs, series=series)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import slots
 from .params import StructuralParams
 from .slots import Vec
 
@@ -24,15 +25,9 @@ _KIND_SD = {
     "sigma_cp": "sd_costpush", "T_natu": "sd_natu", "Xi": "sd_noise",
 }
 
-#: AR(1) state -> (persistence field, driving innovation kind)
-AR_STATES = {
-    "mu": ("rho_ybar", "omega"),
-    "g": ("rho_g", "eta"),
-    "tax": ("rho_tax", "L"),
-    "chi": ("rho_chi", "lambda"),
-    "eps": ("rho_eps", "sigma_cp"),
-    "ubar": ("rho_u", "T_natu"),
-}
+#: AR(1) state -> (persistence field, driving innovation kind), in the slot
+#: order of ``slots.AR_LINKS``
+AR_STATES = {link.state: (link.rho, link.kind) for link in slots.AR_LINKS}
 
 
 class UnknownShockKind(ValueError):
@@ -106,8 +101,7 @@ def from_innovations(p: StructuralParams,
         raise ValueError("horizon must be >= 1")
     innov = {k: np.asarray(innovations[k], dtype=float) for k in KINDS}
 
-    init_map = {"mu": initial.mu[0], "g": initial.g, "chi": initial.chi,
-                "tax": initial.tax, "eps": initial.eps, "ubar": initial.ubar}
+    init_map = {**vars(initial), "mu": initial.mu[0]}   # each state at t = -1
     states = {name: _accumulate(getattr(p, rho_field), innov[kind], init_map[name])
               for name, (rho_field, kind) in AR_STATES.items()}
     ybar = initial.ybar_level + np.cumsum(states["mu"])

@@ -22,11 +22,10 @@ from .slots import Vec
 SERIES = ("r", "y", "yhat", "pi", "c", "I", "i", "u",
           "Ey", "Eyhat", "Epi", "Eu", "JI")
 
-#: symbols the expectation evaluators require (gap/output/inflation/
-#: unemployment one-step-ahead equations reference no current preference,
-#: idiosyncratic or potential-output innovation)
-_EXPECTATION_SLOTS = tuple(s for s in range(slots.NSLOT)
-                           if s not in (slots.CONST, slots.XI, slots.V, slots.OMEGA))
+#: symbols the expectation evaluators require: the slots of the AR links, the
+#: only ones the AR-law expectations Ey, Eyhat and Eu load on
+_EXPECTATION_SLOTS = tuple(sorted(s for link in slots.AR_LINKS
+                                  for s in (link.lag, link.innovation)))
 
 
 class BudgetModeConflict(ValueError):
@@ -49,7 +48,6 @@ class EquilibriumPath:
     budget_mode: str
     series: dict[str, Vec] = field(repr=False)
     forecast_error: Vec = field(repr=False)   # length T-1
-    regressors: Vec = field(repr=False)       # (T, 16) design matrix
 
     @property
     def T(self) -> int:
@@ -67,30 +65,19 @@ def regressor_matrix(path: ShockPath) -> Vec:
     R = np.zeros((T, slots.NSLOT))
     R[:, slots.CONST] = 1.0
 
-    def lagged(arr: Vec, lag: int, *presample: float) -> Vec:
+    def lagged(arr: Vec, *presample: float) -> Vec:
         # presample[i] is the value at t = -(i+1)
-        out = np.empty(T)
-        for j in range(min(lag, T)):
-            out[j] = presample[lag - 1 - j]
-        out[lag:] = arr[:T - lag]
-        return out
+        return np.concatenate((presample[::-1], arr))[:T]
 
-    R[:, slots.YBAR_LAG2] = lagged(path.state("mu"), 2, init.mu[0], init.mu[1])
-    R[:, slots.OMEGA_LAG1] = lagged(path.innovation("omega"), 1,
-                                    init.mu[0] - p.rho_ybar * init.mu[1])
-    R[:, slots.G_LAG1] = lagged(path.state("g"), 1, init.g)
-    R[:, slots.ETA] = path.innovation("eta")
-    R[:, slots.TAX_LAG1] = lagged(path.state("tax"), 1, init.tax)
-    R[:, slots.L_FISC] = path.innovation("L")
-    R[:, slots.CHI_LAG1] = lagged(path.state("chi"), 1, init.chi)
-    R[:, slots.LAM] = path.innovation("lambda")
-    R[:, slots.XI] = path.innovation("xi")
-    R[:, slots.V] = path.innovation("v")
-    R[:, slots.OMEGA] = path.innovation("omega")
-    R[:, slots.EPS_LAG1] = lagged(path.state("eps"), 1, init.eps)
-    R[:, slots.VARSIGMA] = path.innovation("sigma_cp")
-    R[:, slots.UBAR_LAG1] = lagged(path.state("ubar"), 1, init.ubar)
-    R[:, slots.T_NATU] = path.innovation("T_natu")
+    mu, *lag1 = slots.AR_LINKS
+    R[:, mu.lag] = lagged(path.state(mu.state), *init.mu)
+    R[:, mu.innovation] = lagged(path.innovation(mu.kind),
+                                 init.mu[0] - getattr(p, mu.rho) * init.mu[1])
+    for link in lag1:
+        R[:, link.lag] = lagged(path.state(link.state), getattr(init, link.state))
+        R[:, link.innovation] = path.innovation(link.kind)
+    for kind, slot in slots.LONE_INNOVATIONS:
+        R[:, slot] = path.innovation(kind)
     return R
 
 
@@ -128,10 +115,10 @@ def simulate(rf: ReducedForm, path: ShockPath,
     series["JI"] = series["Eu"] - rf.block("u")[slots.CONST]
 
     fe = series["y"][1:] - series["Ey"][:-1]
-    for arr in (*series.values(), fe, R):
+    for arr in (*series.values(), fe):
         arr.flags.writeable = False
     return EquilibriumPath(rf=rf, path=path, budget_mode=budget_mode,
-                           series=series, forecast_error=fe, regressors=R)
+                           series=series, forecast_error=fe)
 
 
 def _state_vector(state: Mapping[str, float], required: tuple[int, ...]) -> Vec:
@@ -259,20 +246,17 @@ def transparency_audit(rf: ReducedForm) -> TransparencyAudit:
     return TransparencyAudit(entries=entries)
 
 
-def search_paradox(seed: int = 0, max_draws: int = 10000,
-                   base: StructuralParams | None = None) -> StructuralParams | None:
+def search_paradox(seed: int = 0, max_draws: int = 10000) -> StructuralParams | None:
     """Scan random valid parameterizations until one makes the news
     coefficient of expected unemployment positive (disclosure raises
     expected unemployment).  Returns the first hit, or None."""
     rng = np.random.default_rng(seed)
-    template = base.as_dict() if base else {}
     for _ in range(max_draws):
-        cand = dict(template)
-        cand.update({
+        cand = {
             "c1": rng.uniform(0.1, 0.9), "s1": rng.uniform(0.1, 0.9),
             "gamma5": rng.uniform(0.0, 1.5), "phi2": rng.uniform(0.0, 1.5),
             "theta": rng.uniform(0.1, 1.0), "rho_chi": rng.uniform(0.1, 0.9),
-        })
+        }
         try:
             p = validate(cand)
         except InvalidParams:

@@ -5,9 +5,14 @@ combination of the same 16 regressors (constant, lagged states, current
 innovations).  Internally each variable is stored as a dense length-16
 "slot vector" over this layout; the exported per-variable index sets are
 a projection of it (see ``INDEX_SETS``).
+
+``AR_LINKS`` states the six exogenous AR(1) laws once; the expectations,
+the regressor matrix, the shock states and the audit's slot groups read them.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -31,6 +36,22 @@ UBAR_LAG1 = 14     # natural unemployment, lag 1
 T_NATU = 15        # natural-unemployment innovation, current
 
 NSLOT = 16
+
+#: The six exogenous AR(1) states in slot order: each one's name, persistence
+#: field, innovation kind, lag slot and innovation slot, under the AR law
+#: E_t[lag'] = rho * lag + innovation (next period's lag regressor is known
+#: at t).  The drift ``mu`` lags two periods: its pair is (mu_{t-2}, omega_{t-1}).
+ARLink = namedtuple("ARLink", "state rho kind lag innovation")
+AR_LINKS = (
+    ARLink("mu", "rho_ybar", "omega", YBAR_LAG2, OMEGA_LAG1),
+    ARLink("g", "rho_g", "eta", G_LAG1, ETA),
+    ARLink("tax", "rho_tax", "L", TAX_LAG1, L_FISC),
+    ARLink("chi", "rho_chi", "lambda", CHI_LAG1, LAM),
+    ARLink("eps", "rho_eps", "sigma_cp", EPS_LAG1, VARSIGMA),
+    ARLink("ubar", "rho_u", "T_natu", UBAR_LAG1, T_NATU),
+)
+#: (innovation kind, slot) of the current innovations no AR state carries
+LONE_INNOVATIONS = (("xi", XI), ("v", V), ("omega", OMEGA))
 
 SLOT_NAMES = (
     "const", "ybar_lag2", "omega_lag1", "g_lag1", "eta", "tax_lag1", "L",

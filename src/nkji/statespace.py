@@ -270,6 +270,7 @@ def _retried(A: Vec, first: tuple[Vec, Vec] | None,
     if not len(bad):
         return vals, failure
     again, still = _spectra(A[bad], second and tuple(x[bad] for x in second))
+    vals = vals.astype(complex, copy=False)   # real if all of the first route's are
     vals[bad[still == 0]], failure[bad[still == 0]] = again[still == 0], 0
     return vals, failure
 

@@ -15,6 +15,7 @@ from nkji.oracle import (AUDIT_SLICE, SUSPECT_ENTRIES, Erratum, SingularSystem,
 from nkji.params import (DEFAULTS, EPS_SING, FIELD_NAMES, InvalidParams,
                          SingularDenominator, StructuralParams, _domain_rules, validate)
 from nkji.shocks import impulse_path
+from nkji.sim import regressor_matrix
 from nkji.statespace import fan_out
 from nkji import slots
 from conftest import _valid_range
@@ -154,7 +155,7 @@ def test_behavioral_equations_hold_on_solved_path(oracle_rf, default_params):
     p = default_params
     path = draw(p, 31, 1500)
     ep = simulate(oracle_rf, path)
-    R = ep.regressors
+    R = regressor_matrix(path)
     mu_l1 = p.rho_ybar * R[:, slots.YBAR_LAG2] + R[:, slots.OMEGA_LAG1]
     drift_sum = (p.rho_ybar / (1 - p.rho_ybar)) * (p.rho_ybar * mu_l1)
     L = ep["y"] + drift_sum     # solved output is observable (no omega loading)
@@ -181,6 +182,29 @@ def test_singular_matching_system_reported():
         warnings.simplefilter("error")
         with pytest.raises(SingularSystem):
             solve_undetermined(p)
+
+
+def test_ar_links_are_the_oracles_ar_laws():
+    # the audit states its AR laws on its own (oracle._exogenous); each row
+    # of slots.AR_LINKS must be one of them: the state's vector holds rho at
+    # the lag slot, 1.0 at the innovation slot and 0 elsewhere.  The drift's
+    # mu_t is rho_ybar * mu_{t-1} + omega_t, with mu_{t-1} the row's vector
+    rng = np.random.default_rng(11)
+    for p in [validate(DEFAULTS)] + [random_params(rng) for _ in range(5)]:
+        states = dict(zip(("mu", "g", "tax", "chi", "eps", "ubar"), oracle._exogenous(p)))
+        assert [link.state for link in slots.AR_LINKS] == list(states)
+        for link in slots.AR_LINKS:
+            rho = getattr(p, link.rho)
+            law = rho * slots.unit(link.lag) + slots.unit(link.innovation)
+            if link.state == "mu":
+                law = rho * law + slots.unit(slots.OMEGA)
+            assert np.array_equal(states[link.state], law), link.state
+
+
+def test_slot_groups_partition_the_basis():
+    # every slot is the constant, a lone innovation or one end of one AR link
+    groups = oracle._LONE_SLOTS + oracle._LINKED_SLOTS
+    assert sorted(s for group in groups for s in group) == list(range(slots.NSLOT))
 
 
 def test_matching_matrix_equals_column_probes():

@@ -18,6 +18,13 @@ def test_same_seed_bitwise_identical(default_params):
     assert np.array_equal(a.ybar, b.ybar)
 
 
+def test_ar_states_keep_the_slot_order():
+    # irf's CSV lists the AR states in this order, after the series
+    assert tuple(AR_STATES) == ("mu", "g", "tax", "chi", "eps", "ubar")
+    assert AR_STATES["mu"] == ("rho_ybar", "omega")
+    assert AR_STATES["chi"] == ("rho_chi", "lambda")
+
+
 def test_different_seeds_differ(default_params):
     a = draw(default_params, 1, 100)
     b = draw(default_params, 2, 100)

@@ -140,11 +140,12 @@ def test_job_insecurity_two_routes(default_rf, rng):
 
 def test_job_insecurity_matches_simulated_series(default_rf, default_params):
     ep = simulate(default_rf, draw(default_params, 21, 200))
+    R = regressor_matrix(ep.path)
     u0 = default_rf.block("u")[slots.CONST]
     assert np.array_equal(ep["JI"], ep["Eu"] - u0)
     # point-wise evaluator agrees with the emitted series at every period
     for t in (0, 1, 57, 199):
-        state = {name: float(ep.regressors[t, j + 1])
+        state = {name: float(R[t, j + 1])
                  for j, name in enumerate(slots.STATE_NAMES)}
         assert job_insecurity(default_rf, state) == pytest.approx(
             ep["JI"][t], rel=1e-13, abs=1e-15)

@@ -530,6 +530,18 @@ def test_wide_matrices_take_the_rank6_route(default_params):
     assert {key: cell[key] for key in rep.counts()} == rep.counts()
 
 
+def test_retried_keeps_the_second_routes_complex_values(monkeypatch):
+    # np.linalg.eig returns real values when every eigenvalue of the stack
+    # is real: the first route fails its one matrix that way, and the second
+    # route's complex pair must keep its imaginary parts
+    pair = np.array([[0.5 + 0.25j, 0.5 - 0.25j] + [0.0] * (ORDER - 2)])
+    routes = iter([(np.zeros((1, ORDER)), np.array([4])), (pair, np.array([0]))])
+    monkeypatch.setattr(statespace, "_spectra", lambda A, factors=None: next(routes))
+    vals, failure = _retried(np.zeros((1, ORDER, ORDER)), None, None)
+    assert failure[0] == 0
+    assert np.array_equal(vals, pair)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.fixed_dictionaries({name: _valid_range(name) for name in FIELD_NAMES}))
 @example({**dict.fromkeys(FIELD_NAMES, 0.0), "sigma": 5e-324, "beta": 0.5, "s1": 0.5,
