@@ -268,13 +268,9 @@ def _slot_blocks(p: StructuralParams) -> dict[str, Vec]:
     # expected unemployment: AR-law expectation of the unemployment block
     Eu = _chain_expectation(u, p)
 
-    return {
-        "r": r, "y": y, "yhat": yhat, "Eyhat": Eyhat, "Epi": Epi, "pi": pi,
-        "c": c, "I": inv, "i": i, "u": u, "Eu": Eu,
-    }
+    return dict(zip(slots.VARIABLES, (r, y, yhat, Eyhat, Epi, pi, c, inv, i, u, Eu)))
 
 
 def steady_state(rf: ReducedForm) -> dict[str, float]:
     """Intercepts of the eight endogenous blocks: the steady-state values."""
-    return {v: float(rf.block(v)[slots.CONST])
-            for v in ("r", "y", "yhat", "pi", "c", "I", "i", "u")}
+    return {v: float(rf.block(v)[slots.CONST]) for v in slots.ENDOGENOUS}

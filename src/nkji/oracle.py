@@ -41,13 +41,14 @@ import numpy as np
 
 from . import slots
 from .coeffs import ReducedForm, _chain_expectation, _checked_blocks
-from .params import FIELD_NAMES, ConvergenceFailure, StructuralParams
+from .params import (FIELD_NAMES, RHO_FIELDS, SD_FIELDS, ConvergenceFailure,
+                     StructuralParams)
 from .sim import EquilibriumPath
 from .slots import NSLOT, Vec
 from .statespace import fan_out
 
 #: blocks carrying free coefficients in the matching system, in column order
-FREE_BLOCKS = ("r", "y", "yhat", "pi", "c", "I", "i", "u", "Epi")
+FREE_BLOCKS = (*slots.ENDOGENOUS, "Epi")
 
 #: the two closed-form entries that break their block's construction
 #: pattern; key -> (printed form, pattern form, evaluator of each on the
@@ -344,10 +345,6 @@ def solve_undetermined(p: StructuralParams) -> ReducedForm:
 # ---------------------------------------------------------------------------
 # structural residual audit on simulated paths
 
-RESIDUAL_EQUATIONS = ("is_curve", "okun", "phillips", "taylor",
-                      "saving_investment", "resource")
-
-
 @dataclass(frozen=True, eq=False)
 class ResidualReport:
     max_abs: dict[str, float]
@@ -487,11 +484,8 @@ _DRAW_RANGES = (
     ("s2", 0.05, 0.5), ("s3", 0.05, 0.5), ("s4", 0.05, 0.5),
     *((f"gamma{j}", 0.05, 1.2) for j in range(1, 6)),
     *((f"phi{j}", 0.1, 1.5) for j in range(1, 4)),
-    *((name, 0.05, 0.95) for name in ("rho_chi", "rho_ybar", "rho_g", "rho_tax",
-                                      "rho_eps", "rho_u")),
-    *((name, 0.005, 0.05) for name in ("sd_omega", "sd_eta_g", "sd_taxshock", "sd_lambda",
-                                       "sd_xi", "sd_v", "sd_costpush", "sd_natu",
-                                       "sd_noise")),
+    *((name, 0.05, 0.95) for name in RHO_FIELDS),
+    *((name, 0.005, 0.05) for name in SD_FIELDS),
 )
 _DRAW_NAMES = tuple(name for name, _, _ in _DRAW_RANGES)
 _DRAW_LOW, _DRAW_HIGH = np.array([bounds for _, *bounds in _DRAW_RANGES]).T

@@ -18,16 +18,12 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from . import slots
+
 log = logging.getLogger(__name__)
 
 #: Absolute tolerance below which a structural denominator counts as singular.
 EPS_SING = 1e-10
-
-_RHO_FIELDS = ("rho_chi", "rho_ybar", "rho_g", "rho_tax", "rho_eps", "rho_u")
-_SD_FIELDS = (
-    "sd_omega", "sd_eta_g", "sd_taxshock", "sd_lambda", "sd_xi", "sd_v",
-    "sd_costpush", "sd_natu", "sd_noise",
-)
 
 
 def printable(text: str) -> str:
@@ -165,6 +161,10 @@ class StructuralParams:
 
 
 FIELD_NAMES = tuple(f.name for f in dataclasses.fields(StructuralParams))
+#: the persistences of ``slots.AR_LINKS`` and the scales of
+#: ``slots.INNOVATION_SCALES``, each in ``FIELD_NAMES`` order
+RHO_FIELDS = tuple(f for f in FIELD_NAMES if f in {link.rho for link in slots.AR_LINKS})
+SD_FIELDS = tuple(f for f in FIELD_NAMES if f in {sd for _, sd in slots.INNOVATION_SCALES})
 
 #: Conventional small-scale New Keynesian calibration.  These are stock
 #: textbook values chosen to sit inside every validity domain; nothing in
@@ -176,9 +176,8 @@ DEFAULTS: dict[str, float] = {
     "s0": 0.0, "s1": 0.3, "s2": 0.2, "s3": 0.1, "s4": 0.1,
     "gamma1": 0.5, "gamma2": 0.4, "gamma3": 0.1, "gamma4": 0.1, "gamma5": 0.2,
     "phi1": 1.0, "phi2": 1.0, "phi3": 1.0,
-    "rho_chi": 0.5, "rho_ybar": 0.9, "rho_g": 0.8, "rho_tax": 0.8,
-    "rho_eps": 0.7, "rho_u": 0.9,
-    **{name: 0.01 for name in _SD_FIELDS},
+    **dict(zip(RHO_FIELDS, (0.5, 0.9, 0.8, 0.8, 0.7, 0.9))),
+    **dict.fromkeys(SD_FIELDS, 0.01),
 }
 
 
@@ -200,8 +199,8 @@ def _domain_rules(v: Mapping[str, Any]) -> list[tuple[Any, type, str, str]]:
          InvalidDomain, "beta", "must be in (0, 1)"),
         (finite["k"] & (v["k"] < 0), InvalidDomain, "k", "must be >= 0"),
         *((finite[name] & (abs(v[name]) >= 1.0), NonStationary, name, "")
-          for name in _RHO_FIELDS),
-        *((finite[name] & (v[name] < 0), NegativeScale, name, "") for name in _SD_FIELDS),
+          for name in RHO_FIELDS),
+        *((finite[name] & (v[name] < 0), NegativeScale, name, "") for name in SD_FIELDS),
     ]
     # the denominators are checked only where every other rule holds
     clean = np.logical_not(_broken(rules))

@@ -15,15 +15,8 @@ from . import slots
 from .params import StructuralParams
 from .slots import Vec
 
-#: Innovation kinds in substream order.  The numeric position is the
-#: substream key; append-only.
-KINDS = ("omega", "eta", "L", "lambda", "xi", "v", "sigma_cp", "T_natu", "Xi")
-
-_KIND_SD = {
-    "omega": "sd_omega", "eta": "sd_eta_g", "L": "sd_taxshock",
-    "lambda": "sd_lambda", "xi": "sd_xi", "v": "sd_v",
-    "sigma_cp": "sd_costpush", "T_natu": "sd_natu", "Xi": "sd_noise",
-}
+#: Innovation kinds in substream order (``slots.INNOVATION_SCALES``)
+KINDS = tuple(kind for kind, _ in slots.INNOVATION_SCALES)
 
 #: AR(1) state -> (persistence field, driving innovation kind), in the slot
 #: order of ``slots.AR_LINKS``
@@ -122,10 +115,10 @@ def draw(p: StructuralParams, seed: int, T: int,
     if T < 1:
         raise ValueError("horizon must be >= 1")
     innovations: dict[str, Vec] = {}
-    for idx, kind in enumerate(KINDS):
+    for idx, (kind, sd_field) in enumerate(slots.INNOVATION_SCALES):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(idx,)))
-        sd = getattr(p, _KIND_SD[kind])
+        sd = getattr(p, sd_field)
         innovations[kind] = np.zeros(T) if sd == 0.0 else sd * rng.standard_normal(T)
     return from_innovations(p, innovations, initial)
 
@@ -133,7 +126,8 @@ def draw(p: StructuralParams, seed: int, T: int,
 def zero_path(p: StructuralParams, T: int,
               initial: LagState | None = None) -> ShockPath:
     """All-zero innovations (deterministic baseline)."""
-    return from_innovations(p, {k: np.zeros(T) for k in KINDS}, initial)
+    # a horizon below 1 gives empty arrays, which from_innovations rejects
+    return from_innovations(p, {k: np.zeros(max(T, 0)) for k in KINDS}, initial)
 
 
 def impulse_path(p: StructuralParams, kind: str, T: int,
@@ -141,27 +135,9 @@ def impulse_path(p: StructuralParams, kind: str, T: int,
     """A single innovation of ``kind`` at t = 0, everything else zero."""
     if kind not in KINDS:
         raise UnknownShockKind(kind)
-    innovations = {k: np.zeros(T) for k in KINDS}
-    arr = innovations[kind]
-    arr[0] = size
+    innovations = {k: np.zeros(max(T, 0)) for k in KINDS}
+    innovations[kind][:1] = size   # as zero_path: from_innovations rejects T < 1
     return from_innovations(p, innovations)
-
-
-def combine(a: ShockPath, b: ShockPath) -> ShockPath:
-    """Sum two paths drawn under the same parameters (linearity checks)."""
-    if a.T != b.T:
-        raise ValueError("paths must share a horizon")
-    initial = LagState(
-        chi=a.initial.chi + b.initial.chi,
-        mu=tuple(x + y for x, y in zip(a.initial.mu, b.initial.mu)),
-        g=a.initial.g + b.initial.g,
-        tax=a.initial.tax + b.initial.tax,
-        eps=a.initial.eps + b.initial.eps,
-        ubar=a.initial.ubar + b.initial.ubar,
-        ybar_level=a.initial.ybar_level + b.initial.ybar_level,
-    )
-    return from_innovations(
-        a.params, {k: a.innovations[k] + b.innovations[k] for k in KINDS}, initial)
 
 
 def signal(path: ShockPath, transparent: bool) -> Vec:

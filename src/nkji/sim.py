@@ -19,8 +19,7 @@ from .params import StructuralParams, validate, InvalidParams
 from .shocks import ShockPath
 from .slots import Vec
 
-SERIES = ("r", "y", "yhat", "pi", "c", "I", "i", "u",
-          "Ey", "Eyhat", "Epi", "Eu", "JI")
+SERIES = (*slots.ENDOGENOUS, "Ey", "Eyhat", "Epi", "Eu", "JI")
 
 #: symbols the expectation evaluators require: the slots of the AR links, the
 #: only ones the AR-law expectations Ey, Eyhat and Eu load on
@@ -140,10 +139,11 @@ def expectations(rf: ReducedForm, state: Mapping[str, float]) -> dict[str, float
     """One-step-ahead expectations of output, the gap, inflation and
     unemployment at a single state point.
 
-    ``state`` maps regressor names (see ``slots.STATE_NAMES``) to values;
-    every symbol the expectation equations reference must be present,
-    others (current preference/idiosyncratic/potential-output innovations)
-    are accepted and ignored by construction.
+    ``state`` maps regressor names (see ``slots.STATE_NAMES``) to values.
+    Every lag and innovation of the AR laws must be present.  The current
+    preference, idiosyncratic and potential-output innovations (``xi``,
+    ``v``, ``omega``) are optional: only ``Epi`` loads on them, and an
+    omitted one counts as 0.
     """
     x = _state_vector(state, _EXPECTATION_SLOTS)
     blocks = _series_blocks(rf)

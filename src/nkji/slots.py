@@ -8,6 +8,8 @@ a projection of it (see ``INDEX_SETS``).
 
 ``AR_LINKS`` states the six exogenous AR(1) laws once; the expectations,
 the regressor matrix, the shock states and the audit's slot groups read them.
+``ENDOGENOUS`` and ``INNOVATION_SCALES`` name the eight endogenous variables
+and the nine innovation kinds' scales; every other list of them derives.
 """
 
 from __future__ import annotations
@@ -52,6 +54,18 @@ AR_LINKS = (
 )
 #: (innovation kind, slot) of the current innovations no AR state carries
 LONE_INNOVATIONS = (("xi", XI), ("v", V), ("omega", OMEGA))
+
+#: (innovation kind, scale field) in substream order: a kind's position is its
+#: substream key, so the table is append-only.  ``Xi``, the communication
+#: noise on the public signal, has no slot.
+INNOVATION_SCALES = (
+    ("omega", "sd_omega"), ("eta", "sd_eta_g"), ("L", "sd_taxshock"),
+    ("lambda", "sd_lambda"), ("xi", "sd_xi"), ("v", "sd_v"),
+    ("sigma_cp", "sd_costpush"), ("T_natu", "sd_natu"), ("Xi", "sd_noise"),
+)
+
+#: the eight endogenous variables, in the row order of the transition matrix
+ENDOGENOUS = ("r", "y", "yhat", "pi", "c", "I", "i", "u")
 
 SLOT_NAMES = (
     "const", "ybar_lag2", "omega_lag1", "g_lag1", "eta", "tax_lag1", "L",

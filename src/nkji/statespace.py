@@ -1,7 +1,8 @@
 """Order-nine state-transition matrix, its spectrum, and determinacy verdicts.
 
 The first-order form stacks the one-step-ahead expectation equations of the
-eight endogenous variables plus the disclosed-information signal.  Row j
+eight endogenous variables (``slots.ENDOGENOUS``) plus the
+disclosed-information signal.  Row j
 carries the coefficient block of variable j; the columns are the lag
 carriers
 
@@ -21,8 +22,8 @@ Its nonzero eigenvalues are those of the 6 x 6 V' U, and its other three
 are exactly zero.  The sweep solves that 6 x 6 matrix for the cells that
 pass validation, and checks each eigenpair lifted back to A; ``report``
 solves A itself, whose eigenvalues ``determinacy`` prints.  Each takes the
-other route where its own fails.  Only :func:`build` assembles the
-innovation loadings B; the sweep has no use for them.
+other route where its own fails.  Determinacy depends on A alone, so the
+innovation loadings are not assembled.
 """
 
 from __future__ import annotations
@@ -44,13 +45,10 @@ ORDER = 9
 #: rank of the transition matrix: the columns of its factors U, V
 RANK = 6
 
-ROW_VARS = ("r", "y", "yhat", "pi", "c", "I", "i", "u")   # row 8 is the signal
+ROW_VARS = slots.ENDOGENOUS   # row 8 is the signal
 
 COLUMNS = ("ybar_lag4", "ybar_lag2", "ybar_lag3", "g_lag4", "g_lag2",
            "g_lag3", "tax_lag1", "chi_lag1", "eps_lag1")
-
-B_COLUMNS = ("omega_lag1", "omega_lag3", "eta", "eta_lag1", "eta_lag3",
-             "L", "lambda", "sigma_cp")
 
 VERDICTS = ("determinate", "indeterminate", "no_equilibrium", "borderline")
 #: indexed by ``SweepResult.verdicts``
@@ -81,9 +79,7 @@ class UnknownParameter(ValueError):
 @dataclass(frozen=True, eq=False)
 class TransitionSystem:
     A: Vec = field(repr=False)          # (9, 9)
-    B: Vec = field(repr=False)          # (9, 8) innovation loadings
     columns: tuple[str, ...] = COLUMNS
-    b_columns: tuple[str, ...] = B_COLUMNS
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,13 +99,10 @@ class DeterminacyReport:
 
 
 def build(rf: ReducedForm) -> TransitionSystem:
-    """Assemble the transition matrix A and innovation loadings B from a
-    coefficient set."""
+    """Assemble the transition matrix A from a coefficient set."""
     A = _transition(*_factors(rf.slot_blocks, rf.params))
-    B = _innovations(rf.slot_blocks, rf.params)
     A.flags.writeable = False
-    B.flags.writeable = False
-    return TransitionSystem(A=A, B=B)
+    return TransitionSystem(A=A)
 
 
 def _loadings(blocks: dict[str, Vec]) -> tuple[Vec, ...]:
@@ -123,22 +116,6 @@ def _loadings(blocks: dict[str, Vec]) -> tuple[Vec, ...]:
 
 _POLICY = ROW_VARS.index("i")
 _COST_PUSH = [ROW_VARS.index("pi"), _POLICY]   # rows loading on eps_{t-1}
-
-
-def _innovations(blocks: dict[str, Vec], p: StructuralParams) -> Vec:
-    """B (9, 8) from slot blocks (16,)."""
-    f, h, m, n, e = _loadings(blocks)
-    B = np.zeros((ORDER, len(B_COLUMNS)))
-    B[:8, 0] = f
-    B[:8, 1] = f * power(p.rho_ybar, 2)
-    B[:8, 2] = h
-    B[:8, 3] = p.rho_g * h
-    B[:8, 4] = h * power(p.rho_g, 3)
-    B[:8, 5] = m
-    B[:8, 6] = n
-    B[_COST_PUSH, 7] = e[_COST_PUSH]
-    B[8, 6] = 1.0
-    return B
 
 
 def _factors(blocks: dict[str, Vec], p: StructuralParams) -> tuple[Vec, Vec]:

@@ -4,7 +4,7 @@ import logging
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nkji.params import (DEFAULTS, FIELD_NAMES, InvalidParams,
+from nkji.params import (DEFAULTS, FIELD_NAMES, RHO_FIELDS, SD_FIELDS, InvalidParams,
                          StructuralParams, load_calibration, validate)
 
 RHOS = ("rho_chi", "rho_ybar", "rho_g", "rho_tax", "rho_eps", "rho_u")
@@ -120,6 +120,8 @@ def test_replace_revalidates(default_params):
 def test_field_inventory():
     assert len(FIELD_NAMES) == 38
     assert set(DEFAULTS) == set(FIELD_NAMES)
+    assert RHO_FIELDS == RHOS
+    assert SD_FIELDS == SDS
 
 
 def test_load_calibration_roundtrip(tmp_path):

@@ -103,13 +103,28 @@ def test_streams_uncorrelated(default_params):
             assert abs(r) < bound, (KINDS[i], KINDS[j], r)
 
 
-def test_zeroing_one_scale_leaves_other_streams(default_params):
-    p0 = validate({**default_params.as_dict(), "sd_xi": 0.0})
+#: (innovation kind, scale field) in substream order
+SCALES = (
+    ("omega", "sd_omega"), ("eta", "sd_eta_g"), ("L", "sd_taxshock"),
+    ("lambda", "sd_lambda"), ("xi", "sd_xi"), ("v", "sd_v"),
+    ("sigma_cp", "sd_costpush"), ("T_natu", "sd_natu"), ("Xi", "sd_noise"),
+)
+
+
+@pytest.mark.parametrize("key, kind, sd_field",
+                         [(key, *pair) for key, pair in enumerate(SCALES)],
+                         ids=[kind for kind, _ in SCALES])
+def test_zeroing_one_scale_leaves_other_streams(default_params, key, kind, sd_field):
+    p0 = validate({**default_params.as_dict(), sd_field: 0.0})
     a = draw(default_params, 99, 400)
     b = draw(p0, 99, 400)
-    assert not b.innovation("xi").any()
+    # the kind is drawn from its own substream, at its own scale
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=99, spawn_key=(key,)))
+    assert np.array_equal(a.innovation(kind),
+                          getattr(default_params, sd_field) * rng.standard_normal(400))
+    assert not b.innovation(kind).any()
     for k in KINDS:
-        if k != "xi":
+        if k != kind:
             assert np.array_equal(a.innovation(k), b.innovation(k)), k
 
 
@@ -141,6 +156,17 @@ def test_impulse_path():
         assert abs(chi[h] - p.rho_chi**h) < 1e-15
     with pytest.raises(UnknownShockKind):
         impulse_path(p, "nope", 10)
+
+
+@pytest.mark.parametrize("T", [0, -3])
+@pytest.mark.parametrize("build", [
+    lambda p, T: draw(p, 1, T),
+    lambda p, T: zero_path(p, T),
+    lambda p, T: impulse_path(p, "lambda", T),
+], ids=["draw", "zero_path", "impulse_path"])
+def test_path_builders_reject_short_horizons(default_params, build, T):
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        build(default_params, T)
 
 
 def test_from_innovations_validation(default_params):

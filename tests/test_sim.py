@@ -6,7 +6,7 @@ from nkji import (compute_all, draw, forecast_error, irf, job_insecurity,
                   expectations, search_paradox)
 from nkji.params import DEFAULTS, validate
 from nkji.coeffs import _chain_expectation
-from nkji.shocks import KINDS, combine, impulse_path
+from nkji.shocks import KINDS, from_innovations, impulse_path
 from nkji.sim import (SERIES, BudgetModeConflict, MissingState, regressor_matrix,
                       _EXPECTATION_SLOTS)
 from nkji import slots
@@ -43,7 +43,9 @@ def test_saving_equals_investment_by_construction(default_rf, default_params):
 def test_superposition(default_rf, default_params):
     a = draw(default_params, 1, 400)
     b = draw(default_params, 2, 400)
-    both = simulate(default_rf, combine(a, b))
+    # both draws start from the zero LagState, so their sum does too
+    both = simulate(default_rf, from_innovations(
+        default_params, {k: a.innovation(k) + b.innovation(k) for k in KINDS}))
     ea, eb = simulate(default_rf, a), simulate(default_rf, b)
     ss = steady_state(default_rf)
     for var in ("r", "y", "yhat", "pi", "c", "I", "i", "u"):
@@ -91,6 +93,14 @@ def test_expected_output_unit_information_state(default_rf):
     e = expectations(default_rf, {**ZERO_STATE, "lambda": 1.0})
     y = default_rf.block("y")
     assert e["Ey"] - y[slots.CONST] == pytest.approx(y[slots.CHI_LAG1], rel=1e-14)
+
+
+@pytest.mark.parametrize("sym", ["xi", "v", "omega"])
+def test_omitted_current_innovation_counts_as_zero(default_rf, rng, sym):
+    state = {name: rng.uniform(-1.0, 1.0) for name in slots.STATE_NAMES}
+    state[sym] = 0.0
+    omitted = {name: value for name, value in state.items() if name != sym}
+    assert expectations(default_rf, omitted) == expectations(default_rf, state)
 
 
 def test_expectations_missing_symbol(default_rf):

@@ -86,17 +86,6 @@ def test_rate_row_proportional_to_output_row(rng):
         assert np.allclose(A[0, :8], -p.sigma * A[1, :8], rtol=1e-9, atol=1e-12)
 
 
-def test_b_matrix_layout(default_rf, default_params):
-    system = build(default_rf)
-    B = system.B
-    t = default_rf.as_table()
-    assert B[8, system.b_columns.index("lambda")] == 1.0
-    assert B[0, system.b_columns.index("omega_lag1")] == t["r"][1]
-    assert B[1, system.b_columns.index("eta_lag1")] == default_params.rho_g * t["y"][3]
-    assert B[3, system.b_columns.index("sigma_cp")] == t["pi"][12]
-    assert B[7, system.b_columns.index("sigma_cp")] == 0.0
-
-
 # --- eigenvalues and the characteristic polynomial ---------------------------
 
 def test_eigen_zero_matrix():
