@@ -3,6 +3,8 @@
 Subcommands: coeffs, shocks, simulate, irf, transparency, determinacy,
 sweep, audit.  Data goes to --out (or stdout), diagnostics to stderr.
 Exit codes: 0 success, 2 validation/usage failure, 3 numerical failure.
+Each ``cmd_*(args, p)`` returns a JSON object (a dict) or a CSV table
+``(header, columns)`` for :func:`main` to encode and write.
 """
 
 from __future__ import annotations
@@ -61,16 +63,16 @@ def _csv(header: str, columns: dict[str, Sequence]) -> Iterator[str]:
     then one row per position of the first column, in parts of at most
     ``CSV_CHUNK`` rows.  A column is an array, turned into Python scalars
     one part at a time, or a sequence of them, so ``str`` writes floats at
-    full round-trip precision.  None, and every position past the end of a
-    shorter column, is an empty cell.  A non-finite value in a float array
-    is a numerical failure, raised before the first part."""
+    full round-trip precision.  Every position past the end of a shorter
+    column is an empty cell.  A non-finite value in a float array is a
+    numerical failure, raised before the first part."""
     if not all(np.isfinite(col).all() for col in columns.values()
                if isinstance(col, np.ndarray) and col.dtype.kind == "f"):
         raise ConvergenceFailure("output is not finite")
     yield f"# nkji {header} csv {SCHEMA}\n{','.join(columns)}\n"
     for start in range(0, len(next(iter(columns.values()))), CSV_CHUNK):
         chunks = (col[start:start + CSV_CHUNK] for col in columns.values())
-        cells = [["" if x is None else str(x) for x in
+        cells = [[str(x) for x in
                   (chunk.tolist() if isinstance(chunk, np.ndarray) else chunk)]
                  for chunk in chunks]
         yield "\n".join(map(",".join, zip_longest(*cells, fillvalue=""))) + "\n"
@@ -101,6 +103,8 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError("must be > 0")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite")
     return value
 
 
@@ -159,20 +163,16 @@ def _load_params(args):
     return validate({**calib, **dict(args.param)})
 
 
-def cmd_coeffs(args) -> int:
-    rf = coeffs.compute_all(_load_params(args))
+def cmd_coeffs(args, p) -> dict | tuple[str, dict]:
+    rf = coeffs.compute_all(p)
     if args.format == "json":
-        obj = {var: {str(i): v for i, v in idx.items()} for var, idx in rf.as_table().items()}
-        _write(args, [_json(obj)])
-    else:
-        variable, index = zip(*slots.ENTRIES)
-        _write(args, _csv("coeffs", {"variable": variable, "index": index,
-                                     "value": rf.exported()}))
-    return 0
+        return {var: {str(i): v for i, v in idx.items()} for var, idx in rf.as_table().items()}
+    variable, index = zip(*slots.ENTRIES)
+    return "coeffs", {"variable": variable, "index": index, "value": rf.exported()}
 
 
-def cmd_shocks(args) -> int:
-    path = shocks.draw(_load_params(args), args.seed, args.T + args.burn)
+def cmd_shocks(args, p) -> tuple[str, dict]:
+    path = shocks.draw(p, args.seed, args.T + args.burn)
     columns = {
         **{kind: path.innovation(kind) for kind in KINDS},
         "chi": path.state("chi"),
@@ -181,43 +181,35 @@ def cmd_shocks(args) -> int:
         **{name: path.state(name) for name in ("g", "tax", "eps", "ubar")},
         "signal": shocks.signal(path, transparent=args.transparent),
     }
-    _write(args, _csv("shocks", {"t": range(args.T),
-                                **{name: col[args.burn:] for name, col in columns.items()}}))
-    return 0
+    return "shocks", {"t": range(args.T),
+                      **{name: col[args.burn:] for name, col in columns.items()}}
 
 
-def cmd_simulate(args) -> int:
-    p = _load_params(args)
+def cmd_simulate(args, p) -> tuple[str, dict]:
     path = shocks.draw(p, args.seed, args.T + args.burn)
     ep = sim.simulate(coeffs.compute_all(p), path, budget_mode=args.budget)
-    _write(args, _csv("simulate", {
+    return "simulate", {
         "t": range(args.T), **{v: ep[v][args.burn:] for v in sim.SERIES},
         # one row short: the final period has no realized forecast error
-        "fe": ep.forecast_error[args.burn:]}))
-    return 0
+        "fe": ep.forecast_error[args.burn:]}
 
 
-def cmd_irf(args) -> int:
-    table = sim.irf(coeffs.compute_all(_load_params(args)), args.shock, args.H)
+def cmd_irf(args, p) -> tuple[str, dict]:
+    table = sim.irf(coeffs.compute_all(p), args.shock, args.H)
     names = (*sim.SERIES, *shocks.AR_STATES)
-    _write(args, _csv("irf", {
+    return "irf", {
         "h": np.tile(np.arange(args.H), len(names)),
         "variable": np.repeat(np.array(names, dtype=object), args.H),
-        "response": np.concatenate([table[var] for var in names])}))
-    return 0
+        "response": np.concatenate([table[var] for var in names])}
 
 
-def cmd_transparency(args) -> int:
-    rf = coeffs.compute_all(_load_params(args))
-    audit = sim.transparency_audit(rf)
-    _write(args, [_json(audit.entries)])
-    return 0
+def cmd_transparency(args, p) -> dict:
+    return sim.transparency_audit(coeffs.compute_all(p)).entries
 
 
-def cmd_determinacy(args) -> int:
-    rf = coeffs.compute_all(_load_params(args))
-    rep = statespace.report(rf, tau=args.tol, n_pre=args.n_pre)
-    obj = {
+def cmd_determinacy(args, p) -> dict:
+    rep = statespace.report(coeffs.compute_all(p), tau=args.tol, n_pre=args.n_pre)
+    return {
         "eigenvalues": [{"re": v.real, "im": v.imag, "modulus": abs(v)}
                         for v in rep.eigenvalues],
         "k": list(rep.k),
@@ -226,12 +218,10 @@ def cmd_determinacy(args) -> int:
         "rule": rep.rule,
         "verdicts": {str(n): v for n, v in rep.verdicts.items()},
     }
-    _write(args, [_json(obj)])
-    return 0
 
 
-def cmd_sweep(args) -> int:
-    result = statespace.sweep(_load_params(args), args.axis1, args.axis2,
+def cmd_sweep(args, p) -> tuple[str, dict]:
+    result = statespace.sweep(p, args.axis1, args.axis2,
                               n_pre=args.n_pre, tau=args.tol, workers=args.workers)
     (name1, grid1), (name2, grid2) = result.axis1, result.axis2
     # each text is made once and repeated: a cell's axis values are bitwise
@@ -240,15 +230,13 @@ def cmd_sweep(args) -> int:
         map(str, grid1.tolist()), map(str, grid2.tolist()), ["", *map(str, range(10))],
         statespace.SWEEP_VERDICTS))
     counts = digits[result.counts + 1]
-    _write(args, _csv("sweep", {
+    return "sweep", {
         name1: np.repeat(texts1, len(grid2)), name2: np.tile(texts2, len(grid1)),
         "stable": counts[:, 0], "unstable": counts[:, 1], "borderline": counts[:, 2],
-        "verdict": verdicts[result.verdicts]}))
-    return 0
+        "verdict": verdicts[result.verdicts]}
 
 
-def cmd_audit(args) -> int:
-    p = _load_params(args)
+def cmd_audit(args, p) -> dict:
     rf_tables = coeffs.compute_all(p)
     rf_oracle = oracle.solve_undetermined(p)
     report = oracle.compare(rf_tables, rf_oracle, tol=args.tol)
@@ -273,8 +261,7 @@ def cmd_audit(args) -> int:
             "identical_across_draws": stable,
             "flagged_entries": sorted(f"{v}[{i}]" for v, i in first),
         }
-    _write(args, [_json(obj)])
-    return 0
+    return obj
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +345,9 @@ def main(argv: list[str] | None = None) -> int:
         # a non-finite result ends in exit 3 (see ``_csv``, ``_json``),
         # not in numpy warnings
         with np.errstate(all="ignore"):
-            return args.run(args)
+            doc = args.run(args, _load_params(args))
+            _write(args, [_json(doc)] if isinstance(doc, dict) else _csv(*doc))
+        return 0
     except (InvalidParams, BudgetModeConflict, UnknownParameter,
             shocks.UnknownShockKind, OSError, json.JSONDecodeError,
             UnicodeDecodeError) as err:

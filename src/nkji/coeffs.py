@@ -30,14 +30,11 @@ from .slots import NSLOT, Vec
 
 @dataclass(frozen=True, eq=False)
 class ReducedForm:
-    """Complete coefficient set plus the shared denominators, kept for
-    diagnostics.  ``source`` records how the set was produced ("closed-form"
-    or "undetermined-coefficients")."""
+    """Complete coefficient set.  ``source`` records how the set was
+    produced ("closed-form" or "undetermined-coefficients")."""
 
     params: StructuralParams
     slot_blocks: dict[str, Vec] = field(repr=False)
-    denominator: float
-    taylor_denominator: float
     source: str = "closed-form"
     condition_number: float | None = None   # set by the numerical solver
 
@@ -193,12 +190,7 @@ def compute_all(p: StructuralParams) -> ReducedForm:
     blocks = _checked_blocks(p)
     for v in blocks.values():
         v.flags.writeable = False
-    return ReducedForm(
-        params=p,
-        slot_blocks=blocks,
-        denominator=p.denominator(),
-        taylor_denominator=p.taylor_denominator(),
-    )
+    return ReducedForm(params=p, slot_blocks=blocks)
 
 
 def _checked_blocks(p: StructuralParams) -> dict[str, Vec]:

@@ -332,14 +332,8 @@ def solve_undetermined(p: StructuralParams) -> ReducedForm:
     blocks = _block_solve(p, lone, linked, b)
     for vec in blocks.values():
         vec.flags.writeable = False
-    return ReducedForm(
-        params=p,
-        slot_blocks=blocks,
-        denominator=p.denominator(),
-        taylor_denominator=p.taylor_denominator(),
-        source="undetermined-coefficients",
-        condition_number=float(cond),
-    )
+    return ReducedForm(params=p, slot_blocks=blocks, source="undetermined-coefficients",
+                       condition_number=float(cond))
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +397,6 @@ class Erratum:
 @dataclass(frozen=True, eq=False)
 class ErrataReport:
     entries: list[Erratum]
-    tol: float
-    abs_floor: float
     condition_number: float
     condition_warning: bool
     suspects: dict[str, dict]
@@ -449,10 +441,8 @@ def compare(tables: ReducedForm, oracle: ReducedForm,
         }
 
     cond = oracle.condition_number or 0.0
-    return ErrataReport(entries=entries, tol=tol, abs_floor=abs_floor,
-                        condition_number=cond,
-                        condition_warning=cond > COND_WARN,
-                        suspects=suspects)
+    return ErrataReport(entries=entries, condition_number=cond,
+                        condition_warning=cond > COND_WARN, suspects=suspects)
 
 
 def _compared(tables: dict[str, Vec], solved: dict[str, Vec], p: StructuralParams,

@@ -185,8 +185,6 @@ def forecast_error(ep: EquilibriumPath) -> ForecastErrorStats:
 
 @dataclass(frozen=True, eq=False)
 class IrfTable:
-    kind: str
-    H: int
     responses: dict[str, Vec] = field(repr=False)
 
     def __getitem__(self, name: str) -> Vec:
@@ -211,7 +209,7 @@ def irf(rf: ReducedForm, kind: str, H: int, size: float = 1.0) -> IrfTable:
     responses["JI"] = responses["Eu"]   # insecurity is the Eu deviation
     for name in shocks.AR_STATES:
         responses[name] = path.state(name)
-    return IrfTable(kind=kind, H=H, responses=responses)
+    return IrfTable(responses=responses)
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,6 @@ RANK = 6
 
 ROW_VARS = slots.ENDOGENOUS   # row 8 is the signal
 
-COLUMNS = ("ybar_lag4", "ybar_lag2", "ybar_lag3", "g_lag4", "g_lag2",
-           "g_lag3", "tax_lag1", "chi_lag1", "eps_lag1")
-
 VERDICTS = ("determinate", "indeterminate", "no_equilibrium", "borderline")
 #: indexed by ``SweepResult.verdicts``
 SWEEP_VERDICTS = VERDICTS + ("invalid", "failed")
@@ -79,7 +76,6 @@ class UnknownParameter(ValueError):
 @dataclass(frozen=True, eq=False)
 class TransitionSystem:
     A: Vec = field(repr=False)          # (9, 9)
-    columns: tuple[str, ...] = COLUMNS
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,10 +278,17 @@ def classify(eigs: Vec, n_pre: int, tau: float = 1e-8) -> str:
     unique stable solution; more stable roots than predetermined variables
     gives indeterminacy; fewer, no stable solution.
     """
-    if not 0 <= n_pre <= len(eigs):
-        raise ValueError(f"n_pre must be in 0..{len(eigs)}")
+    _check_rule(n_pre, tau, len(eigs))
     stable, _, borderline = _counts(eigs, tau)
     return VERDICTS[_verdict_codes(stable, borderline, n_pre)]
+
+
+def _check_rule(n_pre: int | None, tau: float, order: int = ORDER) -> None:
+    """Refuse an ``n_pre`` outside 0..order and a negative or non-finite ``tau``."""
+    if n_pre is not None and not 0 <= n_pre <= order:
+        raise ValueError(f"n_pre must be in 0..{order}")
+    if not 0 <= tau < np.inf:
+        raise ValueError("tau must be finite and >= 0")
 
 
 def _verdict_codes(stable: Vec, borderline: Vec, n_pre: int) -> Vec:
@@ -296,6 +299,7 @@ def _verdict_codes(stable: Vec, borderline: Vec, n_pre: int) -> Vec:
 def classify_standard(eigs: Vec, n_pre: int, tau: float = 1e-8) -> str:
     """Equivalent rule counted from the explosive side (#unstable versus
     #forward-looking); used to cross-check :func:`classify`."""
+    _check_rule(n_pre, tau, len(eigs))
     stable, unstable, borderline = _counts(eigs, tau)
     if borderline > 0:
         return "borderline"
@@ -320,8 +324,7 @@ def report(rf: ReducedForm, tau: float = 1e-8,
            n_pre: int | None = None) -> DeterminacyReport:
     """Eigenvalues, characteristic coefficients and verdicts for every
     possible predetermined count (or a single one if ``n_pre`` is given)."""
-    if n_pre is not None and not 0 <= n_pre <= ORDER:
-        raise ValueError("n_pre must be in 0..9")
+    _check_rule(n_pre, tau)
     U, V = _factors(rf.slot_blocks, rf.params)
     A = _transition(U, V)
     vals, failure = _retried(A[None], None, (U[None], V[None]))
@@ -341,8 +344,6 @@ def report(rf: ReducedForm, tau: float = 1e-8,
 class SweepResult:
     axis1: tuple[str, Vec]
     axis2: tuple[str, Vec]
-    n_pre: int
-    tau: float
     # per cell in row-major (axis1, axis2) order: stable, unstable and borderline
     # counts (n, 3), -1 where not solved, and an index into SWEEP_VERDICTS (n,)
     counts: Vec = field(repr=False)
@@ -428,8 +429,7 @@ def sweep(base: StructuralParams,
             raise UnknownParameter(name)
     if axis1[0] == axis2[0]:
         raise InvalidParams([InvalidDomain(axis1[0], "varied by both sweep axes")])
-    if not 0 <= n_pre <= ORDER:
-        raise ValueError("n_pre must be in 0..9")
+    _check_rule(n_pre, tau)
     name1, lo1, hi1, n1 = axis1
     name2, lo2, hi2, n2 = axis2
     if n1 * n2 > SWEEP_MAX_CELLS:
@@ -441,5 +441,5 @@ def sweep(base: StructuralParams,
                             n_pre, tau), n1 * n2, SWEEP_SLICE, workers)
     empty = (np.empty((0, 3), np.int8), np.empty(0, np.int8))   # for a grid of no cells
     counts, verdicts = map(np.concatenate, zip(*parts, empty))
-    return SweepResult(axis1=(name1, grid1), axis2=(name2, grid2),
-                       n_pre=n_pre, tau=tau, counts=counts, verdicts=verdicts)
+    return SweepResult(axis1=(name1, grid1), axis2=(name2, grid2), counts=counts,
+                       verdicts=verdicts)

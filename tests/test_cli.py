@@ -359,6 +359,15 @@ def test_argument_guards(tmp_path, capsys):
             main([*argv, "--out", str(tmp_path / "x")])
         assert exc.value.code == 2, argv
     capsys.readouterr()
+    # an infinite tolerance makes every root borderline and no entry an
+    # erratum; float reads 1e400 as inf
+    for argv in (["determinacy"], ["audit", "--T", "10"],
+                 ["sweep", "--axis1", "alpha_pi:0.5:2:3", "--axis2", "alpha_y:0:1:3"]):
+        for tol in ("inf", "1e400"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--tol", tol, "--out", str(tmp_path / "x")])
+            assert exc.value.code == 2, argv
+            assert capsys.readouterr().err.endswith("argument --tol: must be finite\n")
     # a grid above the cell limit is refused before any of it is allocated
     for argv in (["sweep", "--axis1", "k:0:1:99999999999999999999999",
                   "--axis2", "s0:0:1:2"],

@@ -165,7 +165,7 @@ def test_information_entries_match_simplified_form(default_rf, default_params):
     # z7^y and z8^y are written over the scaled denominator s1*D; they reduce
     # to rho_chi*P/D and P/D
     p = default_params
-    D = default_rf.denominator
+    D = p.denominator()
     P = (p.c1 - p.s1) * (p.gamma5 - p.phi2)
     y = default_rf.as_table()["y"]
     assert y[7] == pytest.approx(p.rho_chi * P / D, rel=1e-12)

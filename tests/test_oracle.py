@@ -132,10 +132,7 @@ def test_suspect_report_states_both_values(default_rf, oracle_rf, default_params
 def test_perturbed_output_coefficient_breaks_resource_constraint(oracle_rf, default_params):
     blocks = {v: oracle_rf.block(v).copy() for v in slots.VARIABLES}
     blocks["y"][slots.G_LAG1] += 1e-3
-    broken = ReducedForm(params=default_params, slot_blocks=blocks,
-                         denominator=oracle_rf.denominator,
-                         taylor_denominator=oracle_rf.taylor_denominator,
-                         source="perturbed")
+    broken = ReducedForm(params=default_params, slot_blocks=blocks, source="perturbed")
     ep = simulate(broken, impulse_path(default_params, "eta", 5))
     rep = residuals(ep)
     assert rep.max_abs["resource"] > 1e-4
@@ -475,9 +472,7 @@ def test_compare_rejects_stray_loadings(default_rf, oracle_rf, default_params):
     def with_loading(var, slot, value):
         blocks = {v: default_rf.block(v).copy() for v in slots.VARIABLES}
         blocks[var][slot] = value
-        return ReducedForm(params=default_params, slot_blocks=blocks,
-                           denominator=default_rf.denominator,
-                           taylor_denominator=default_rf.taylor_denominator)
+        return ReducedForm(params=default_params, slot_blocks=blocks)
 
     with pytest.raises(AssertionError, match="'r' has loadings outside"):
         compare(with_loading("r", slots.EPS_LAG1, 2e-9), oracle_rf)

@@ -163,9 +163,23 @@ def test_classify_borderline():
     assert classify(near_circle, n_pre=8, tau=0.1) == "borderline"
 
 
-def test_classify_bounds():
+BAD_TAUS = (-2.0, -1e-300, math.inf, -math.inf, math.nan)
+
+
+def test_classify_bounds(default_params):
+    eigs = np.zeros(9, dtype=complex)
     with pytest.raises(ValueError):
-        classify(np.zeros(9, dtype=complex), n_pre=10)
+        classify(eigs, n_pre=10)
+    # a negative tau counts a root as both stable and unstable; an infinite
+    # or NaN one makes every root borderline
+    for tau in BAD_TAUS:
+        for rule in (classify, classify_standard):
+            with pytest.raises(ValueError, match="tau"):
+                rule(eigs, 9, tau)
+        with pytest.raises(ValueError, match="tau"):
+            sweep(default_params, ("alpha_pi", 0.5, 2.5, 2), ("alpha_y", 0.0, 1.0, 2),
+                  tau=tau)
+    assert classify(eigs, 9, 0.0) == classify_standard(eigs, 9, 0.0) == "determinate"
 
 
 def test_rules_coincide_without_borderline(rng):
@@ -194,6 +208,9 @@ def test_report_all_counts(default_rf):
     assert set(single.verdicts) == {3}
     with pytest.raises(ValueError):
         report(default_rf, n_pre=10)
+    for tau in BAD_TAUS:
+        with pytest.raises(ValueError, match="tau"):
+            report(default_rf, tau=tau)
 
 
 # --- sweeps ------------------------------------------------------------------
