@@ -45,7 +45,7 @@ from .params import (FIELD_NAMES, RHO_FIELDS, SD_FIELDS, ConvergenceFailure,
                      StructuralParams)
 from .sim import EquilibriumPath
 from .slots import NSLOT, Vec
-from .statespace import fan_out
+from .statespace import _check_tolerances, fan_out
 
 #: blocks carrying free coefficients in the matching system, in column order
 FREE_BLOCKS = (*slots.ENDOGENOUS, "Epi")
@@ -416,8 +416,10 @@ def compare(tables: ReducedForm, oracle: ReducedForm,
     entry the report states the value as printed, the pattern-consistent
     variant evaluated on the closed-form parent entries, and whether the
     numerical solution supports the variant (its own blocks satisfy the
-    pattern exactly and fail the printed form).
+    pattern exactly and fail the printed form).  A negative or non-finite
+    ``tol`` or ``abs_floor`` raises ``ValueError``.
     """
+    _check_tolerances(tol=tol, abs_floor=abs_floor)
     p = tables.params
     tv, ov, rel, flagged, confirmed = _compared(
         tables.slot_blocks, oracle.slot_blocks, p, tol, abs_floor)
@@ -580,8 +582,10 @@ def stability_run(n_draws: int, seed: int, tol: float = 1e-6, workers: int = 1
     flag, so memory does not grow with the draws.  ``workers`` processes
     share the slices, so results are independent of the worker count.  A
     failing draw raises what it raises alone: the first failing draw, at
-    its first failing step.
+    its first failing step.  A negative or non-finite ``tol`` raises
+    ``ValueError``.
     """
+    _check_tolerances(tol=tol)
     folds = fan_out(partial(_folded_slice, seed, tol), n_draws, AUDIT_SLICE, workers)
     if not folds:
         return set(), True

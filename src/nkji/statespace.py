@@ -19,10 +19,9 @@ a power of one persistence, so A = U V' with factors U, V of shape 9 x 6
 (:func:`_factors`, the one place that writes out A's layout).  A itself is
 gathered from the factors, one product per entry (:func:`_transition`).
 Its nonzero eigenvalues are those of the 6 x 6 V' U, and its other three
-are exactly zero.  The sweep solves that 6 x 6 matrix for the cells that
-pass validation, and checks each eigenpair lifted back to A; ``report``
-solves A itself, whose eigenvalues ``determinacy`` prints.  Each takes the
-other route where its own fails.  Determinacy depends on A alone, so the
+are exactly zero.  ``report`` and the sweep both solve that 6 x 6 matrix,
+check each eigenpair lifted back to A, and solve A itself only where that
+route fails (:func:`_solved`).  Determinacy depends on A alone, so the
 innovation loadings are not assembled.
 """
 
@@ -190,7 +189,7 @@ def _spectra(A: Vec, factors: tuple[Vec, Vec] | None = None) -> tuple[Vec, Vec]:
     non-finite entries is solved as zeros.  When the solver rejects the
     stack, its matrices are solved one at a time, so that a rejected matrix
     fails alone, with the last code of ``_EIGEN_FAILURES``.  At extreme
-    scales each route fails matrices the other solves (:func:`_retried`)."""
+    scales each route fails matrices the other solves (:func:`_solved`)."""
     finite = np.isfinite(A).all(axis=(1, 2))
     if factors is None:
         S = A
@@ -231,21 +230,20 @@ def _real_times(M: Vec, Z: Vec) -> Vec:
     return (M @ Z.view(np.float64)).view(complex)
 
 
-def _retried(A: Vec, first: tuple[Vec, Vec] | None,
-             second: tuple[Vec, Vec] | None) -> tuple[Vec, Vec]:
-    """:func:`_spectra` of a stack A by the route ``first`` (factors U, V,
-    or None for the 9 x 9 route), and of each matrix it fails by ``second``,
-    which keeps ``first``'s failure code if it fails too.  The 9 x 9 solve
-    can return a false pair where A's entries span more than about 1/eps^2
-    (``sigma = 1e-40``), and V' U's noise floor can be far above A's."""
-    vals, failure = _spectra(A, first)
+def _solved(U: Vec, V: Vec) -> tuple[Vec, Vec, Vec]:
+    """Transition matrices A (n, 9, 9) from factors U, V (n, 9, 6), and
+    :func:`_spectra` of A by the rank-6 route, then of each matrix it fails
+    by the 9 x 9 route, which keeps the rank-6 code if it fails too.  The
+    9 x 9 solve can return a false pair where A's entries span more than
+    about 1/eps^2 (``sigma = 1e-40``); V' U's noise floor can be far above A's."""
+    A = _transition(U, V)
+    vals, failure = _spectra(A, (U, V))
     bad = np.flatnonzero(failure)
-    if not len(bad):
-        return vals, failure
-    again, still = _spectra(A[bad], second and tuple(x[bad] for x in second))
-    vals = vals.astype(complex, copy=False)   # real if all of the first route's are
-    vals[bad[still == 0]], failure[bad[still == 0]] = again[still == 0], 0
-    return vals, failure
+    if len(bad):
+        again, still = _spectra(A[bad])
+        vals = vals.astype(complex, copy=False)   # real if all of V' U's are
+        vals[bad[still == 0]], failure[bad[still == 0]] = again[still == 0], 0
+    return A, vals, failure
 
 
 def char_poly(A: Vec) -> Vec:
@@ -263,10 +261,7 @@ def char_poly(A: Vec) -> Vec:
     for j in range(1, n + 1):
         M = A @ M + c[j - 1] * np.eye(n)
         c[j] = -np.trace(A @ M) / j
-    k = np.empty(n + 1)
-    for j in range(n + 1):
-        k[j] = -c[n - j]
-    return k
+    return -c[::-1]
 
 
 def classify(eigs: Vec, n_pre: int, tau: float = 1e-8) -> str:
@@ -287,8 +282,14 @@ def _check_rule(n_pre: int | None, tau: float, order: int = ORDER) -> None:
     """Refuse an ``n_pre`` outside 0..order and a negative or non-finite ``tau``."""
     if n_pre is not None and not 0 <= n_pre <= order:
         raise ValueError(f"n_pre must be in 0..{order}")
-    if not 0 <= tau < np.inf:
-        raise ValueError("tau must be finite and >= 0")
+    _check_tolerances(tau=tau)
+
+
+def _check_tolerances(**tolerances: float) -> None:
+    """Refuse a negative or non-finite value of each named tolerance."""
+    for name, value in tolerances.items():
+        if not 0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0")
 
 
 def _verdict_codes(stable: Vec, borderline: Vec, n_pre: int) -> Vec:
@@ -325,19 +326,14 @@ def report(rf: ReducedForm, tau: float = 1e-8,
     """Eigenvalues, characteristic coefficients and verdicts for every
     possible predetermined count (or a single one if ``n_pre`` is given)."""
     _check_rule(n_pre, tau)
-    U, V = _factors(rf.slot_blocks, rf.params)
-    A = _transition(U, V)
-    vals, failure = _retried(A[None], None, (U[None], V[None]))
+    A, vals, failure = _solved(*(x[None] for x in _factors(rf.slot_blocks, rf.params)))
     if failure[0]:
         raise ConvergenceFailure(_EIGEN_FAILURES[failure[0]])
-    eigs = vals[0]
-    k = char_poly(A)
-    stable, unstable, borderline = map(int, _counts(eigs, tau))
+    stable, unstable, borderline = map(int, _counts(vals[0], tau))
     pres = range(ORDER + 1) if n_pre is None else (n_pre,)
     verdicts = {n: VERDICTS[_verdict_codes(stable, borderline, n)] for n in pres}
-    return DeterminacyReport(eigenvalues=eigs, k=k, tau=tau, stable=stable,
-                             unstable=unstable, borderline=borderline,
-                             verdicts=verdicts)
+    return DeterminacyReport(eigenvalues=vals[0], k=char_poly(A[0]), tau=tau, stable=stable,
+                             unstable=unstable, borderline=borderline, verdicts=verdicts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,7 +376,7 @@ def _sweep_slice(base: dict[str, float], name1: str, grid1: Vec, name2: str,
     idx = np.flatnonzero(solved)
     U, V = (np.moveaxis(x, -1, 0)[idx] for x in _factors(blocks, p))
     vals = np.zeros((len(cells), ORDER), dtype=complex)
-    vals[idx], failure = _retried(_transition(U, V), (U, V), None)
+    _, vals[idx], failure = _solved(U, V)
     solved[idx] = failure == 0
     counts = np.stack(_counts(vals, tau), axis=1, dtype=np.int8)
     verdicts = np.select([solved, invalid], [_verdict_codes(counts[:, 0], counts[:, 2], n_pre),

@@ -156,7 +156,7 @@ def test_determinacy_single_n_pre(tmp_path):
 
 
 def test_determinacy_retries_by_the_rank6_route(tmp_path, capsys):
-    # at sigma = 1e-40 the 9 x 9 route falsely fails its residual check and
+    # at sigma = 1e-40 the 9 x 9 route falsely fails its residual check;
     # determinacy prints the rank-6 route's eigenvalues, three of them the
     # exact zeros of rank 6, with the sweep's counts at the same parameters
     code, text = run(tmp_path, "determinacy", "--param", "sigma=1e-40")
@@ -167,12 +167,34 @@ def test_determinacy_retries_by_the_rank6_route(tmp_path, capsys):
     cell, = sweep(validate({**DEFAULTS, "sigma": 1e-40}), ("sigma", 1e-40, 1e-40, 1),
                   ("k", DEFAULTS["k"], DEFAULTS["k"], 1)).cells
     assert obj["counts"] == {key: cell[key] for key in ("stable", "unstable", "borderline")}
-    # where both routes fail, the 9 x 9 route's failure is the message
+    # where both routes fail, the rank-6 route's failure is the message
     for param, err in (("k=1e40", "eigenpair residual check failed"),
                        ("k=1e160", "transition matrix norm overflows")):
         (tmp_path / "out.txt").unlink(missing_ok=True)
         assert run(tmp_path, "determinacy", "--param", param) == (3, ""), param
         assert capsys.readouterr().err == f"nkji: numerical failure: {err}\n", param
+
+
+#: a double root at 1 - 1e-6, where rounding A's entries moves the root by
+#: more than its distance to the unit circle: the 9 x 9 route alone counts
+#: 8 stable roots there and the rank-6 route 9
+DOUBLE_ROOT = [arg for pair in (
+    "sigma=5e-324", "beta=0.5", "s1=0.5", "gamma1=-1", "rho_ybar=0.999999",
+    "rho_g=0.999999", "alpha_y=0", "c3=0", "s3=0", "gamma3=0", "rho_chi=0", "k=0",
+    "alpha_pi=0") for arg in ("--param", pair)]
+
+
+def test_determinacy_and_sweep_agree_at_a_double_root(tmp_path):
+    code, text = run(tmp_path, "determinacy", "--n-pre", "8", *DOUBLE_ROOT)
+    assert code == 0
+    obj = json.loads(text)
+    code, text = run(tmp_path, "sweep", "--axis1", "alpha_pi:0:0:1", "--axis2", "k:0:0:1",
+                     "--n-pre", "8", *DOUBLE_ROOT)
+    assert code == 0
+    header, row = text.splitlines()[1:]
+    cell = dict(zip(header.split(","), row.split(",")))
+    assert {key: int(cell[key]) for key in obj["counts"]} == obj["counts"]
+    assert cell["verdict"] == obj["verdicts"]["8"]
 
 
 def test_non_finite_matching_blocks_keep_lapack_off_stdout(capfd):

@@ -96,6 +96,19 @@ def test_stability_run_without_draws():
     assert stability_run(0, seed=5) == (set(), True)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+def test_negative_or_non_finite_tolerances_are_refused(oracle_rf, bad):
+    # tol = inf once reported 0 errata with a RuntimeWarning (inf * 0), and
+    # tol = nan 0 where the default finds 114; zero stays valid
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        compare(oracle_rf, oracle_rf, tol=bad)
+    with pytest.raises(ValueError, match="abs_floor must be finite and >= 0"):
+        compare(oracle_rf, oracle_rf, abs_floor=bad)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        stability_run(0, seed=5, tol=bad)
+    assert compare(oracle_rf, oracle_rf, tol=0.0, abs_floor=0.0).entries == []
+
+
 def test_compare_flags_stable_set(rng):
     seed = rng.integers(2**31)
     first, identical = stability_run(10, seed=seed)

@@ -15,7 +15,7 @@ from nkji.params import DEFAULTS, InvalidParams, validate
 from nkji.coeffs import _slot_blocks, finite_cells
 from nkji.params import FIELD_NAMES, StructuralParams, invalid_cells
 from nkji.statespace import (ORDER, SWEEP_SLICE, SWEEP_VERDICTS, ConvergenceFailure,
-                             UnknownParameter, _counts, _factors, _retried, _spectra,
+                             UnknownParameter, _counts, _factors, _solved, _spectra,
                              _transition, report, sweep)
 
 
@@ -492,8 +492,8 @@ def test_rank6_route_gives_the_9x9_counts_and_failures(rng):
 @pytest.mark.parametrize("grid", REFERENCE_GRIDS)
 def test_sweep_route_gives_the_9x9_counts_and_failures(default_params, grid):
     # every solved cell of the reference grids: wherever the 9 x 9 route
-    # passes, the sweep's route (rank-6, then 9 x 9) passes with its counts,
-    # and the sweep fails a cell only where both routes fail, as report does
+    # passes, the one route order (rank-6, then 9 x 9) passes with its
+    # counts, and fails a cell only where both routes fail
     (name1, lo1, hi1, n1), (name2, lo2, hi2, n2), *_ = REFERENCE_GRIDS[grid]
     g1, g2 = np.meshgrid(np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2),
                          indexing="ij")
@@ -502,13 +502,11 @@ def test_sweep_route_gives_the_9x9_counts_and_failures(default_params, grid):
     with np.errstate(all="ignore"):
         blocks = _slot_blocks(p)
         solved = ~invalid_cells(values) & finite_cells(blocks)
-        A, U, V = (x[solved] for x in _stacks(blocks, p))
-        vals, failure = _retried(A, (U, V), None)
+        U, V = (x[solved] for x in _stacks(blocks, p)[1:])
+        A, vals, failure = _solved(U, V)
         vals9, failure9 = _spectra(A)
         failure6 = _spectra(A, (U, V))[1]
-        failure_report = _retried(A, None, (U, V))[1]
     assert np.array_equal(failure != 0, (failure9 != 0) & (failure6 != 0))
-    assert np.array_equal(failure != 0, failure_report != 0)
     keep = failure9 == 0
     for tau in (1e-8, 1e-6):
         _assert_same_counts(vals[keep], vals9[keep], tau)
@@ -536,14 +534,14 @@ def test_wide_matrices_take_the_rank6_route(default_params):
     assert {key: cell[key] for key in rep.counts()} == rep.counts()
 
 
-def test_retried_keeps_the_second_routes_complex_values(monkeypatch):
+def test_solved_keeps_the_9x9_routes_complex_values(monkeypatch):
     # np.linalg.eig returns real values when every eigenvalue of the stack
-    # is real: the first route fails its one matrix that way, and the second
+    # is real: the rank-6 route fails its one matrix that way, and the 9 x 9
     # route's complex pair must keep its imaginary parts
     pair = np.array([[0.5 + 0.25j, 0.5 - 0.25j] + [0.0] * (ORDER - 2)])
     routes = iter([(np.zeros((1, ORDER)), np.array([4])), (pair, np.array([0]))])
     monkeypatch.setattr(statespace, "_spectra", lambda A, factors=None: next(routes))
-    vals, failure = _retried(np.zeros((1, ORDER, ORDER)), None, None)
+    _, vals, failure = _solved(np.zeros((1, ORDER, 6)), np.zeros((1, ORDER, 6)))
     assert failure[0] == 0
     assert np.array_equal(vals, pair)
 
@@ -556,15 +554,17 @@ def test_routes_over_the_valid_domain(raw):
     # the 9 x 9 and rank-6 routes over the audit property's domain.  Neither
     # route's checks imply the other's: at extreme scales (a tiny sigma, beta
     # or persistence beside loadings near 1e-300) each route fails matrices
-    # the other solves, so the sweep and report each retry a failed matrix by
-    # the other route.  Up to |A| = 1e8, and away from the unit circle by
-    # more than 2 sqrt(eps |A|), wherever the routes disagree, the sweep's
-    # choice (the rank-6 route where it passes) gives the counts of a
-    # 30-digit solve of A.  Closer, counts are not well posed: where two
-    # persistences are equal, A has a double root, which rounding A's
-    # entries moves by sqrt(eps |A|); at the example, a root at 1 - 1e-6 and
-    # |A| = 3e6.  Beyond |A| = 1e12 both routes can pass with wrong counts,
-    # next to an eigenvalue of 1e11 or more
+    # the other solves, so report and the sweep solve the rank-6 route first
+    # and retry a matrix it fails by the 9 x 9 route, and give one cell the
+    # same counts, also where counts are not well posed.  Up to |A| = 1e8,
+    # and away from the unit circle by more than 2 sqrt(eps |A|), wherever
+    # the routes disagree, that order gives the counts of a 30-digit solve
+    # of A.  Closer, counts are not well posed: where two persistences are
+    # equal, A has a double root, which rounding A's entries moves by
+    # sqrt(eps |A|); at the example, a root at 1 - 1e-6 and |A| = 3e6, where
+    # the 9 x 9 route alone counts 8 stable roots and the rank-6 route 9.
+    # Beyond |A| = 1e12 both routes can pass with wrong counts, next to an
+    # eigenvalue of 1e11 or more
     try:
         p = validate(raw)
     except InvalidParams:
@@ -574,6 +574,12 @@ def test_routes_over_the_valid_domain(raw):
             rf = compute_all(p)
         except ConvergenceFailure:
             return
+        cell, = sweep(p, ("alpha_pi", p.alpha_pi, p.alpha_pi, 1), ("k", p.k, p.k, 1)).cells
+        try:
+            counts = report(rf).counts()
+        except ConvergenceFailure:
+            counts = dict.fromkeys(("stable", "unstable", "borderline"))
+        assert {key: cell[key] for key in counts} == counts
         U, V = (x[None] for x in _factors(rf.slot_blocks, p))
         A = _transition(U, V)
         vals9, failure9 = _spectra(A)

@@ -172,6 +172,15 @@ SINGLE = (
     # every sweep verdict, and every digit in the count columns
     ["sweep", "--axis1", "rho_ybar:-1.2:1.2:13", "--axis2", "sigma:0.5:1e300:2",
      "--n-pre", "8", "--tol", "0.3"],
+    # a double root at 1 - 1e-6, closer to the unit circle than rounding
+    # A's entries moves it: determinacy and the sweep give the same counts
+    *([*argv, "--n-pre", "8",
+       *(arg for pair in ("sigma=5e-324", "beta=0.5", "s1=0.5", "gamma1=-1",
+                          "rho_ybar=0.999999", "rho_g=0.999999", "alpha_y=0", "c3=0",
+                          "s3=0", "gamma3=0", "rho_chi=0", "k=0", "alpha_pi=0")
+         for arg in ("--param", pair))]
+      for argv in (["determinacy"],
+                   ["sweep", "--axis1", "alpha_pi:0:0:1", "--axis2", "k:0:0:1"])),
 )
 
 COMMANDS = (*(argv + opts for opts in PARAMS.values() for argv in PER_PARAMS),
