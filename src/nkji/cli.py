@@ -37,17 +37,31 @@ AUDIT_MAX_DRAWS = 1_000_000
 
 
 def _write(args, parts: Iterable[str]) -> None:
-    """Write the text ``parts`` in order, as they are made, to stdout, or
-    atomically to --out: a sibling temporary file renamed onto it, so a
-    failed run leaves no partial file."""
+    """Write the text ``parts`` in order, as they are made, to stdout or to
+    --out, through its symlinks.  A regular or new file there is replaced
+    atomically, by a sibling temporary file renamed onto it, so a failed run
+    leaves no partial file; a FIFO or a device is written straight through."""
     if not args.out:
-        sys.stdout.writelines(parts)
+        try:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()
+        except OSError:
+            # drop what stdout still buffers, so that its flush at exit cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
         return
-    tmp = f"{args.out}.{os.getpid()}.tmp"
+    target = os.path.realpath(args.out)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
+        return
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(parts)
-        os.replace(tmp, args.out)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -346,15 +360,18 @@ def main(argv: list[str] | None = None) -> int:
         # not in numpy warnings
         with np.errstate(all="ignore"):
             doc = args.run(args, _load_params(args))
-            _write(args, [_json(doc)] if isinstance(doc, dict) else _csv(*doc))
+            try:
+                _write(args, [_json(doc)] if isinstance(doc, dict) else _csv(*doc))
+            except OSError as err:
+                print(f"nkji: cannot write output: {printable(args.out or '<stdout>')}: "
+                      f"{err.strerror or err}", file=sys.stderr)
+                return 2
         return 0
-    except (InvalidParams, BudgetModeConflict, UnknownParameter,
-            shocks.UnknownShockKind, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as err:
+    except (InvalidParams, BudgetModeConflict, UnknownParameter, OSError,
+            json.JSONDecodeError, UnicodeDecodeError) as err:
         print(f"nkji: invalid input: {err}", file=sys.stderr)
         return 2
-    except (oracle.SingularSystem, oracle.AnsatzInconsistent, slots.StrayLoadings,
-            ConvergenceFailure, OverflowError, MemoryError) as err:
+    except (*oracle.NUMERICAL_FAILURES, OverflowError, MemoryError) as err:
         print(f"nkji: numerical failure: {err}", file=sys.stderr)
         return 3
 

@@ -30,12 +30,10 @@ from .slots import NSLOT, Vec
 
 @dataclass(frozen=True, eq=False)
 class ReducedForm:
-    """Complete coefficient set.  ``source`` records how the set was
-    produced ("closed-form" or "undetermined-coefficients")."""
+    """Complete coefficient set."""
 
     params: StructuralParams
     slot_blocks: dict[str, Vec] = field(repr=False)
-    source: str = "closed-form"
     condition_number: float | None = None   # set by the numerical solver
 
     def block(self, var: str) -> Vec:

@@ -332,8 +332,7 @@ def solve_undetermined(p: StructuralParams) -> ReducedForm:
     blocks = _block_solve(p, lone, linked, b)
     for vec in blocks.values():
         vec.flags.writeable = False
-    return ReducedForm(params=p, slot_blocks=blocks, source="undetermined-coefficients",
-                       condition_number=float(cond))
+    return ReducedForm(params=p, slot_blocks=blocks, condition_number=float(cond))
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +524,8 @@ AUDIT_SLICE = 20
 #: a parameterization's fields as a tuple, in field order
 _FIELD_VALUES = attrgetter(*FIELD_NAMES)
 
-#: what a draw's comparison raises when one of its steps fails
-_DRAW_FAILURES = (ConvergenceFailure, SingularSystem, AnsatzInconsistent,
-                  slots.StrayLoadings, np.linalg.LinAlgError)
+#: what a step raises for a result it cannot trust: a numerical failure
+NUMERICAL_FAILURES = (ConvergenceFailure, SingularSystem, AnsatzInconsistent, slots.StrayLoadings)
 
 
 def _flag_rows(p: StructuralParams, tol: float) -> np.ndarray:
@@ -555,7 +553,7 @@ def _stability_slice(seed: int, tol: float, draws: range) -> np.ndarray:
         np.random.SeedSequence(entropy=seed, spawn_key=(i,))) for i in draws])
     try:
         return _flag_rows(stacked, tol)
-    except _DRAW_FAILURES:
+    except (*NUMERICAL_FAILURES, np.linalg.LinAlgError):
         # some draw fails: take the draws one at a time, so that the first
         # failing draw raises just as it does alone
         return np.concatenate([_flag_rows(p, tol) for p in ps])

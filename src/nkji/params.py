@@ -79,9 +79,6 @@ class InvalidParams(ValueError):
         self.violations = violations
         super().__init__("; ".join(repr(v) for v in violations))
 
-    def names(self) -> set[str]:
-        return {v.field for v in self.violations}
-
 
 class ConvergenceFailure(RuntimeError):
     """A numerical result that is not finite, or an eigen-solve that fails."""

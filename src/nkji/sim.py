@@ -32,9 +32,7 @@ class BudgetModeConflict(ValueError):
 
 
 class MissingState(KeyError):
-    def __init__(self, symbol: str):
-        self.symbol = symbol
-        super().__init__(symbol)
+    """A state symbol the evaluator requires is absent; the key is its name."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,18 +181,10 @@ def forecast_error(ep: EquilibriumPath) -> ForecastErrorStats:
     return ForecastErrorStats(series=fe, mean=mean, se=se, lag1_autocorr=lag1)
 
 
-@dataclass(frozen=True, eq=False)
-class IrfTable:
-    responses: dict[str, Vec] = field(repr=False)
-
-    def __getitem__(self, name: str) -> Vec:
-        return self.responses[name]
-
-
-def irf(rf: ReducedForm, kind: str, H: int, size: float = 1.0) -> IrfTable:
+def irf(rf: ReducedForm, kind: str, H: int, size: float = 1.0) -> dict[str, Vec]:
     """Response to a one-off innovation of ``kind`` at t = 0, relative to the
-    steady state, over horizons 0..H-1.  Includes the responses of the
-    exogenous AR states alongside the endogenous series.
+    steady state, over horizons 0..H-1, by series name: every series of
+    ``SERIES`` and each exogenous AR state of ``shocks.AR_STATES``.
 
     Responses are evaluated in deviation form (the constant regressor is
     dropped), so they are exactly zero where the path carries no loading and
@@ -209,7 +199,7 @@ def irf(rf: ReducedForm, kind: str, H: int, size: float = 1.0) -> IrfTable:
     responses["JI"] = responses["Eu"]   # insecurity is the Eu deviation
     for name in shocks.AR_STATES:
         responses[name] = path.state(name)
-    return IrfTable(responses=responses)
+    return responses
 
 
 @dataclass(frozen=True)

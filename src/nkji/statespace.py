@@ -44,8 +44,6 @@ ORDER = 9
 #: rank of the transition matrix: the columns of its factors U, V
 RANK = 6
 
-ROW_VARS = slots.ENDOGENOUS   # row 8 is the signal
-
 VERDICTS = ("determinate", "indeterminate", "no_equilibrium", "borderline")
 #: indexed by ``SweepResult.verdicts``
 SWEEP_VERDICTS = VERDICTS + ("invalid", "failed")
@@ -103,14 +101,14 @@ def build(rf: ReducedForm) -> TransitionSystem:
 def _loadings(blocks: dict[str, Vec]) -> tuple[Vec, ...]:
     """The lag-carrier loadings f, h, m, n, e of the eight variable rows,
     each (8,), or (8, n) for blocks (16, n)."""
-    rows = np.stack([blocks[var] for var in ROW_VARS])
+    rows = np.stack([blocks[var] for var in slots.ENDOGENOUS])
     return tuple(rows[:, s] for s in (slots.YBAR_LAG2, slots.G_LAG1,
                                       slots.TAX_LAG1, slots.CHI_LAG1,
                                       slots.EPS_LAG1))
 
 
-_POLICY = ROW_VARS.index("i")
-_COST_PUSH = [ROW_VARS.index("pi"), _POLICY]   # rows loading on eps_{t-1}
+_POLICY = slots.ENDOGENOUS.index("i")
+_COST_PUSH = [slots.ENDOGENOUS.index("pi"), _POLICY]   # rows loading on eps_{t-1}
 
 
 def _factors(blocks: dict[str, Vec], p: StructuralParams) -> tuple[Vec, Vec]:
@@ -155,7 +153,7 @@ def _factors(blocks: dict[str, Vec], p: StructuralParams) -> tuple[Vec, Vec]:
 #: and factor column k, read off :func:`_factors` where every loading and
 #: persistence is nonzero
 _TERM_ROW, _TERM_COL, _TERM_K = np.nonzero(np.einsum("ik,jk->ijk", *_factors(
-    dict.fromkeys(ROW_VARS, np.ones(slots.NSLOT)),
+    dict.fromkeys(slots.ENDOGENOUS, np.ones(slots.NSLOT)),
     StructuralParams(**dict.fromkeys(FIELD_NAMES, 0.5)))))
 
 

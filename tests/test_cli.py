@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -16,13 +17,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nkji
-from nkji import cli, shocks
+from nkji import cli, oracle, shocks
 from nkji.cli import AUDIT_MAX_DRAWS, MAX_PERIODS, main
-from nkji.params import DEFAULTS, FIELD_NAMES, validate
+from nkji.params import DEFAULTS, FIELD_NAMES, InvalidDomain, InvalidParams, validate
 from nkji.shocks import AR_STATES, KINDS
-from nkji.sim import SERIES
+from nkji.sim import SERIES, BudgetModeConflict
 from nkji.slots import INDEX_SETS, VARIABLES
-from nkji.statespace import SWEEP_MAX_CELLS, sweep
+from nkji.statespace import SWEEP_MAX_CELLS, UnknownParameter, sweep
 
 
 def run(tmp_path, *argv):
@@ -447,8 +448,72 @@ def test_malformed_calib_json_exits_2(tmp_path, capsys, content):
 
 def test_out_in_missing_directory_exits_2(tmp_path, capsys):
     out = tmp_path / "no_such_dir" / "out.json"
-    err = _invalid_input(capsys, ["coeffs", "--out", str(out)])
-    assert str(out) in err
+    assert main(["coeffs", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"nkji: cannot write output: {out}: "
+                                       "No such file or directory\n")
+
+
+def test_out_writes_through_symlinks(tmp_path, capsys):
+    assert main(["coeffs"]) == 0
+    expected = capsys.readouterr().out
+    target = tmp_path / "target.json"
+    target.write_text("previous\n")
+    link, dangling = tmp_path / "link.json", tmp_path / "dangling.json"
+    link.symlink_to(target)
+    dangling.symlink_to(tmp_path / "new.json")
+    for out in (link, dangling):
+        assert main(["coeffs", "--out", str(out)]) == 0
+        assert out.is_symlink() and out.read_text() == expected
+    assert target.read_text() == expected
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "dangling.json", "link.json", "new.json", "target.json"]
+
+
+def test_out_writes_through_a_fifo(tmp_path, capsys):
+    assert main(["coeffs", "--format", "csv"]) == 0
+    expected = capsys.readouterr().out
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["coeffs", "--format", "csv", "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [expected]
+    assert fifo.is_fifo() and [f.name for f in tmp_path.iterdir()] == ["fifo"]
+
+
+def test_closed_stdout_is_one_write_failure_line():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process("coeffs", stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (
+        2, "nkji: cannot write output: <stdout>: Broken pipe\n")
+
+
+@pytest.mark.parametrize("error, code", [
+    *((cls("failed"), 3) for cls in oracle.NUMERICAL_FAILURES),
+    (OverflowError("failed"), 3), (MemoryError("failed"), 3),
+    (InvalidParams([InvalidDomain("sigma", "bad")]), 2), (BudgetModeConflict("bad"), 2),
+    (UnknownParameter("nosuch"), 2), (json.JSONDecodeError("bad", "{", 1), 2),
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad"), 2),
+    (FileNotFoundError(2, "No such file or directory", "calib.json"), 2),
+], ids=lambda value: type(value).__name__ if isinstance(value, BaseException) else None)
+def test_exit_code_map(tmp_path, capsys, monkeypatch, error, code):
+    def fail(args, p):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_coeffs", fail)
+    out = tmp_path / "out.json"
+    assert main(["coeffs", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    prefix = {2: "nkji: invalid input: ", 3: "nkji: numerical failure: "}[code]
+    assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_control_characters_escaped_in_messages(tmp_path, capsys):
@@ -540,14 +605,15 @@ def test_csv_formats_one_part_at_a_time(tmp_path):
     assert peak < 2 * columns * T * 8
 
 
-def _cli_process(*argv, **env):
+def _cli_process(*argv, stdout=subprocess.PIPE, **env):
     """``python -m nkji.cli argv`` in a fresh process that imports this
-    nkji, with ``env`` added to the environment."""
+    nkji, with ``env`` added to the environment; its stdout goes to
+    ``stdout``."""
     src = str(Path(nkji.__file__).resolve().parents[1])
     env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-m", "nkji.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "nkji.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
 
 
 def test_single_param_override_is_quiet(tmp_path):

@@ -23,7 +23,6 @@ from test_acceptance import EXPECTED_DIVERGENCES
 
 
 def test_solution_is_well_conditioned(oracle_rf):
-    assert oracle_rf.source == "undetermined-coefficients"
     assert 0 < oracle_rf.condition_number < 1e6
 
 
@@ -145,7 +144,7 @@ def test_suspect_report_states_both_values(default_rf, oracle_rf, default_params
 def test_perturbed_output_coefficient_breaks_resource_constraint(oracle_rf, default_params):
     blocks = {v: oracle_rf.block(v).copy() for v in slots.VARIABLES}
     blocks["y"][slots.G_LAG1] += 1e-3
-    broken = ReducedForm(params=default_params, slot_blocks=blocks, source="perturbed")
+    broken = ReducedForm(params=default_params, slot_blocks=blocks)
     ep = simulate(broken, impulse_path(default_params, "eta", 5))
     rep = residuals(ep)
     assert rep.max_abs["resource"] > 1e-4

@@ -77,7 +77,7 @@ def test_all_violations_collected():
 def test_unknown_key_rejected():
     with pytest.raises(InvalidParams) as exc:
         validate({**DEFAULTS, "c2": 0.1})
-    assert exc.value.names() == {"c2"}
+    assert {v.field for v in exc.value.violations} == {"c2"}
 
 
 def test_missing_keys_filled_with_notice(caplog):

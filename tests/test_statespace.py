@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import _valid_range
 from nkji import build, char_poly, classify, classify_standard, compute_all, eigen
-from nkji import statespace
+from nkji import slots, statespace
 from nkji.cli import main
 from nkji.coeffs import power
 from nkji.oracle import random_params
@@ -434,7 +434,7 @@ def test_each_transition_entry_has_at_most_one_term(rng):
     # at random nonzero loadings and persistences, every entry of A has at
     # most one nonzero term U[i, k] V[j, k], and those terms are the table
     # the gather reads
-    blocks = {var: rng.uniform(0.5, 2.0, 16) for var in statespace.ROW_VARS}
+    blocks = {var: rng.uniform(0.5, 2.0, 16) for var in slots.ENDOGENOUS}
     p = StructuralParams(**{name: rng.uniform(0.1, 0.9) for name in FIELD_NAMES})
     U, V = _factors(blocks, p)
     terms = U[:, None, :] * V[None, :, :] != 0.0

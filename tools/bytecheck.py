@@ -181,6 +181,9 @@ SINGLE = (
          for arg in ("--param", pair))]
       for argv in (["determinacy"],
                    ["sweep", "--axis1", "alpha_pi:0:0:1", "--axis2", "k:0:0:1"])),
+    # write failures: a missing directory, and a directory as the target
+    ["coeffs", "--out", "/nonexistent-nkji-dir/x.json"],
+    ["coeffs", "--out", "/"],
 )
 
 COMMANDS = (*(argv + opts for opts in PARAMS.values() for argv in PER_PARAMS),
