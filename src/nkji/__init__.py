@@ -9,9 +9,9 @@ from .params import (DEFAULTS, EPS_SING, InvalidParams, StructuralParams,
                      load_calibration, validate)
 from .shocks import (KINDS, LagState, ShockPath, UnknownShockKind, draw,
                      from_innovations, impulse_path, signal, zero_path)
-from .sim import (BudgetModeConflict, EquilibriumPath, MissingState,
-                  TransparencyAudit, expectations, forecast_error, irf,
-                  job_insecurity, search_paradox, simulate, transparency_audit)
+from .sim import (BudgetModeConflict, EquilibriumPath, MissingState, expectations,
+                  forecast_error, irf, job_insecurity, search_paradox, simulate,
+                  transparency_audit)
 from .statespace import (ConvergenceFailure, DeterminacyReport,
                          TransitionSystem, UnknownParameter, build, char_poly,
                          classify, classify_standard, eigen, report, sweep)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -129,6 +128,12 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _assignment(text: str) -> tuple[str, float]:
     name, sep, value = text.partition("=")
     if not sep:
@@ -218,7 +223,7 @@ def cmd_irf(args, p) -> tuple[str, dict]:
 
 
 def cmd_transparency(args, p) -> dict:
-    return sim.transparency_audit(coeffs.compute_all(p)).entries
+    return sim.transparency_audit(coeffs.compute_all(p))
 
 
 def cmd_determinacy(args, p) -> dict:
@@ -227,9 +232,9 @@ def cmd_determinacy(args, p) -> dict:
         "eigenvalues": [{"re": v.real, "im": v.imag, "modulus": abs(v)}
                         for v in rep.eigenvalues],
         "k": list(rep.k),
-        "counts": rep.counts(),
-        "tau": rep.tau,
-        "rule": rep.rule,
+        "counts": rep.counts,
+        "tau": args.tol,
+        "rule": "stable-count-vs-predetermined",
         "verdicts": {str(n): v for n, v in rep.verdicts.items()},
     }
 
@@ -289,12 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, run, help: str) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(run=run)
-        sp.add_argument("--calib", metavar="PATH",
+        sp.add_argument("--calib", type=_path, metavar="PATH",
                         help="JSON calibration file (flat name -> number)")
         sp.add_argument("--param", type=_assignment, action="append", default=[],
                         metavar="NAME=VALUE",
                         help="override one parameter (repeatable)")
-        sp.add_argument("--out", metavar="PATH", help="output path (default stdout)")
+        sp.add_argument("--out", type=_path, metavar="PATH",
+                        help="output path (default stdout)")
         return sp
 
     sp = command("coeffs", cmd_coeffs, "emit the reduced-form coefficient set")
@@ -351,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
-                        format="nkji: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         _check_sizes(args)

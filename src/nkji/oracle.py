@@ -389,9 +389,6 @@ class Erratum:
     rel_diff: float
     note: str = ""
 
-    def key(self) -> tuple[str, int]:
-        return (self.variable, self.index)
-
 
 @dataclass(frozen=True, eq=False)
 class ErrataReport:
@@ -401,27 +398,27 @@ class ErrataReport:
     suspects: dict[str, dict]
 
     def keys(self) -> set[tuple[str, int]]:
-        return {e.key() for e in self.entries}
+        return {(e.variable, e.index) for e in self.entries}
 
 
 def compare(tables: ReducedForm, oracle: ReducedForm,
-            tol: float = 1e-6, abs_floor: float = ABS_FLOOR) -> ErrataReport:
+            tol: float = 1e-6) -> ErrataReport:
     """Entry-wise comparison of two coefficient sets over the exported
     index sets, with a resolution of the two pattern-breaking entries.
 
-    An entry differs when ``|table - oracle| > max(tol * scale, abs_floor)``
+    An entry differs when ``|table - oracle| > max(tol * scale, ABS_FLOOR)``
     with ``scale = max(|table|, |oracle|)``; its relative difference is
     ``|table - oracle| / scale`` (0 where both are 0).  For each suspect
     entry the report states the value as printed, the pattern-consistent
     variant evaluated on the closed-form parent entries, and whether the
     numerical solution supports the variant (its own blocks satisfy the
     pattern exactly and fail the printed form).  A negative or non-finite
-    ``tol`` or ``abs_floor`` raises ``ValueError``.
+    ``tol`` raises ``ValueError``.
     """
-    _check_tolerances(tol=tol, abs_floor=abs_floor)
+    _check_tolerances(tol=tol)
     p = tables.params
     tv, ov, rel, flagged, confirmed = _compared(
-        tables.slot_blocks, oracle.slot_blocks, p, tol, abs_floor)
+        tables.slot_blocks, oracle.slot_blocks, p, tol)
     bad = np.flatnonzero(flagged)
     entries: list[Erratum] = []
     for k, t, o, r in zip(bad.tolist(), tv[bad].tolist(), ov[bad].tolist(),
@@ -447,7 +444,7 @@ def compare(tables: ReducedForm, oracle: ReducedForm,
 
 
 def _compared(tables: dict[str, Vec], solved: dict[str, Vec], p: StructuralParams,
-              tol: float, abs_floor: float) -> tuple[Vec, Vec, Vec, Vec, dict[str, Vec]]:
+              tol: float) -> tuple[Vec, Vec, Vec, Vec, dict[str, Vec]]:
     """The array pass behind :func:`compare`: the exported entries of both
     sets, their relative differences, which of them differ, and per suspect
     label whether the numerical solution confirms the variant.  With slot
@@ -457,7 +454,7 @@ def _compared(tables: dict[str, Vec], solved: dict[str, Vec], p: StructuralParam
     diff = np.abs(tv - ov)
     scale = np.maximum(np.abs(tv), np.abs(ov))
     rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
-    flagged = diff > np.maximum(tol * scale, abs_floor)
+    flagged = diff > np.maximum(tol * scale, ABS_FLOOR)
     confirmed = {}
     for (var, idx), (_, _, printed_of, variant_of) in SUSPECT_ENTRIES.items():
         value = solved[var][idx]
@@ -534,7 +531,7 @@ def _flag_rows(p: StructuralParams, tol: float) -> np.ndarray:
     float fields), (draws, 130); raises for the first failing cell."""
     tables = _checked_blocks(p)
     solved = _block_solve(p, *_matching_blocks(p))
-    flagged = _compared(tables, solved, p, tol, ABS_FLOOR)[3]
+    flagged = _compared(tables, solved, p, tol)[3]
     return flagged.reshape(len(slots.ENTRIES), -1).T
 
 

@@ -49,12 +49,6 @@ class Violation:
         detail = f": {self.detail}" if self.detail else ""
         return printable(f"{self.kind}({self.field}{detail})")
 
-    def __eq__(self, other):
-        return (self.kind, self.field) == (getattr(other, "kind", None), getattr(other, "field", None))
-
-    def __hash__(self):
-        return hash((self.kind, self.field))
-
 
 class NonStationary(Violation):
     kind = "NonStationary"

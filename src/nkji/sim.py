@@ -158,7 +158,6 @@ def job_insecurity(rf: ReducedForm, state: Mapping[str, float]) -> float:
 
 @dataclass(frozen=True)
 class ForecastErrorStats:
-    series: Vec
     mean: float
     se: float
     lag1_autocorr: float
@@ -178,7 +177,7 @@ def forecast_error(ep: EquilibriumPath) -> ForecastErrorStats:
         lag1 = float(np.dot(d[1:], d[:-1]) / np.dot(d, d))
     else:
         lag1 = 0.0
-    return ForecastErrorStats(series=fe, mean=mean, se=se, lag1_autocorr=lag1)
+    return ForecastErrorStats(mean=mean, se=se, lag1_autocorr=lag1)
 
 
 def irf(rf: ReducedForm, kind: str, H: int, size: float = 1.0) -> dict[str, Vec]:
@@ -202,20 +201,11 @@ def irf(rf: ReducedForm, kind: str, H: int, size: float = 1.0) -> dict[str, Vec]
     return responses
 
 
-@dataclass(frozen=True)
-class TransparencyAudit:
-    """Signs and magnitudes of the information-channel coefficients (lagged
-    state and current news innovation) for every variable, plus a per-variable
-    flag set when full disclosure moves a welfare-relevant variable adversely
+def transparency_audit(rf: ReducedForm) -> dict[str, dict[str, float | int | bool]]:
+    """Per variable, the information-channel coefficients z7 (lagged state)
+    and z8 (current news innovation), their signs, and a ``paradox`` flag set
+    when full disclosure moves a welfare-relevant variable adversely
     (unemployment or expected unemployment up, output or consumption down)."""
-
-    entries: dict[str, dict[str, float | int | bool]]
-
-    def paradox(self, var: str = "Eu") -> bool:
-        return bool(self.entries[var]["paradox"])
-
-
-def transparency_audit(rf: ReducedForm) -> TransparencyAudit:
     entries: dict[str, dict[str, float | int | bool]] = {}
     for var in slots.VARIABLES:
         z7 = float(rf.block(var)[slots.CHI_LAG1])
@@ -231,7 +221,7 @@ def transparency_audit(rf: ReducedForm) -> TransparencyAudit:
             "sign7": int(np.sign(z7)), "sign8": int(np.sign(z8)),
             "paradox": adverse,
         }
-    return TransparencyAudit(entries=entries)
+    return entries
 
 
 def search_paradox(seed: int = 0, max_draws: int = 10000) -> StructuralParams | None:

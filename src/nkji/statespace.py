@@ -79,16 +79,8 @@ class TransitionSystem:
 class DeterminacyReport:
     eigenvalues: Vec = field(repr=False)   # 9 complex numbers
     k: Vec = field(repr=False)             # characteristic coefficients k0..k9
-    tau: float
-    stable: int
-    unstable: int
-    borderline: int
+    counts: dict[str, int]                 # stable, unstable, borderline
     verdicts: dict[int, str]
-    rule: str = "stable-count-vs-predetermined"
-
-    def counts(self) -> dict[str, int]:
-        return {"stable": self.stable, "unstable": self.unstable,
-                "borderline": self.borderline}
 
 
 def build(rf: ReducedForm) -> TransitionSystem:
@@ -330,8 +322,9 @@ def report(rf: ReducedForm, tau: float = 1e-8,
     stable, unstable, borderline = map(int, _counts(vals[0], tau))
     pres = range(ORDER + 1) if n_pre is None else (n_pre,)
     verdicts = {n: VERDICTS[_verdict_codes(stable, borderline, n)] for n in pres}
-    return DeterminacyReport(eigenvalues=vals[0], k=char_poly(A[0]), tau=tau, stable=stable,
-                             unstable=unstable, borderline=borderline, verdicts=verdicts)
+    counts = {"stable": stable, "unstable": unstable, "borderline": borderline}
+    return DeterminacyReport(eigenvalues=vals[0], k=char_poly(A[0]), counts=counts,
+                             verdicts=verdicts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,8 +339,8 @@ class SweepResult:
     @property
     def cells(self) -> list[dict]:
         """Records of the axis values, counts (None: not solved) and verdict
-        name, built on each call for the tests and perfbench's traced
-        ``_sweep_attrs``; spans inside nkji (ROADMAP item 1) delete both."""
+        name, built on each call.  Only perfbench's traced ``_sweep_attrs``
+        reads them; spans inside nkji (ROADMAP item 1) delete both."""
         (name1, grid1), (name2, grid2) = self.axis1, self.axis2
         columns = (np.repeat(grid1, len(grid2)), np.tile(grid2, len(grid1)),
                    *np.where(self.counts < 0, None, self.counts).T,

@@ -165,9 +165,9 @@ def test_determinacy_retries_by_the_rank6_route(tmp_path, capsys):
     obj = json.loads(text)
     assert len(obj["eigenvalues"]) == 9
     assert sum(v["re"] == v["im"] == 0.0 for v in obj["eigenvalues"]) >= 3
-    cell, = sweep(validate({**DEFAULTS, "sigma": 1e-40}), ("sigma", 1e-40, 1e-40, 1),
-                  ("k", DEFAULTS["k"], DEFAULTS["k"], 1)).cells
-    assert obj["counts"] == {key: cell[key] for key in ("stable", "unstable", "borderline")}
+    counts, = sweep(validate({**DEFAULTS, "sigma": 1e-40}), ("sigma", 1e-40, 1e-40, 1),
+                    ("k", DEFAULTS["k"], DEFAULTS["k"], 1)).counts
+    assert obj["counts"] == dict(zip(("stable", "unstable", "borderline"), counts.tolist()))
     # where both routes fail, the rank-6 route's failure is the message
     for param, err in (("k=1e40", "eigenpair residual check failed"),
                        ("k=1e160", "transition matrix norm overflows")):
@@ -433,17 +433,33 @@ def test_missing_calib_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content", [
-    b'{"theta": 0.25,', b'\xff\xfe{}',
+    b'{"theta": 0.25,', b'\xff\xfe{}', b"[1, 2]",
     # beyond the JSON parser's recursion limit, and beyond int's digit limit
     b'{"sigma": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
     b'{"sigma": ' + b"1" * 5000 + b"}",
-], ids=["truncated", "not-utf8", "deeply-nested", "long-integer"])
+], ids=["truncated", "not-utf8", "not-an-object", "deeply-nested", "long-integer"])
 def test_malformed_calib_json_exits_2(tmp_path, capsys, content):
     calib = tmp_path / "calib.json"
     calib.write_bytes(content)
     _invalid_input(capsys, ["coeffs", "--calib", str(calib),
                             "--out", str(tmp_path / "out.json")])
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--calib", ["--calib", "", "--out", "out.json"]),
+    ("--out", ["--out", ""]),
+], ids=["calib", "out"])
+def test_empty_path_is_a_usage_error(tmp_path, monkeypatch, capsys, option, argv):
+    # an empty path, as an unset shell variable gives, is not an absent one:
+    # the run stops before any work, writes nothing and prints no data
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: argument {option}: must not be empty\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_out_in_missing_directory_exits_2(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from nkji import compute_all, draw, simulate, solve_undetermined
 from nkji.coeffs import ReducedForm, _chain_expectation
 from nkji import oracle
-from nkji.oracle import (AUDIT_SLICE, SUSPECT_ENTRIES, Erratum, SingularSystem,
+from nkji.oracle import (ABS_FLOOR, AUDIT_SLICE, SUSPECT_ENTRIES, Erratum, SingularSystem,
                          _condition_number, _matching_blocks, _residual,
                          _stability_slice, compare, random_params, residuals,
                          stability_run)
@@ -101,11 +101,9 @@ def test_negative_or_non_finite_tolerances_are_refused(oracle_rf, bad):
     # tol = nan 0 where the default finds 114; zero stays valid
     with pytest.raises(ValueError, match="tol must be finite and >= 0"):
         compare(oracle_rf, oracle_rf, tol=bad)
-    with pytest.raises(ValueError, match="abs_floor must be finite and >= 0"):
-        compare(oracle_rf, oracle_rf, abs_floor=bad)
     with pytest.raises(ValueError, match="tol must be finite and >= 0"):
         stability_run(0, seed=5, tol=bad)
-    assert compare(oracle_rf, oracle_rf, tol=0.0, abs_floor=0.0).entries == []
+    assert compare(oracle_rf, oracle_rf, tol=0.0).entries == []
 
 
 def test_compare_flags_stable_set(rng):
@@ -424,7 +422,7 @@ def test_audit_claim_holds_over_the_valid_domain(raw):
             return
     scale = np.abs(np.concatenate([tables.exported(), solved.exported()])).max()
     for e in report.entries:
-        if e.key() not in EXPECTED_DIVERGENCES:
+        if (e.variable, e.index) not in EXPECTED_DIVERGENCES:
             assert abs(e.table_value - e.oracle_value) <= 1e-15 * report.condition_number * scale, e
 
 
@@ -442,7 +440,7 @@ def test_unsatisfied_solve_is_ansatz_inconsistent(monkeypatch):
         solve_undetermined(validate(DEFAULTS))
 
 
-def _compare_reference(tables, oracle_rf, tol, abs_floor):
+def _compare_reference(tables, oracle_rf, tol):
     """The per-entry loop ``compare`` replaces."""
     out = []
     for var in slots.VARIABLES:
@@ -451,7 +449,7 @@ def _compare_reference(tables, oracle_rf, tol, abs_floor):
             diff = abs(tv - ov)
             scale = max(abs(tv), abs(ov))
             rel = diff / scale if scale > 0 else 0.0
-            if diff > max(tol * scale, abs_floor):
+            if diff > max(tol * scale, ABS_FLOOR):
                 note = ("pattern-breaking entry; see suspects"
                         if (var, idx) in SUSPECT_ENTRIES else "")
                 out.append(Erratum(var, idx, tv, ov, rel, note))
@@ -470,14 +468,14 @@ def test_compare_equals_entrywise_reference():
               + [random_params(rng) for _ in range(100)])
     for p in points:
         trf, orf = compute_all(p), solve_undetermined(p)
-        for tol, abs_floor in ((1e-6, 1e-12), (1e-3, 1e-6), (1e-12, 0.0)):
+        for tol in (1e-6, 1e-3, 1e-12):
             with warnings.catch_warnings():
                 # entries zero on both sides are not divided by zero
                 warnings.simplefilter("error")
-                got = compare(trf, orf, tol=tol, abs_floor=abs_floor).entries
+                got = compare(trf, orf, tol=tol).entries
             assert all(type(x) is float for e in got
                        for x in (e.table_value, e.oracle_value, e.rel_diff))
-            assert _bits(got) == _bits(_compare_reference(trf, orf, tol, abs_floor))
+            assert _bits(got) == _bits(_compare_reference(trf, orf, tol))
 
 
 def test_compare_rejects_stray_loadings(default_rf, oracle_rf, default_params):

@@ -74,6 +74,14 @@ def test_all_violations_collected():
     }
 
 
+@pytest.mark.parametrize("value", [None, [1.0], 10**400], ids=["none", "list", "huge-int"])
+def test_value_that_is_not_a_number(value):
+    # reported once, as such, and not again by the domain rules of the field
+    with pytest.raises(InvalidParams) as exc:
+        validate({**DEFAULTS, "sigma": value})
+    assert [repr(v) for v in exc.value.violations] == ["InvalidDomain(sigma: not a number)"]
+
+
 def test_unknown_key_rejected():
     with pytest.raises(InvalidParams) as exc:
         validate({**DEFAULTS, "c2": 0.1})

@@ -156,6 +156,8 @@ def test_impulse_path():
         assert abs(chi[h] - p.rho_chi**h) < 1e-15
     with pytest.raises(UnknownShockKind):
         impulse_path(p, "nope", 10)
+    with pytest.raises(UnknownShockKind):
+        path.innovation("zeta")
 
 
 @pytest.mark.parametrize("T", [0, -3])

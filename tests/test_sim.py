@@ -165,13 +165,22 @@ def test_job_insecurity_matches_simulated_series(default_rf, default_params):
 
 def test_forecast_error_zero_without_shocks(default_rf, default_params):
     ep = simulate(default_rf, zero_path(default_params, 100))
-    assert not forecast_error(ep).series.any()
+    assert not ep.forecast_error.any()
+    fe = forecast_error(ep)
+    assert (fe.mean, fe.se, fe.lag1_autocorr) == (0.0, 0.0, 0.0)
+
+
+def test_forecast_error_needs_two_periods(default_rf, default_params):
+    ep = simulate(default_rf, zero_path(default_params, 1))
+    assert len(ep.forecast_error) == 0
+    with pytest.raises(ValueError, match="horizon of at least 2"):
+        forecast_error(ep)
 
 
 def test_forecast_error_is_next_output_minus_expectation(default_rf, default_params):
     ep = simulate(default_rf, draw(default_params, 5, 300))
-    fe = forecast_error(ep)
-    assert np.array_equal(fe.series, ep["y"][1:] - ep["Ey"][:-1])
+    assert np.array_equal(ep.forecast_error, ep["y"][1:] - ep["Ey"][:-1])
+    assert forecast_error(ep).mean == np.mean(ep.forecast_error)
 
 
 def test_forecast_error_whiteness(default_rf, default_params):
@@ -183,7 +192,7 @@ def test_forecast_error_whiteness(default_rf, default_params):
     analytic = (y[2]**2 * p.sd_omega**2 + y[4]**2 * p.sd_eta_g**2
                 + y[6]**2 * p.sd_taxshock**2 + y[8]**2 * p.sd_lambda**2
                 + y[9]**2 * p.sd_xi**2 + y[10]**2 * p.sd_v**2)
-    assert np.var(fe.series, ddof=1) == pytest.approx(analytic, rel=0.05)
+    assert np.var(ep.forecast_error, ddof=1) == pytest.approx(analytic, rel=0.05)
 
 
 def test_series_are_one_matvec_per_block(default_rf, default_params):
@@ -263,12 +272,12 @@ def test_irf_bounds(default_rf):
 
 def test_audit_covers_all_variables(default_rf):
     audit = transparency_audit(default_rf)
-    assert set(audit.entries) == set(slots.VARIABLES)
+    assert set(audit) == set(slots.VARIABLES)
 
 
 def test_audit_signal_neutral_rate():
     rf = compute_all(validate({**DEFAULTS, "phi2": 0.2, "gamma5": 0.2}))
-    entry = transparency_audit(rf).entries["r"]
+    entry = transparency_audit(rf)["r"]
     assert entry["z7"] == 0.0 and entry["z8"] == 0.0
     assert entry["sign7"] == 0 and entry["sign8"] == 0
 
@@ -279,7 +288,7 @@ def test_audit_signs_match_news_perturbation(default_rf, default_params):
     bumped = simulate(default_rf, impulse_path(default_params, "lambda", 2))
     for var in slots.VARIABLES:
         delta = bumped[var][0] - base[var][0]
-        assert int(np.sign(delta)) == audit.entries[var]["sign8"], var
+        assert int(np.sign(delta)) == audit[var]["sign8"], var
 
 
 def test_paradox_search_finds_adverse_disclosure():
@@ -287,7 +296,8 @@ def test_paradox_search_finds_adverse_disclosure():
     assert p is not None
     rf = compute_all(p)
     assert rf.block("Eu")[slots.LAM] > 0
-    assert transparency_audit(rf).paradox("Eu")
+    assert transparency_audit(rf)["Eu"]["paradox"]
+    assert search_paradox(seed=1, max_draws=0) is None
 
 
 def test_expectation_slots_exclude_unreferenced_innovations():

@@ -18,6 +18,14 @@ from nkji.statespace import (ORDER, SWEEP_SLICE, SWEEP_VERDICTS, ConvergenceFail
                              UnknownParameter, _counts, _factors, _solved, _spectra,
                              _transition, report, sweep)
 
+#: the columns of ``SweepResult.counts``, the keys of ``report(...).counts``
+COUNT_KEYS = ("stable", "unstable", "borderline")
+
+
+def _names(res):
+    """The verdict name of each sweep cell, in row-major order."""
+    return [SWEEP_VERDICTS[code] for code in res.verdicts.tolist()]
+
 
 def test_zero_persistence_zero_matrix():
     p = validate({**DEFAULTS, "rho_chi": 0.0, "rho_ybar": 0.0, "rho_g": 0.0,
@@ -157,10 +165,11 @@ def test_classify_examples():
 
 def test_classify_borderline():
     on_circle = np.array([1.0 + 0j] + [0.0] * 8)
-    assert classify(on_circle, n_pre=4) == "borderline"
     near_circle = np.array([1.05 + 0j] + [0.0] * 8)
-    assert classify(near_circle, n_pre=8, tau=1e-8) == "determinate"
-    assert classify(near_circle, n_pre=8, tau=0.1) == "borderline"
+    for rule in (classify, classify_standard):
+        assert rule(on_circle, n_pre=4) == "borderline"
+        assert rule(near_circle, n_pre=8, tau=1e-8) == "determinate"
+        assert rule(near_circle, n_pre=8, tau=0.1) == "borderline"
 
 
 BAD_TAUS = (-2.0, -1e-300, math.inf, -math.inf, math.nan)
@@ -202,7 +211,8 @@ def test_eigenvalue_continuity(default_params):
 
 def test_report_all_counts(default_rf):
     rep = report(default_rf)
-    assert rep.stable + rep.unstable + rep.borderline == 9
+    assert tuple(rep.counts) == COUNT_KEYS
+    assert sum(rep.counts.values()) == 9
     assert set(rep.verdicts) == set(range(10))
     single = report(default_rf, n_pre=3)
     assert set(single.verdicts) == {3}
@@ -217,15 +227,16 @@ def test_report_all_counts(default_rf):
 
 def test_sweep_complete_grid(default_params):
     res = sweep(default_params, ("alpha_pi", 0.5, 2.5, 51), ("alpha_y", 0.0, 1.0, 51))
-    assert len(res.cells) == 51 * 51
-    assert sum(1 for c in res.cells if c["verdict"] == "invalid") == 0
+    assert res.counts.shape == (51 * 51, 3) and res.verdicts.shape == (51 * 51,)
+    assert "invalid" not in _names(res)
 
 
 def test_sweep_singular_cell_isolated(default_params):
     # s1 = 0.6 makes the shared closed-form denominator vanish at the
     # default calibration; neighbors stay fine
     res = sweep(default_params, ("s1", 0.5, 0.7, 3), ("theta", 0.4, 0.6, 2))
-    verdicts = {(round(c["s1"], 6), c["verdict"] == "invalid") for c in res.cells}
+    s1 = np.repeat(res.axis1[1], len(res.axis2[1])).tolist()
+    verdicts = {(round(v, 6), name == "invalid") for v, name in zip(s1, _names(res))}
     assert (0.6, True) in verdicts
     assert (0.5, False) in verdicts and (0.7, False) in verdicts
 
@@ -236,15 +247,18 @@ def test_sweep_parallel_determinism(default_params):
         serial = sweep(default_params, ("alpha_pi", 0.5, 2.5, n1), ("alpha_y", 0.0, 1.0, n2))
         parallel = sweep(default_params, ("alpha_pi", 0.5, 2.5, n1),
                          ("alpha_y", 0.0, 1.0, n2), workers=4)
-        assert serial.cells == parallel.cells, (n1, n2)
+        for got, want in ((serial.axis1, parallel.axis1), (serial.axis2, parallel.axis2)):
+            assert got[0] == want[0] and np.array_equal(got[1], want[1]), (n1, n2)
+        assert np.array_equal(serial.counts, parallel.counts), (n1, n2)
+        assert np.array_equal(serial.verdicts, parallel.verdicts), (n1, n2)
 
 
 def test_sweep_without_a_valid_cell(default_params):
     # nothing to solve in any array pass
     res = sweep(default_params, ("sigma", 0.0, 0.0, 1), ("theta", 0.0, 0.0, 1))
-    assert [c["verdict"] for c in res.cells] == ["invalid"]
+    assert _names(res) == ["invalid"]
     res = sweep(default_params, ("rho_chi", 1.0, 2.0, 3), ("alpha_pi", 1.2, 1.8, 100))
-    assert {c["verdict"] for c in res.cells} == {"invalid"}
+    assert set(_names(res)) == {"invalid"}
 
 
 def test_sweep_unknown_parameter(default_params):
@@ -254,8 +268,8 @@ def test_sweep_unknown_parameter(default_params):
 
 def test_sweep_grid_size_limit(default_params, monkeypatch):
     monkeypatch.setattr(statespace, "SWEEP_MAX_CELLS", 6)
-    assert len(sweep(default_params, ("alpha_pi", 0.5, 2.5, 2),
-                     ("alpha_y", 0.0, 1.0, 3)).cells) == 6
+    res = sweep(default_params, ("alpha_pi", 0.5, 2.5, 2), ("alpha_y", 0.0, 1.0, 3))
+    assert res.counts.shape == (6, 3) and res.verdicts.shape == (6,)
     for n1, n2 in ((1, 7), (7, 1), (3, 3), (10**30, 2)):
         with pytest.raises(InvalidParams, match=f"{n1} x {n2} cells, more than 6"):
             sweep(default_params, ("alpha_pi", 0.5, 2.5, n1), ("alpha_y", 0.0, 1.0, n2))
@@ -265,27 +279,25 @@ def test_sweep_grid_size_limit(default_params, monkeypatch):
 
 def _reference_cells(base, axis1, axis2, n_pre=9, tau=1e-8):
     """The sweep as a per-cell loop: validate, compute_all, report and
-    classify, one cell at a time."""
+    classify, one cell at a time.  Per cell in row-major order: the stable,
+    unstable and borderline counts (n, 3), -1 where not solved, and the
+    verdict name."""
     (name1, lo1, hi1, n1), (name2, lo2, hi2, n2) = axis1, axis2
-    cells = []
+    counts, verdicts = [], []
     with np.errstate(all="ignore"):
         for v1 in np.linspace(lo1, hi1, n1):
             for v2 in np.linspace(lo2, hi2, n2):
-                cell = {name1: float(v1), name2: float(v2)}
                 try:
-                    p = validate({**base.as_dict(), **cell})
+                    p = validate({**base.as_dict(), name1: float(v1), name2: float(v2)})
                     eigs = report(compute_all(p), tau).eigenvalues
                 except (InvalidParams, ConvergenceFailure) as err:
-                    cells.append({**cell, "stable": None, "unstable": None,
-                                  "borderline": None,
-                                  "verdict": "invalid" if isinstance(err, InvalidParams)
-                                  else "failed"})
+                    counts.append([-1, -1, -1])
+                    verdicts.append("invalid" if isinstance(err, InvalidParams)
+                                    else "failed")
                     continue
-                stable, unstable, borderline = map(int, _counts(eigs, tau))
-                cells.append({**cell, "stable": stable, "unstable": unstable,
-                              "borderline": borderline,
-                              "verdict": classify(eigs, n_pre, tau)})
-    return cells
+                counts.append(list(map(int, _counts(eigs, tau))))
+                verdicts.append(classify(eigs, n_pre, tau))
+    return np.array(counts).reshape(-1, 3), verdicts
 
 
 REFERENCE_GRIDS = {
@@ -319,8 +331,12 @@ REFERENCE_GRIDS = {
 @pytest.mark.parametrize("grid", REFERENCE_GRIDS)
 def test_sweep_equals_per_cell_loop(default_params, grid):
     axis1, axis2, *n_pre = REFERENCE_GRIDS[grid]
-    assert sweep(default_params, axis1, axis2, *n_pre).cells == \
-        _reference_cells(default_params, axis1, axis2, *n_pre)
+    res = sweep(default_params, axis1, axis2, *n_pre)
+    counts, verdicts = _reference_cells(default_params, axis1, axis2, *n_pre)
+    assert [(name, values.tolist()) for name, values in (res.axis1, res.axis2)] == \
+        [(name, np.linspace(lo, hi, n).tolist()) for name, lo, hi, n in (axis1, axis2)]
+    assert np.array_equal(res.counts, counts)
+    assert _names(res) == verdicts
 
 
 def test_sweep_verdict_codes_are_classify(default_params):
@@ -329,9 +345,8 @@ def test_sweep_verdict_codes_are_classify(default_params):
     axis1, axis2, _, tau = REFERENCE_GRIDS["every verdict"]
     seen = set()
     for n_pre in range(ORDER + 1):
-        codes = sweep(default_params, axis1, axis2, n_pre, tau).verdicts.tolist()
-        want = [c["verdict"] for c in _reference_cells(default_params, axis1, axis2, n_pre, tau)]
-        assert [SWEEP_VERDICTS[code] for code in codes] == want, n_pre
+        want = _reference_cells(default_params, axis1, axis2, n_pre, tau)[1]
+        assert _names(sweep(default_params, axis1, axis2, n_pre, tau)) == want, n_pre
         seen.update(want)
     assert seen == set(SWEEP_VERDICTS)
 
@@ -529,9 +544,9 @@ def test_wide_matrices_take_the_rank6_route(default_params):
         eigen(A)
     rep = report(rf)
     assert np.array_equal(rep.eigenvalues, vals6[0])
-    assert rep.counts() == {"stable": 8, "unstable": 1, "borderline": 0}
-    cell, = sweep(default_params, ("sigma", 1e-300, 1e-300, 1), ("k", 0.0, 0.0, 1)).cells
-    assert {key: cell[key] for key in rep.counts()} == rep.counts()
+    assert rep.counts == {"stable": 8, "unstable": 1, "borderline": 0}
+    counts, = sweep(default_params, ("sigma", 1e-300, 1e-300, 1), ("k", 0.0, 0.0, 1)).counts
+    assert dict(zip(COUNT_KEYS, counts.tolist())) == rep.counts
 
 
 def test_solved_keeps_the_9x9_routes_complex_values(monkeypatch):
@@ -574,12 +589,12 @@ def test_routes_over_the_valid_domain(raw):
             rf = compute_all(p)
         except ConvergenceFailure:
             return
-        cell, = sweep(p, ("alpha_pi", p.alpha_pi, p.alpha_pi, 1), ("k", p.k, p.k, 1)).cells
+        cell, = sweep(p, ("alpha_pi", p.alpha_pi, p.alpha_pi, 1), ("k", p.k, p.k, 1)).counts
         try:
-            counts = report(rf).counts()
+            counts = report(rf).counts
         except ConvergenceFailure:
-            counts = dict.fromkeys(("stable", "unstable", "borderline"))
-        assert {key: cell[key] for key in counts} == counts
+            counts = dict.fromkeys(COUNT_KEYS, -1)
+        assert dict(zip(COUNT_KEYS, cell.tolist())) == counts
         U, V = (x[None] for x in _factors(rf.slot_blocks, p))
         A = _transition(U, V)
         vals9, failure9 = _spectra(A)
@@ -638,11 +653,15 @@ def test_stacked_eig_failure_fails_only_its_cell(default_params, monkeypatch):
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", refuse)
-    cells = sweep(default_params, axis1, axis2).cells
-    failed = [i for i, cell in enumerate(cells) if cell["verdict"] == "failed"]
-    assert [(cells[i]["alpha_pi"], cells[i]["rho_chi"]) for i in failed] == [bad_cell]
-    assert [c for i, c in enumerate(cells) if i not in failed] == \
-        [c for i, c in enumerate(reference) if i not in failed]
+    res = sweep(default_params, axis1, axis2)
+    names = _names(res)
+    failed = [i for i, name in enumerate(names) if name == "failed"]
+    grid1, grid2 = res.axis1[1].tolist(), res.axis2[1].tolist()
+    assert [(grid1[i // len(grid2)], grid2[i % len(grid2)]) for i in failed] == [bad_cell]
+    assert (grid1, grid2) == tuple(np.linspace(*axis[1:]).tolist() for axis in (axis1, axis2))
+    kept = [i for i in range(len(names)) if i not in failed]
+    assert np.array_equal(res.counts[kept], reference[0][kept])
+    assert [names[i] for i in kept] == [reference[1][i] for i in kept]
 
 
 def test_eig_failure_is_a_convergence_failure(default_params, monkeypatch, tmp_path,

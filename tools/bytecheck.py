@@ -184,6 +184,13 @@ SINGLE = (
     # write failures: a missing directory, and a directory as the target
     ["coeffs", "--out", "/nonexistent-nkji-dir/x.json"],
     ["coeffs", "--out", "/"],
+    # an empty path is refused, and a calibration file that does not exist
+    ["coeffs", "--calib", ""],
+    ["coeffs", "--out", ""],
+    ["coeffs", "--calib", "/nonexistent-nkji-dir/c.json"],
+    # a valid parameterization the audit's matching system reads as
+    # singular: phi1 enters only its right-hand side
+    ["audit", "--T", "10", "--param", "phi1=1e16"],
 )
 
 COMMANDS = (*(argv + opts for opts in PARAMS.values() for argv in PER_PARAMS),
