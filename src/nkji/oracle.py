@@ -32,7 +32,6 @@ Equation set and conventions (the audit contract):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress
 from operator import attrgetter
@@ -338,24 +337,12 @@ def solve_undetermined(p: StructuralParams) -> ReducedForm:
 # ---------------------------------------------------------------------------
 # structural residual audit on simulated paths
 
-@dataclass(frozen=True, eq=False)
-class ResidualReport:
-    max_abs: dict[str, float]
-    threshold: float = field(default=1e-9, init=False)
-    series: dict[str, Vec] = field(repr=False)
-
-    def passed(self, eq: str) -> bool:
-        return self.max_abs[eq] <= self.threshold
-
-    def all_passed(self) -> bool:
-        return all(self.passed(eq) for eq in self.max_abs)
-
-
-def residuals(ep: EquilibriumPath) -> ResidualReport:
-    """Per-period residuals of the structural equations, recomputed from the
-    emitted series (expectation terms evaluated from the emitted expectation
-    series, not from next-period realizations) and the path's AR states, at
-    the coefficient set's parameters; each passes at most 1e-9 off zero."""
+def residuals(ep: EquilibriumPath) -> dict[str, float]:
+    """The largest absolute per-period residual of each structural equation,
+    recomputed from the emitted series (expectation terms evaluated from the
+    emitted expectation series, not from next-period realizations) and the
+    path's AR states, at the coefficient set's parameters; each passes at
+    most 1e-9 off zero."""
     p = ep.rf.params
     path = ep.path
     mu_l1 = np.concatenate(([path.initial.mu[0]], path.state("mu")[:-1]))
@@ -373,38 +360,17 @@ def residuals(ep: EquilibriumPath) -> ResidualReport:
     }
     if ep.budget_mode == "balanced":
         series["budget"] = path.state("g") - path.state("tax")
-    max_abs = {eq: float(np.max(np.abs(s))) for eq, s in series.items()}
-    return ResidualReport(max_abs=max_abs, series=series)
+    return {eq: float(np.max(np.abs(s))) for eq, s in series.items()}
 
 
 # ---------------------------------------------------------------------------
 # closed-form vs numerical comparison
 
-@dataclass(frozen=True)
-class Erratum:
-    variable: str
-    index: int
-    table_value: float
-    oracle_value: float
-    rel_diff: float
-    note: str = ""
-
-
-@dataclass(frozen=True, eq=False)
-class ErrataReport:
-    entries: list[Erratum]
-    condition_number: float
-    condition_warning: bool
-    suspects: dict[str, dict]
-
-    def keys(self) -> set[tuple[str, int]]:
-        return {(e.variable, e.index) for e in self.entries}
-
-
-def compare(tables: ReducedForm, oracle: ReducedForm,
-            tol: float = 1e-6) -> ErrataReport:
+def compare(tables: ReducedForm, oracle: ReducedForm, tol: float = 1e-6) -> dict:
     """Entry-wise comparison of two coefficient sets over the exported
-    index sets, with a resolution of the two pattern-breaking entries.
+    index sets, with a resolution of the two pattern-breaking entries: the
+    ``condition_number``, ``condition_warning``, ``errata`` and ``suspects``
+    keys of the ``audit`` document.
 
     An entry differs when ``|table - oracle| > max(tol * scale, ABS_FLOOR)``
     with ``scale = max(|table|, |oracle|)``; its relative difference is
@@ -420,14 +386,15 @@ def compare(tables: ReducedForm, oracle: ReducedForm,
     tv, ov, rel, flagged, confirmed = _compared(
         tables.slot_blocks, oracle.slot_blocks, p, tol)
     bad = np.flatnonzero(flagged)
-    entries: list[Erratum] = []
+    errata = []
     for k, t, o, r in zip(bad.tolist(), tv[bad].tolist(), ov[bad].tolist(),
                           rel[bad].tolist()):
         var, idx = slots.ENTRIES[k]
         note = "pattern-breaking entry; see suspects" if (var, idx) in SUSPECT_ENTRIES else ""
-        entries.append(Erratum(var, idx, t, o, r, note))
+        errata.append({"variable": var, "index": idx, "table": t, "oracle": o,
+                       "rel_diff": r, "note": note})
 
-    suspects: dict[str, dict] = {}
+    suspects = {}
     for label, (printed, variant, printed_of, variant_of) in zip(
             confirmed, SUSPECT_ENTRIES.values()):
         suspects[label] = {
@@ -439,8 +406,8 @@ def compare(tables: ReducedForm, oracle: ReducedForm,
         }
 
     cond = oracle.condition_number or 0.0
-    return ErrataReport(entries=entries, condition_number=cond,
-                        condition_warning=cond > COND_WARN, suspects=suspects)
+    return {"condition_number": cond, "condition_warning": cond > COND_WARN,
+            "errata": errata, "suspects": suspects}
 
 
 def _compared(tables: dict[str, Vec], solved: dict[str, Vec], p: StructuralParams,
@@ -556,11 +523,11 @@ def _stability_slice(seed: int, tol: float, draws: range) -> np.ndarray:
         return np.concatenate([_flag_rows(p, tol) for p in ps])
 
 
-def _folded_slice(seed: int, tol: float, draws: range) -> list[tuple[np.ndarray, bool]]:
+def _folded_slice(seed: int, tol: float, draws: range) -> tuple[np.ndarray, bool]:
     """The flag row of the first of ``draws``, and whether every draw of the
     slice flags the same entries."""
     rows = _stability_slice(seed, tol, draws)
-    return [(rows[0], bool((rows == rows[0]).all()))]
+    return rows[0], bool((rows == rows[0]).all())
 
 
 def stability_run(n_draws: int, seed: int, tol: float = 1e-6, workers: int = 1

@@ -353,7 +353,7 @@ class SweepResult:
 # numpy warnings
 @np.errstate(all="ignore")
 def _sweep_slice(base: dict[str, float], name1: str, grid1: Vec, name2: str,
-                 grid2: Vec, n_pre: int, tau: float, cells: range) -> list[tuple[Vec, Vec]]:
+                 grid2: Vec, n_pre: int, tau: float, cells: range) -> tuple[Vec, Vec]:
     """The counts and verdict codes of ``SweepResult`` for the grid cells
     numbered ``cells`` in row-major order, evaluated in one array pass."""
     i1, i2 = np.divmod(np.arange(cells.start, cells.stop), len(grid2))
@@ -373,13 +373,13 @@ def _sweep_slice(base: dict[str, float], name1: str, grid1: Vec, name2: str,
     verdicts = np.select([solved, invalid], [_verdict_codes(counts[:, 0], counts[:, 2], n_pre),
                                              len(VERDICTS)], len(VERDICTS) + 1).astype(np.int8)
     counts[~solved] = -1
-    return [(counts, verdicts)]
+    return counts, verdicts
 
 
-def fan_out(fn: Callable[[range], list], n_items: int, size: int,
+def fan_out(fn: Callable[[range], object], n_items: int, size: int,
             workers: int = 1) -> list:
     """``fn`` called on the slices of at most ``size`` items of
-    ``range(n_items)``, its lists concatenated in item order.  With
+    ``range(n_items)``: one result per slice, in item order.  With
     ``workers > 1`` the calls run in a process pool, so ``fn`` must pickle
     (a module-level function or a :func:`functools.partial` of one).  The
     pool starts at most one process per slice and per CPU, whatever
@@ -390,12 +390,11 @@ def fan_out(fn: Callable[[range], list], n_items: int, size: int,
               for start in range(0, n_items, size)]
     workers = min(workers, len(slices), os.cpu_count() or 1)
     if workers <= 1:
-        return [x for part in map(fn, slices) for x in part]
+        return list(map(fn, slices))
     import concurrent.futures
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(fn, slices, chunksize=-(-len(slices) // workers))
-        return [x for part in parts for x in part]
+        return list(pool.map(fn, slices, chunksize=-(-len(slices) // workers)))
 
 
 def sweep(base: StructuralParams,

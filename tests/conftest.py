@@ -26,6 +26,11 @@ def rng():
     return np.random.default_rng(20260809)
 
 
+def _errata_keys(report):
+    """The ``(variable, index)`` of each erratum of a ``compare`` report."""
+    return {(e["variable"], e["index"]) for e in report["errata"]}
+
+
 #: magnitude at which the valid-domain properties cut the fields whose valid
 #: range is unbounded: from about 1e6 on, the fields' scales alone can spread
 #: the matching system's singular values past the singular threshold, and

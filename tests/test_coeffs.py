@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import _valid_range
 from nkji import compute_all, simulate, steady_state, zero_path
 from nkji.oracle import random_params
-from nkji.params import DEFAULTS, validate
+from nkji.params import DEFAULTS, FIELD_NAMES, ConvergenceFailure, InvalidParams, validate
 from nkji import slots
 
 
@@ -123,6 +125,46 @@ def test_expected_unemployment_chain(rng):
         assert eu[8] == u[7]
         assert eu[9] == p.rho_u * u[12]
         assert eu[10] == u[12]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({name: _valid_range(name) for name in FIELD_NAMES}))
+def test_exact_chains_over_the_valid_domain(raw):
+    # the closed forms build these entries by the very expressions checked
+    # here, so the chains hold bitwise over the audit property's domain, not
+    # only on the draw box
+    try:
+        p = validate(raw)
+    except InvalidParams:
+        return
+    with np.errstate(all="ignore"):
+        try:
+            rf = compute_all(p)
+        except ConvergenceFailure:
+            return
+        table = rf.as_table()
+        y, yh, ep, pi, u = (rf.block(v) for v in ("y", "yhat", "Epi", "pi", "u"))
+        assert yh[1] == y[1] - p.rho_ybar**2
+        assert yh[2] == y[2] - p.rho_ybar
+        assert all(yh[i] == y[i] for i in (0, *range(3, 11)))
+        assert yh[slots.OMEGA] == -1.0
+        ey = table["Eyhat"]
+        assert ey[0] == ey[1] == p.rho_ybar * yh[1]
+        assert ey[2] == yh[1]
+        scale = (p.alpha_pi * p.k + p.alpha_y + p.sigma) / (1 - p.alpha_pi * p.beta)
+        assert all(ep[i] == yh[i] * scale for i in range(11))
+        pis = table["pi"]
+        assert all(pis[i] == p.beta * ep[i] + p.k * y[i] for i in (0, 1, 2, 3, *range(5, 11)))
+        assert pis[4] == p.beta * ep[4] + p.k * y[5]
+        assert pis[11] == p.beta * ep[slots.OMEGA] - p.k
+        assert pis[12] == p.beta * ep[slots.EPS_LAG1]
+        assert pis[13] == p.beta * ep[slots.VARSIGMA]
+        assert np.array_equal(rf.block("i"), p.alpha_pi * pi + p.alpha_y * yh)
+        assert all(table["u"][i] == -p.theta * yh[i] for i in range(11))
+        eu = table["Eu"]
+        assert eu[0] == u[0]
+        assert eu[1] == p.rho_ybar * u[1]
+        assert eu[2] == u[1]
 
 
 def test_rate_is_minus_sigma_times_output(rng):

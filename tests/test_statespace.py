@@ -202,6 +202,23 @@ def test_rules_coincide_without_borderline(rng):
             assert classify(eigs, n_pre) == classify_standard(eigs, n_pre)
 
 
+#: moduli at and next to the borderline edges of the tolerances below
+_EDGES = (0.0, 1.0, 1 - 1e-8, 1 + 1e-8, 1 - 1e-3, 1 + 1e-3, 1 - 2e-3, 1 + 2e-3)
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_EDGES) | st.complex_numbers(max_magnitude=4.0),
+                min_size=1, max_size=ORDER)
+       .flatmap(lambda eigs: st.tuples(st.just(eigs), st.integers(0, len(eigs)))),
+       st.sampled_from((0.0, 1e-8, 1e-3)))
+def test_rules_coincide_on_any_spectrum(spectrum, tau):
+    # the two rules count from opposite sides of the unit circle and agree
+    # on every spectrum, borderline roots included, of any order up to 9
+    eigs, n_pre = spectrum
+    eigs = np.array(eigs, dtype=complex)
+    assert classify(eigs, n_pre, tau) == classify_standard(eigs, n_pre, tau)
+
+
 def test_eigenvalue_continuity(default_params):
     base = np.sort_complex(eigen(build(compute_all(default_params)).A))
     bumped = default_params.replace(k=default_params.k + 1e-9)
@@ -259,6 +276,18 @@ def test_sweep_without_a_valid_cell(default_params):
     assert _names(res) == ["invalid"]
     res = sweep(default_params, ("rho_chi", 1.0, 2.0, 3), ("alpha_pi", 1.2, 1.8, 100))
     assert set(_names(res)) == {"invalid"}
+
+
+def test_transparency_knob_moves_no_equilibrium(default_params):
+    # sd_noise scales only the disclosure noise, which no coefficient block
+    # loads on: the blocks keep their bits, and a sweep over it repeats the
+    # first cell of each row
+    quiet, noisy = (compute_all(default_params.replace(sd_noise=sd)) for sd in (0.0, 0.3))
+    for var in slots.VARIABLES:
+        assert quiet.block(var).tobytes() == noisy.block(var).tobytes(), var
+    res = sweep(default_params, ("rho_chi", -0.99, 0.99, 3), ("sd_noise", 0, 1, 3))
+    counts, verdicts = res.counts.reshape(3, 3, 3), res.verdicts.reshape(3, 3)
+    assert (counts == counts[:, :1]).all() and (verdicts == verdicts[:, :1]).all()
 
 
 def test_sweep_unknown_parameter(default_params):
@@ -709,7 +738,7 @@ def test_fan_out_bounds_the_pool(monkeypatch):
             return map(fn, items)
 
     def negated(items):
-        return [-i for i in items]
+        return -items[0]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -718,12 +747,12 @@ def test_fan_out_bounds_the_pool(monkeypatch):
     assert statespace.fan_out(negated, 5, 1, 2) == [0, -1, -2, -3, -4]
     assert started == [3, 2, 2]
     # the slices cover the items in order, the last one short
-    assert statespace.fan_out(lambda items: [items], 10, 4, 2) == \
+    assert statespace.fan_out(lambda items: items, 10, 4, 2) == \
         [range(0, 4), range(4, 8), range(8, 10)]
     assert started == [3, 2, 2, 2]
     # one slice, one worker, or an unknown CPU count: no pool at all
     assert statespace.fan_out(negated, 1, 1, 100_000) == [0]
-    assert statespace.fan_out(negated, 5, 8, 100_000) == [0, -1, -2, -3, -4]
+    assert statespace.fan_out(negated, 5, 8, 100_000) == [0]
     assert statespace.fan_out(negated, 3, 1, 1) == [0, -1, -2]
     assert statespace.fan_out(negated, 0, 1, 4) == []
     monkeypatch.setattr(os, "cpu_count", lambda: None)
