@@ -7,13 +7,12 @@ from .oracle import (AnsatzInconsistent, SingularSystem, compare, residuals,
                      solve_undetermined)
 from .params import (DEFAULTS, EPS_SING, InvalidParams, StructuralParams,
                      load_calibration, validate)
-from .shocks import (KINDS, LagState, ShockPath, UnknownShockKind, draw,
-                     from_innovations, impulse_path, signal, zero_path)
-from .sim import (BudgetModeConflict, EquilibriumPath, MissingState, expectations,
-                  forecast_error, irf, job_insecurity, search_paradox, simulate,
-                  transparency_audit)
-from .statespace import (ConvergenceFailure, DeterminacyReport,
-                         TransitionSystem, UnknownParameter, build, char_poly,
-                         classify, classify_standard, eigen, report, sweep)
+from .shocks import (KINDS, LagState, ShockPath, draw, from_innovations,
+                     impulse_path, signal, zero_path)
+from .sim import (EquilibriumPath, expectations, forecast_error, irf,
+                  job_insecurity, search_paradox, simulate, transparency_audit)
+from .statespace import (ConvergenceFailure, DeterminacyReport, TransitionSystem,
+                         build, char_poly, classify, classify_standard, eigen,
+                         report, sweep)
 
 __version__ = "1.0.0"

@@ -22,8 +22,7 @@ import numpy as np
 from . import coeffs, oracle, shocks, sim, slots, statespace
 from .params import InvalidDomain, InvalidParams, load_calibration, printable, validate
 from .shocks import KINDS
-from .sim import BudgetModeConflict
-from .statespace import ConvergenceFailure, UnknownParameter
+from .statespace import ConvergenceFailure
 
 SCHEMA = "v1"
 
@@ -361,8 +360,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"{err.strerror or err}", file=sys.stderr)
                 return 2
         return 0
-    except (InvalidParams, BudgetModeConflict, UnknownParameter, OSError,
-            json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (InvalidParams, OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
         print(f"nkji: invalid input: {err}", file=sys.stderr)
         return 2
     except (*oracle.NUMERICAL_FAILURES, OverflowError, MemoryError) as err:

@@ -544,9 +544,11 @@ def stability_run(n_draws: int, seed: int, tol: float = 1e-6, workers: int = 1
     flag, so memory does not grow with the draws.  ``workers`` processes
     share the slices, so results are independent of the worker count.  A
     failing draw raises what it raises alone: the first failing draw, at
-    its first failing step.  A negative or non-finite ``tol`` raises
-    ``ValueError``.
+    its first failing step.  A negative ``n_draws``, or a negative or
+    non-finite ``tol``, raises ``ValueError``.
     """
+    if n_draws < 0:
+        raise ValueError("n_draws must be >= 0")
     _check_tolerances(tol=tol)
     folds = fan_out(partial(_folded_slice, seed, tol), n_draws, AUDIT_SLICE, workers)
     if not folds:

@@ -23,10 +23,6 @@ KINDS = tuple(kind for kind, _ in slots.INNOVATION_SCALES)
 AR_STATES = {link.state: (link.rho, link.kind) for link in slots.AR_LINKS}
 
 
-class UnknownShockKind(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class LagState:
     """Pre-sample values: each AR state at t = -1, and ``mu`` also at
@@ -59,7 +55,7 @@ class ShockPath:
 
     def innovation(self, kind: str) -> Vec:
         if kind not in KINDS:
-            raise UnknownShockKind(kind)
+            raise ValueError(f"unknown shock kind {kind!r}")
         return self.innovations[kind]
 
     def state(self, name: str) -> Vec:
@@ -134,7 +130,7 @@ def impulse_path(p: StructuralParams, kind: str, T: int,
                  size: float = 1.0) -> ShockPath:
     """A single innovation of ``kind`` at t = 0, everything else zero."""
     if kind not in KINDS:
-        raise UnknownShockKind(kind)
+        raise ValueError(f"unknown shock kind {kind!r}")
     innovations = {k: np.zeros(max(T, 0)) for k in KINDS}
     innovations[kind][:1] = size   # as zero_path: from_innovations rejects T < 1
     return from_innovations(p, innovations)

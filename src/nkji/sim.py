@@ -15,7 +15,7 @@ import numpy as np
 
 from . import shocks, slots
 from .coeffs import ReducedForm, _chain_expectation, compute_all
-from .params import StructuralParams, validate, InvalidParams
+from .params import InvalidDomain, InvalidParams, StructuralParams, validate
 from .shocks import ShockPath
 from .slots import Vec
 
@@ -25,14 +25,6 @@ SERIES = (*slots.ENDOGENOUS, "Ey", "Eyhat", "Epi", "Eu", "JI")
 #: only ones the AR-law expectations Ey, Eyhat and Eu load on
 _EXPECTATION_SLOTS = tuple(sorted(s for link in slots.AR_LINKS
                                   for s in (link.lag, link.innovation)))
-
-
-class BudgetModeConflict(ValueError):
-    """Balanced-budget mode needs equal spending and tax persistences."""
-
-
-class MissingState(KeyError):
-    """A state symbol the evaluator requires is absent; the key is its name."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,15 +85,15 @@ def simulate(rf: ReducedForm, path: ShockPath,
     ``budget_mode="balanced"`` overwrites the tax innovations with the
     spending innovations (and aligns the lagged tax state with the lagged
     spending state) so that spending and taxes coincide path-wise; it
-    requires equal fiscal persistences.
+    requires equal fiscal persistences (``InvalidParams`` otherwise).
     """
     p = rf.params
     if budget_mode not in ("independent", "balanced"):
         raise ValueError(f"unknown budget mode {budget_mode!r}")
     if budget_mode == "balanced":
         if p.rho_g != p.rho_tax:
-            raise BudgetModeConflict(
-                f"balanced budget needs rho_g == rho_tax, got {p.rho_g} != {p.rho_tax}")
+            detail = f"balanced budget needs rho_g == rho_tax, got {p.rho_g} != {p.rho_tax}"
+            raise InvalidParams([InvalidDomain("rho_tax", detail)])
         innov = dict(path.innovations)
         innov["L"] = path.innovation("eta").copy()
         path = shocks.from_innovations(
@@ -127,7 +119,7 @@ def _state_vector(state: Mapping[str, float], required: tuple[int, ...]) -> Vec:
     for slot in required:
         name = slots.SLOT_NAMES[slot]
         if name not in state:
-            raise MissingState(name)
+            raise KeyError(name)
     for name, value in state.items():
         x[slots.SLOT_NAMES.index(name)] = float(value)
     return x

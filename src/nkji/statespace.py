@@ -37,7 +37,7 @@ import numpy as np
 from . import slots
 from .coeffs import ReducedForm, _slot_blocks, finite_cells, power
 from .params import (FIELD_NAMES, ConvergenceFailure, InvalidDomain, InvalidParams,
-                     StructuralParams, invalid_cells, printable)
+                     StructuralParams, invalid_cells)
 from .slots import Vec
 
 ORDER = 9
@@ -61,13 +61,6 @@ _EIGEN_FAILURES = (None, "transition matrix has non-finite entries",
                    "transition matrix norm overflows",
                    "eigenpair residual check failed",
                    "Eigenvalues did not converge")
-
-
-class UnknownParameter(ValueError):
-    """A sweep axis names no parameter; the message is the name, escaped."""
-
-    def __str__(self):
-        return printable(super().__str__())
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,14 +398,16 @@ def sweep(base: StructuralParams,
 
     Grid cells that fail parameter validation are marked invalid, cells
     whose coefficients overflow or whose eigen-solve fails are marked
-    failed; neither aborts the sweep.  The two axes must vary different
-    parameters, and the grid may have at most ``SWEEP_MAX_CELLS`` cells.
+    failed; neither aborts the sweep.  The two axes must name two different
+    parameters, and the grid may have at most ``SWEEP_MAX_CELLS`` cells;
+    otherwise :class:`InvalidParams` names each offender.
     Results are assembled in fixed grid order regardless of worker count,
     so output is reproducible across parallelism levels.
     """
-    for name in (axis1[0], axis2[0]):
-        if name not in FIELD_NAMES:
-            raise UnknownParameter(name)
+    unknown = [InvalidDomain(name, "unknown parameter")
+               for name in dict.fromkeys((axis1[0], axis2[0])) if name not in FIELD_NAMES]
+    if unknown:
+        raise InvalidParams(unknown)
     if axis1[0] == axis2[0]:
         raise InvalidParams([InvalidDomain(axis1[0], "varied by both sweep axes")])
     _check_rule(n_pre, tau)

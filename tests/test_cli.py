@@ -21,9 +21,9 @@ from nkji import cli, oracle, shocks
 from nkji.cli import AUDIT_MAX_DRAWS, MAX_PERIODS, main
 from nkji.params import DEFAULTS, FIELD_NAMES, InvalidDomain, InvalidParams, validate
 from nkji.shocks import AR_STATES, KINDS
-from nkji.sim import SERIES, BudgetModeConflict
+from nkji.sim import SERIES
 from nkji.slots import INDEX_SETS, VARIABLES
-from nkji.statespace import SWEEP_MAX_CELLS, UnknownParameter, sweep
+from nkji.statespace import SWEEP_MAX_CELLS, sweep
 
 
 def run(tmp_path, *argv):
@@ -514,8 +514,7 @@ def test_closed_stdout_is_one_write_failure_line():
 @pytest.mark.parametrize("error, code", [
     *((cls("failed"), 3) for cls in oracle.NUMERICAL_FAILURES),
     (OverflowError("failed"), 3), (MemoryError("failed"), 3),
-    (InvalidParams([InvalidDomain("sigma", "bad")]), 2), (BudgetModeConflict("bad"), 2),
-    (UnknownParameter("nosuch"), 2), (json.JSONDecodeError("bad", "{", 1), 2),
+    (InvalidParams([InvalidDomain("sigma", "bad")]), 2), (json.JSONDecodeError("bad", "{", 1), 2),
     (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad"), 2),
     (FileNotFoundError(2, "No such file or directory", "calib.json"), 2),
 ], ids=lambda value: type(value).__name__ if isinstance(value, BaseException) else None)
@@ -529,6 +528,24 @@ def test_exit_code_map(tmp_path, capsys, monkeypatch, error, code):
     err = capsys.readouterr().err
     prefix = {2: "nkji: invalid input: ", 3: "nkji: numerical failure: "}[code]
     assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, violations", [
+    (["coeffs", "--param", "nosuch=1"], ["nosuch: unknown parameter"]),
+    (["sweep", "--axis1", "nosuch:0:1:3", "--axis2", "k:0:1:2"],
+     ["nosuch: unknown parameter"]),
+    (["sweep", "--axis1", "nosuch:0:1:3", "--axis2", "other:0:1:2"],
+     ["nosuch: unknown parameter", "other: unknown parameter"]),
+    (["sweep", "--axis1", "k:0:1:3", "--axis2", "k:2:3:2"], ["k: varied by both sweep axes"]),
+    (["simulate", "--budget", "balanced", "--param", "rho_g=0.6"],
+     ["rho_tax: balanced budget needs rho_g == rho_tax, got 0.6 != 0.8"]),
+], ids=["param", "axis", "both-axes", "same-axis", "balanced-budget"])
+def test_every_bad_parameter_exits_2_the_same_way(tmp_path, capsys, argv, violations):
+    # one exception type, so one message form naming each offending field
+    out = tmp_path / "out"
+    err = _invalid_input(capsys, [*argv, "--out", str(out)])
+    assert err == "nkji: invalid input: " + "; ".join(f"InvalidDomain({v})" for v in violations)
     assert not out.exists()
 
 
@@ -549,7 +566,7 @@ def test_control_characters_escaped_in_messages(tmp_path, capsys):
         assert err == f"nkji: invalid input: {expected}"
     err = _invalid_input(capsys, ["sweep", "--axis1", "no\nsuch:0:1:3",
                                   "--axis2", "k:0:1:2", *out])
-    assert err == "nkji: invalid input: no\\nsuch"
+    assert err == "nkji: invalid input: InvalidDomain(no\\nsuch: unknown parameter)"
     with pytest.raises(SystemExit):
         main(["coeffs", "--param", "\t=abc", *out])
     assert capsys.readouterr().err.endswith("error: argument --param: \\t: 'abc' is not a number\n")

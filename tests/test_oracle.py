@@ -91,6 +91,9 @@ def test_compare_oracle_with_itself_is_empty(oracle_rf):
 
 def test_stability_run_without_draws():
     assert stability_run(0, seed=5) == (set(), True)
+    # a negative count once returned (set(), True), as if every draw agreed
+    with pytest.raises(ValueError, match="n_draws must be >= 0"):
+        stability_run(-3, seed=0)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])

@@ -4,11 +4,10 @@ import pytest
 from nkji import (compute_all, draw, forecast_error, irf, job_insecurity,
                   simulate, steady_state, transparency_audit, zero_path,
                   expectations, search_paradox)
-from nkji.params import DEFAULTS, validate
+from nkji.params import DEFAULTS, InvalidParams, validate
 from nkji.coeffs import _chain_expectation
 from nkji.shocks import KINDS, from_innovations, impulse_path
-from nkji.sim import (SERIES, BudgetModeConflict, MissingState, regressor_matrix,
-                      _EXPECTATION_SLOTS)
+from nkji.sim import SERIES, regressor_matrix, _EXPECTATION_SLOTS
 from nkji import slots
 
 ZERO_STATE = {name: 0.0 for name in slots.STATE_NAMES}
@@ -57,7 +56,7 @@ def test_balanced_budget_requires_equal_persistence(default_rf, default_params):
     path = draw(default_params, 3, 50)
     p_bad = validate({**DEFAULTS, "rho_g": 0.8, "rho_tax": 0.5})
     rf_bad = compute_all(p_bad)
-    with pytest.raises(BudgetModeConflict):
+    with pytest.raises(InvalidParams, match=r"InvalidDomain\(rho_tax: balanced budget"):
         simulate(rf_bad, draw(p_bad, 3, 50), budget_mode="balanced")
     ep = simulate(default_rf, path, budget_mode="balanced")
     assert np.array_equal(ep.path.state("g"), ep.path.state("tax"))
@@ -106,7 +105,7 @@ def test_omitted_current_innovation_counts_as_zero(default_rf, rng, sym):
 def test_expectations_missing_symbol(default_rf):
     state = dict(ZERO_STATE)
     del state["tax_lag1"]
-    with pytest.raises(MissingState):
+    with pytest.raises(KeyError, match="tax_lag1"):
         expectations(default_rf, state)
     with pytest.raises(ValueError, match="unknown state symbol"):
         expectations(default_rf, {**ZERO_STATE, "bogus": 1.0})

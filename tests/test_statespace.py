@@ -15,8 +15,8 @@ from nkji.params import DEFAULTS, InvalidParams, validate
 from nkji.coeffs import _slot_blocks, finite_cells
 from nkji.params import FIELD_NAMES, StructuralParams, invalid_cells
 from nkji.statespace import (ORDER, SWEEP_SLICE, SWEEP_VERDICTS, ConvergenceFailure,
-                             UnknownParameter, _counts, _factors, _solved, _spectra,
-                             _transition, report, sweep)
+                             _counts, _factors, _solved, _spectra, _transition, report,
+                             sweep)
 
 #: the columns of ``SweepResult.counts``, the keys of ``report(...).counts``
 COUNT_KEYS = ("stable", "unstable", "borderline")
@@ -291,8 +291,15 @@ def test_transparency_knob_moves_no_equilibrium(default_params):
 
 
 def test_sweep_unknown_parameter(default_params):
-    with pytest.raises(UnknownParameter):
-        sweep(default_params, ("alpha_zz", 0.0, 1.0, 3), ("alpha_y", 0.0, 1.0, 3))
+    for names, unknown in ((("alpha_zz", "alpha_y"), ["alpha_zz"]),
+                           (("alpha_y", "beta_zz"), ["beta_zz"]),
+                           (("alpha_zz", "beta_zz"), ["alpha_zz", "beta_zz"]),
+                           # one unknown name on both axes is named once
+                           (("alpha_zz", "alpha_zz"), ["alpha_zz"])):
+        with pytest.raises(InvalidParams) as err:
+            sweep(default_params, (names[0], 0.0, 1.0, 3), (names[1], 0.0, 1.0, 3))
+        assert [(v.field, v.detail) for v in err.value.violations] == [
+            (name, "unknown parameter") for name in unknown], names
 
 
 def test_sweep_grid_size_limit(default_params, monkeypatch):

@@ -191,6 +191,8 @@ SINGLE = (
     # a valid parameterization the audit's matching system reads as
     # singular: phi1 enters only its right-hand side
     ["audit", "--T", "10", "--param", "phi1=1e16"],
+    # both sweep axes unknown: each is named
+    ["sweep", "--axis1", "nosuch:0:1:3", "--axis2", "other:0:1:2"],
 )
 
 COMMANDS = (*(argv + opts for opts in PARAMS.values() for argv in PER_PARAMS),
