@@ -3,8 +3,7 @@ information-disclosure channel, job-insecurity dynamics, and determinacy
 analysis of its order-nine state-space form."""
 
 from .coeffs import ReducedForm, compute_all, steady_state
-from .oracle import (AnsatzInconsistent, SingularSystem, compare, residuals,
-                     solve_undetermined)
+from .oracle import compare, residuals, solve_undetermined
 from .params import (DEFAULTS, EPS_SING, InvalidParams, StructuralParams,
                      load_calibration, validate)
 from .shocks import (KINDS, LagState, ShockPath, draw, from_innovations,

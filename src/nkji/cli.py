@@ -204,6 +204,7 @@ def cmd_shocks(args, p) -> tuple[str, dict]:
 
 
 def cmd_simulate(args, p) -> tuple[str, dict]:
+    sim.check_budget_mode(p, args.budget)   # before the draw, which may be long
     path = shocks.draw(p, args.seed, args.T + args.burn)
     ep = sim.simulate(coeffs.compute_all(p), path, budget_mode=args.budget)
     return "simulate", {
@@ -363,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidParams, OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
         print(f"nkji: invalid input: {err}", file=sys.stderr)
         return 2
-    except (*oracle.NUMERICAL_FAILURES, OverflowError, MemoryError) as err:
+    except (ConvergenceFailure, OverflowError, MemoryError) as err:
         print(f"nkji: numerical failure: {err}", file=sys.stderr)
         return 3
 

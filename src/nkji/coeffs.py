@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import slots
-from .params import ConvergenceFailure, StructuralParams
-from .slots import NSLOT, Vec
+from .params import StructuralParams
+from .slots import NSLOT, ConvergenceFailure, Vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +64,7 @@ def _chain_expectation(vec: Vec, p: StructuralParams) -> Vec:
     next-period innovations (and the current potential-output innovation)
     to zero.
     """
-    out = np.zeros(vec.shape)
+    out = np.zeros(vec.shape, dtype=vec.dtype)
     out[slots.CONST] = vec[slots.CONST]
     for link in slots.AR_LINKS:
         out[link.lag] += getattr(p, link.rho) * vec[link.lag]

@@ -40,10 +40,9 @@ import numpy as np
 
 from . import slots
 from .coeffs import ReducedForm, _chain_expectation, _checked_blocks
-from .params import (FIELD_NAMES, RHO_FIELDS, SD_FIELDS, ConvergenceFailure,
-                     StructuralParams)
+from .params import FIELD_NAMES, RHO_FIELDS, SD_FIELDS, StructuralParams
 from .sim import EquilibriumPath
-from .slots import NSLOT, Vec
+from .slots import NSLOT, ConvergenceFailure, Vec
 from .statespace import _check_tolerances, fan_out
 
 #: blocks carrying free coefficients in the matching system, in column order
@@ -66,14 +65,6 @@ SUSPECT_ENTRIES = {
 COND_WARN = 1e12
 #: absolute difference below which :func:`compare` never flags an entry
 ABS_FLOOR = 1e-12
-
-
-class SingularSystem(RuntimeError):
-    pass
-
-
-class AnsatzInconsistent(RuntimeError):
-    pass
 
 
 def _exogenous(p: StructuralParams):
@@ -248,12 +239,12 @@ def _condition_bound(lone: np.ndarray, linked: np.ndarray) -> tuple[Vec, list[np
 
 def _nonsingular(lone: np.ndarray, linked: np.ndarray) -> Vec:
     """The condition number(s) of :func:`_condition_number`; raises
-    :class:`SingularSystem` for the first numerically singular cell."""
+    :class:`ConvergenceFailure` for the first numerically singular cell."""
     cond = _condition_number(lone, linked)
     singular = np.flatnonzero(~(cond <= 1e15))
     if singular.size:
-        raise SingularSystem("matching system is singular "
-                             f"(cond ~ {np.ravel(cond)[singular[0]]:.3e})")
+        raise ConvergenceFailure("matching system is singular "
+                                 f"(cond ~ {np.ravel(cond)[singular[0]]:.3e})")
     return cond
 
 
@@ -290,7 +281,7 @@ def _block_solve(p: StructuralParams, lone: np.ndarray, linked: np.ndarray,
         bound, (lone_inv, d1_inv, d2_inv) = _condition_bound(lone, linked)
     except np.linalg.LinAlgError as err:
         _nonsingular(lone, linked)
-        raise SingularSystem(str(err)) from err
+        raise ConvergenceFailure(str(err)) from err
     if not np.all(bound <= COND_WARN):
         _nonsingular(lone, linked)
     lone_rhs, linked_rhs = b[..., _LONE_INDEX, None], b[..., _LINKED_INDEX, None]
@@ -305,7 +296,7 @@ def _block_solve(p: StructuralParams, lone: np.ndarray, linked: np.ndarray,
         zflat[..., index] = z[..., 0]
     unsatisfied = np.flatnonzero(gap > 1e-8 * (1.0 + np.abs(b).max(axis=-1)))
     if unsatisfied.size:
-        raise AnsatzInconsistent("matching equations unsatisfied after solve "
+        raise ConvergenceFailure("matching equations unsatisfied after solve "
                                  f"(gap {np.ravel(gap)[unsatisfied[0]]:.3e})")
     return _coefficient_blocks(zflat, p)
 
@@ -322,9 +313,8 @@ def solve_undetermined(p: StructuralParams) -> ReducedForm:
     those of its column in a stacked solve.  Returns a :class:`ReducedForm`
     interchangeable with the closed-form one (same block keys and index
     sets) with that condition number attached.  Raises
-    :class:`SingularSystem` for a numerically singular matching matrix and
-    :class:`AnsatzInconsistent` if the solved coefficients fail to satisfy
-    the matching equations.
+    :class:`ConvergenceFailure` for a numerically singular matching matrix
+    or if the solved coefficients fail to satisfy the matching equations.
     """
     lone, linked, b = _matching_blocks(p)
     cond = _nonsingular(lone, linked)
@@ -488,9 +478,6 @@ AUDIT_SLICE = 20
 #: a parameterization's fields as a tuple, in field order
 _FIELD_VALUES = attrgetter(*FIELD_NAMES)
 
-#: what a step raises for a result it cannot trust: a numerical failure
-NUMERICAL_FAILURES = (ConvergenceFailure, SingularSystem, AnsatzInconsistent, slots.StrayLoadings)
-
 
 def _flag_rows(p: StructuralParams, tol: float) -> np.ndarray:
     """Closed form, numerical solution and comparison at ``p``: which
@@ -517,7 +504,7 @@ def _stability_slice(seed: int, tol: float, draws: range) -> np.ndarray:
         np.random.SeedSequence(entropy=seed, spawn_key=(i,))) for i in draws])
     try:
         return _flag_rows(stacked, tol)
-    except (*NUMERICAL_FAILURES, np.linalg.LinAlgError):
+    except (ConvergenceFailure, np.linalg.LinAlgError):
         # some draw fails: take the draws one at a time, so that the first
         # failing draw raises just as it does alone
         return np.concatenate([_flag_rows(p, tol) for p in ps])

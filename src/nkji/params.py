@@ -74,10 +74,6 @@ class InvalidParams(ValueError):
         super().__init__("; ".join(repr(v) for v in violations))
 
 
-class ConvergenceFailure(RuntimeError):
-    """A numerical result that is not finite, or an eigen-solve that fails."""
-
-
 @dataclass(frozen=True)
 class StructuralParams:
     """Validated structural-form parameter set.

@@ -78,6 +78,16 @@ def _series_blocks(rf: ReducedForm) -> dict[str, Vec]:
     return {v: ey if v == "Ey" else rf.block(v) for v in SERIES[:-1]}
 
 
+def check_budget_mode(p: StructuralParams, budget_mode: str) -> None:
+    """Raise ``ValueError`` for an unknown ``budget_mode``, and
+    ``InvalidParams`` for ``"balanced"`` without equal fiscal persistences."""
+    if budget_mode not in ("independent", "balanced"):
+        raise ValueError(f"unknown budget mode {budget_mode!r}")
+    if budget_mode == "balanced" and p.rho_g != p.rho_tax:
+        detail = f"balanced budget needs rho_g == rho_tax, got {p.rho_g} != {p.rho_tax}"
+        raise InvalidParams([InvalidDomain("rho_tax", detail)])
+
+
 def simulate(rf: ReducedForm, path: ShockPath,
              budget_mode: str = "independent") -> EquilibriumPath:
     """Evaluate the reduced form along ``path``.
@@ -85,15 +95,11 @@ def simulate(rf: ReducedForm, path: ShockPath,
     ``budget_mode="balanced"`` overwrites the tax innovations with the
     spending innovations (and aligns the lagged tax state with the lagged
     spending state) so that spending and taxes coincide path-wise; it
-    requires equal fiscal persistences (``InvalidParams`` otherwise).
+    requires equal fiscal persistences (see :func:`check_budget_mode`).
     """
     p = rf.params
-    if budget_mode not in ("independent", "balanced"):
-        raise ValueError(f"unknown budget mode {budget_mode!r}")
+    check_budget_mode(p, budget_mode)
     if budget_mode == "balanced":
-        if p.rho_g != p.rho_tax:
-            detail = f"balanced budget needs rho_g == rho_tax, got {p.rho_g} != {p.rho_tax}"
-            raise InvalidParams([InvalidDomain("rho_tax", detail)])
         innov = dict(path.innovations)
         innov["L"] = path.innovation("eta").copy()
         path = shocks.from_innovations(

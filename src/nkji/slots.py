@@ -10,6 +10,8 @@ a projection of it (see ``INDEX_SETS``).
 the regressor matrix, the shock states and the audit's slot groups read them.
 ``ENDOGENOUS`` and ``INNOVATION_SCALES`` name the eight endogenous variables
 and the nine innovation kinds' scales; every other list of them derives.
+``ConvergenceFailure``, the one exception for a numerical result that cannot
+be trusted, lives here because every module that raises it imports this one.
 """
 
 from __future__ import annotations
@@ -122,8 +124,10 @@ def unit(slot: int) -> Vec:
     return v
 
 
-class StrayLoadings(AssertionError):
-    """A coefficient set loads a regressor outside a variable's index set."""
+class ConvergenceFailure(RuntimeError):
+    """A numerical result that cannot be trusted: not finite, a failed
+    eigen-solve, a singular or unsatisfied matching system, or a loading
+    outside an index set."""
 
 
 def exported(blocks: NDArray[np.float64]) -> Vec:
@@ -140,6 +144,6 @@ def exported(blocks: NDArray[np.float64]) -> Vec:
     over = np.flatnonzero(stray > 1e-9)
     if over.size:
         row = over[0]
-        raise StrayLoadings(f"variable {VARIABLES[row]!r} has loadings outside "
-                             f"its index set (max {stray[row]:.3e})")
+        raise ConvergenceFailure(f"variable {VARIABLES[row]!r} has loadings outside "
+                                 f"its index set (max {stray[row]:.3e})")
     return blocks[ENTRY_ROWS, ENTRY_SLOTS]

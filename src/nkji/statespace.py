@@ -36,9 +36,8 @@ import numpy as np
 
 from . import slots
 from .coeffs import ReducedForm, _slot_blocks, finite_cells, power
-from .params import (FIELD_NAMES, ConvergenceFailure, InvalidDomain, InvalidParams,
-                     StructuralParams, invalid_cells)
-from .slots import Vec
+from .params import FIELD_NAMES, InvalidDomain, InvalidParams, StructuralParams, invalid_cells
+from .slots import ConvergenceFailure, Vec
 
 ORDER = 9
 #: rank of the transition matrix: the columns of its factors U, V

@@ -17,13 +17,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nkji
-from nkji import cli, oracle, shocks
+from nkji import cli, shocks
 from nkji.cli import AUDIT_MAX_DRAWS, MAX_PERIODS, main
 from nkji.params import DEFAULTS, FIELD_NAMES, InvalidDomain, InvalidParams, validate
 from nkji.shocks import AR_STATES, KINDS
 from nkji.sim import SERIES
 from nkji.slots import INDEX_SETS, VARIABLES
-from nkji.statespace import SWEEP_MAX_CELLS, sweep
+from nkji.statespace import SWEEP_MAX_CELLS, ConvergenceFailure, sweep
 
 
 def run(tmp_path, *argv):
@@ -133,10 +133,17 @@ def test_calib_values_must_be_numbers(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_budget_conflict_exits_2(tmp_path):
-    code, _ = run(tmp_path, "simulate", "--budget", "balanced",
-                  "--param", "rho_g=0.8", "--param", "rho_tax=0.5")
-    assert code == 2
+def test_budget_conflict_exits_2(tmp_path, capsys, monkeypatch):
+    # refused before the draw, so a long run is refused as fast as a short one
+    draws = []
+    monkeypatch.setattr(shocks, "draw", lambda *args: draws.append(args))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--T", "400000", "--budget", "balanced",
+                 "--param", "rho_g=0.6", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "nkji: invalid input: InvalidDomain(rho_tax: balanced budget needs "
+        "rho_g == rho_tax, got 0.6 != 0.8)\n")
+    assert draws == [] and not out.exists()
 
 
 def test_determinacy_json(tmp_path):
@@ -512,8 +519,7 @@ def test_closed_stdout_is_one_write_failure_line():
 
 
 @pytest.mark.parametrize("error, code", [
-    *((cls("failed"), 3) for cls in oracle.NUMERICAL_FAILURES),
-    (OverflowError("failed"), 3), (MemoryError("failed"), 3),
+    (ConvergenceFailure("failed"), 3), (OverflowError("failed"), 3), (MemoryError("failed"), 3),
     (InvalidParams([InvalidDomain("sigma", "bad")]), 2), (json.JSONDecodeError("bad", "{", 1), 2),
     (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad"), 2),
     (FileNotFoundError(2, "No such file or directory", "calib.json"), 2),

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import _valid_range
 from nkji import compute_all, simulate, steady_state, zero_path
 from nkji.oracle import random_params
-from nkji.params import DEFAULTS, FIELD_NAMES, ConvergenceFailure, InvalidParams, validate
+from nkji.params import DEFAULTS, FIELD_NAMES, InvalidParams, validate
 from nkji import slots
+from nkji.slots import ConvergenceFailure
 
 
 def test_unemployment_structural_cells(default_rf, default_params):

@@ -1,3 +1,4 @@
+import re
 import warnings
 from functools import partial
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from nkji import compute_all, draw, simulate, solve_undetermined
 from nkji.coeffs import ReducedForm, _chain_expectation
 from nkji import oracle
-from nkji.oracle import (ABS_FLOOR, AUDIT_SLICE, SUSPECT_ENTRIES, SingularSystem,
+from nkji.oracle import (ABS_FLOOR, AUDIT_SLICE, SUSPECT_ENTRIES,
                          _condition_number, _matching_blocks, _residual,
                          _stability_slice, compare, random_params, residuals,
                          stability_run)
@@ -18,6 +19,7 @@ from nkji.shocks import impulse_path
 from nkji.sim import regressor_matrix
 from nkji.statespace import fan_out
 from nkji import slots
+from nkji.slots import ConvergenceFailure
 from conftest import _errata_keys, _valid_range
 from test_acceptance import EXPECTED_DIVERGENCES
 
@@ -185,7 +187,7 @@ def test_singular_matching_system_reported():
     assert abs(p.denominator()) > 0.1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SingularSystem):
+        with pytest.raises(ConvergenceFailure, match="singular"):
             solve_undetermined(p)
 
 
@@ -282,9 +284,9 @@ def test_singular_block_is_a_singular_system(monkeypatch):
         warnings.simplefilter("error")
         assert _condition_number(lone, linked) == np.inf
         monkeypatch.setattr(oracle, "_matching_blocks", lambda p: (lone, linked, b))
-        with pytest.raises(SingularSystem, match="cond ~ inf"):
+        with pytest.raises(ConvergenceFailure, match=r"singular \(cond ~ inf\)"):
             solve_undetermined(validate(DEFAULTS))
-        with pytest.raises(SingularSystem, match="cond ~ inf"):
+        with pytest.raises(ConvergenceFailure, match=r"singular \(cond ~ inf\)"):
             oracle._block_solve(validate(DEFAULTS), lone, linked, b)
 
 
@@ -361,9 +363,9 @@ def test_block_solve_reports_the_singular_rate_block():
     # at s2 = gamma2 = 0 the rate drops out of saving and investment: the
     # block solve of the draws raises the message of the report's solve
     p = validate({**DEFAULTS, "s2": 0.0, "gamma2": 0.0})
-    with pytest.raises(SingularSystem) as want:
+    with pytest.raises(ConvergenceFailure, match="singular") as want:
         solve_undetermined(p)
-    with pytest.raises(SingularSystem) as got:
+    with pytest.raises(ConvergenceFailure, match="singular") as got:
         oracle._block_solve(p, *_matching_blocks(p))
     assert str(got.value) == str(want.value) == "matching system is singular (cond ~ inf)"
 
@@ -384,9 +386,9 @@ def test_rate_free_surfaces_are_singular():
                 q = validate({**p, **point})
             except InvalidParams:
                 continue
-            with pytest.raises(SingularSystem) as want:
+            with pytest.raises(ConvergenceFailure, match="singular") as want:
                 solve_undetermined(q)
-            with pytest.raises(SingularSystem) as got:
+            with pytest.raises(ConvergenceFailure, match="singular") as got:
                 oracle._block_solve(q, *_matching_blocks(q))
             assert str(got.value) == str(want.value)
 
@@ -401,21 +403,24 @@ def test_audit_claim_holds_over_the_valid_domain(raw):
     # eps cond times the largest coefficient: compare's absolute floor of
     # 1e-12 lets such dust through where the coefficients are large, as at
     # the example (cond 9.4e3, Epi up to 512: Epi[12] is 3.6e-12 against
-    # -0.0).  Where the route fails, it raises one of its numerical
-    # failures, and only where the matching system is ill-conditioned (on
-    # or near the rate-free surfaces, or at a sigma near 0, by which the
-    # demand equation divides): a backward-stable solve leaves a gap of
-    # about eps cond |b|, which reaches the gap check's 1e-8 |b| only past a
-    # condition number of about 4.5e7
+    # -0.0).  Where the route fails, it raises ConvergenceFailure for a
+    # singular system, a gap or stray loadings, and only where the matching
+    # system is ill-conditioned (on or near the rate-free surfaces, or at a
+    # sigma near 0, by which the demand equation divides): a
+    # backward-stable solve leaves a gap of about eps cond |b|, which
+    # reaches the gap check's 1e-8 |b| only past a condition number of
+    # about 4.5e7.  A closed-form failure is never excused
     try:
         p = validate(raw)
     except InvalidParams:
         return
     with np.errstate(all="ignore"):
+        tables = compute_all(p)
         try:
-            tables, solved = compute_all(p), solve_undetermined(p)
+            solved = solve_undetermined(p)
             report = compare(tables, solved)
-        except (SingularSystem, oracle.AnsatzInconsistent, slots.StrayLoadings) as err:
+        except ConvergenceFailure as err:
+            assert re.search("singular|gap|loadings outside", str(err), re.I), err
             assert _condition_number(*_matching_blocks(p)[:2]) > 1e7, err
             return
     scale = np.abs(np.concatenate([tables.exported(), solved.exported()])).max()
@@ -432,9 +437,9 @@ def test_unsatisfied_solve_is_ansatz_inconsistent(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) + 1e-3)
     for p in (validate(DEFAULTS), _stacked([validate(DEFAULTS), random_params(
             np.random.default_rng(5))])):
-        with pytest.raises(oracle.AnsatzInconsistent, match="gap"):
+        with pytest.raises(ConvergenceFailure, match="gap"):
             oracle._block_solve(p, *_matching_blocks(p))
-    with pytest.raises(oracle.AnsatzInconsistent, match="gap"):
+    with pytest.raises(ConvergenceFailure, match="gap"):
         solve_undetermined(validate(DEFAULTS))
 
 
@@ -483,9 +488,9 @@ def test_compare_rejects_stray_loadings(default_rf, oracle_rf, default_params):
         blocks[var][slot] = value
         return ReducedForm(params=default_params, slot_blocks=blocks)
 
-    with pytest.raises(AssertionError, match="'r' has loadings outside"):
+    with pytest.raises(ConvergenceFailure, match="'r' has loadings outside"):
         compare(with_loading("r", slots.EPS_LAG1, 2e-9), oracle_rf)
-    with pytest.raises(AssertionError, match="'Eu' has loadings outside"):
+    with pytest.raises(ConvergenceFailure, match="'Eu' has loadings outside"):
         compare(oracle_rf, with_loading("Eu", slots.XI, -1.0))
     # at the bound, and on the two structural but unexported loadings
     compare(with_loading("r", slots.EPS_LAG1, 1e-9), oracle_rf)
@@ -543,6 +548,30 @@ def test_probe_assembly_equals_identity_evaluation():
             assert np.array_equal(lone[j], blocks[0]) and np.array_equal(linked[j], blocks[1])
             assert np.array_equal(b[j], b_ref)
             assert cond[j].hex() == float(_condition_number(*blocks)).hex()
+
+
+_LARGE_RHS = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 5: a right-hand side of 1e16 swamps the block entries "
+    "read as (M e - b) + b (error 1.0)"))
+
+
+@pytest.mark.parametrize("point", [{}, pytest.param({"phi1": 1e16}, marks=_LARGE_RHS),
+                                   pytest.param({"s0": 1e16}, marks=_LARGE_RHS)],
+                         ids=["defaults", "phi1=1e16", "s0=1e16"])
+def test_lone_blocks_against_a_50_digit_referee(point):
+    # the unchanged residual on the 19 probe columns and the fields as
+    # 50-digit mpf, gathered as _matching_blocks gathers: the float lone
+    # blocks lie within about an ulp of 1 of these exact ones
+    mpmath = pytest.importorskip("mpmath")
+    p = validate({**DEFAULTS, **point})
+    lone = _matching_blocks(p)[0].ravel().tolist()
+    with mpmath.workdps(50):
+        exact = StructuralParams(**{name: mpmath.mpf(getattr(p, name)) for name in FIELD_NAMES})
+        response = _residual(np.vectorize(mpmath.mpf, otypes=[object])(oracle._PROBE), exact)
+        b = -response[:, -1]
+        entries = response[oracle._BLOCK_ROWS, oracle._BLOCK_PROBES] + b[oracle._BLOCK_ROWS]
+        err = max(abs(x - e) for x, e in zip(lone, entries[:oracle._LONE_SIZE]))
+    assert err <= 2.3e-16, float(err)
 
 
 def test_block_solve_equals_dense_solve():

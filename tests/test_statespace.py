@@ -172,6 +172,22 @@ def test_classify_borderline():
         assert rule(near_circle, n_pre=8, tau=0.1) == "borderline"
 
 
+def test_modulus_at_the_band_edge_is_borderline():
+    # "strictly": a modulus of exactly 1 - tau or 1 + tau is neither stable
+    # nor unstable; tau = 0.25 makes both edges exact, in one spectrum and
+    # in a stack, with a control row just inside the stable side
+    far = [0.5] * 4 + [2.0] * 4
+    spectra = np.array([[edge, *far] for edge in (0.75, 1.25, -0.75j, -1.25, 0.7)])
+    stable, unstable, borderline = _counts(spectra, 0.25)
+    assert (stable.tolist(), unstable.tolist(), borderline.tolist()) == (
+        [4, 4, 4, 4, 5], [4] * 5, [1, 1, 1, 1, 0])
+    for eigs in spectra[:4]:
+        assert tuple(map(int, _counts(eigs, 0.25))) == (4, 4, 1)
+        for n_pre in range(ORDER + 1):
+            assert classify(eigs, n_pre, 0.25) == classify_standard(eigs, n_pre, 0.25) \
+                == "borderline"
+
+
 BAD_TAUS = (-2.0, -1e-300, math.inf, -math.inf, math.nan)
 
 
@@ -276,6 +292,20 @@ def test_sweep_without_a_valid_cell(default_params):
     assert _names(res) == ["invalid"]
     res = sweep(default_params, ("rho_chi", 1.0, 2.0, 3), ("alpha_pi", 1.2, 1.8, 100))
     assert set(_names(res)) == {"invalid"}
+
+
+def test_sweep_cells_name_only_unsolved_counts_none(default_params):
+    # rho_chi >= 1 is invalid: those cells have no counts, while a solved
+    # cell's borderline count of 0 stays 0
+    res = sweep(default_params, ("rho_chi", 0.5, 1.5, 3), ("alpha_pi", 1.2, 1.8, 2))
+    cells = res.cells
+    assert [cell["verdict"] for cell in cells] == _names(res)
+    for cell in cells:
+        counts = [cell[key] for key in COUNT_KEYS]
+        if cell["rho_chi"] >= 1.0:
+            assert cell["verdict"] == "invalid" and counts == [None] * 3, cell
+        else:
+            assert cell["verdict"] != "invalid" and counts[2] == 0 and sum(counts) == ORDER, cell
 
 
 def test_transparency_knob_moves_no_equilibrium(default_params):

@@ -1,0 +1,83 @@
+"""Flip each comparison of one module, one at a time, and report the mutants
+the tests do not kill.
+
+    python3 tools/mutate.py src/nkji/statespace.py tests/test_statespace.py \
+        tests/test_cli.py tests/test_acceptance.py
+
+The first argument is a module under ``src``; the rest are passed to
+pytest.  Each ``<``/``<=``, ``>``/``>=`` and ``==``/``!=`` of the module is
+flipped in turn in a temporary copy of ``src`` (the working tree is never
+written), and the pytest selection runs against that copy with ``-x``.  A
+mutant survives when the selection passes; each survivor is printed as
+``line: comparison -> mutant``.  The unmutated copy must pass first.  Exit
+status: 0 when no mutant survives, 1 otherwise, 2 on a bad argument or a
+failing unmutated run.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
+#: seconds a pytest run may take before its mutant counts as killed
+TIMEOUT = 600
+
+
+def sites(tree: ast.AST) -> list[tuple[ast.Compare, int]]:
+    """Every flippable comparison operator: its node and operator index."""
+    return [(node, k) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            for k, op in enumerate(node.ops) if type(op) in FLIPS]
+
+
+def passes(src: Path, pytest_args: list[str]) -> bool:
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *pytest_args], env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode == 0
+    except subprocess.TimeoutExpired:
+        return False
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 2 or not Path(argv[0]).is_file():
+        print(__doc__, file=sys.stderr)
+        return 2
+    module, pytest_args = Path(argv[0]).resolve(), argv[1:]
+    root = next((d for d in module.parents if d.name == "src"), None)
+    if root is None:
+        print(f"mutate: {argv[0]} is not under a src directory", file=sys.stderr)
+        return 2
+    text = module.read_text()
+    n_sites = len(sites(ast.parse(text)))
+    survivors = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(root, src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / module.relative_to(root)
+        if not passes(src, pytest_args):
+            print("mutate: the unmutated copy fails the selection", file=sys.stderr)
+            return 2
+        for i in range(n_sites):
+            tree = ast.parse(text)
+            node, k = sites(tree)[i]
+            before = ast.unparse(node)
+            node.ops[k] = FLIPS[type(node.ops[k])]()
+            target.write_text(ast.unparse(tree))
+            if passes(src, pytest_args):
+                survivors += 1
+                print(f"{node.lineno}: {before} -> {ast.unparse(node)}", flush=True)
+    print(f"{survivors} of {n_sites} mutants survived")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
