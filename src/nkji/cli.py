@@ -20,7 +20,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import coeffs, oracle, shocks, sim, slots, statespace
-from .params import InvalidDomain, InvalidParams, load_calibration, printable, validate
+from .params import InvalidParams, Violation, load_calibration, printable, validate
 from .shocks import KINDS
 from .statespace import ConvergenceFailure
 
@@ -169,11 +169,11 @@ def _check_sizes(args) -> None:
     draws."""
     periods = sum(getattr(args, name, 0) for name in ("T", "burn", "H"))
     if periods > MAX_PERIODS:
-        raise InvalidParams([InvalidDomain(
-            "<horizon>", f"{periods} periods, more than {MAX_PERIODS}")])
+        raise InvalidParams([Violation(
+            "InvalidDomain", "<horizon>", f"{periods} periods, more than {MAX_PERIODS}")])
     if getattr(args, "draws", 0) > AUDIT_MAX_DRAWS:
-        raise InvalidParams([InvalidDomain(
-            "<draws>", f"{args.draws} draws, more than {AUDIT_MAX_DRAWS}")])
+        raise InvalidParams([Violation(
+            "InvalidDomain", "<draws>", f"{args.draws} draws, more than {AUDIT_MAX_DRAWS}")])
 
 
 def _load_params(args):

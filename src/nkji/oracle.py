@@ -237,15 +237,14 @@ def _condition_bound(lone: np.ndarray, linked: np.ndarray) -> tuple[Vec, list[np
     return np.where(triangular, bound, np.inf), inverses
 
 
-def _nonsingular(lone: np.ndarray, linked: np.ndarray) -> Vec:
-    """The condition number(s) of :func:`_condition_number`; raises
-    :class:`ConvergenceFailure` for the first numerically singular cell."""
+def _nonsingular(lone: np.ndarray, linked: np.ndarray) -> None:
+    """Raise :class:`ConvergenceFailure` for the first cell whose
+    :func:`_condition_number` is above ``1e15`` (numerically singular)."""
     cond = _condition_number(lone, linked)
     singular = np.flatnonzero(~(cond <= 1e15))
     if singular.size:
         raise ConvergenceFailure("matching system is singular "
                                  f"(cond ~ {np.ravel(cond)[singular[0]]:.3e})")
-    return cond
 
 
 def _coefficient_blocks(zflat: Vec, p: StructuralParams) -> dict[str, Vec]:
@@ -317,8 +316,8 @@ def solve_undetermined(p: StructuralParams) -> ReducedForm:
     or if the solved coefficients fail to satisfy the matching equations.
     """
     lone, linked, b = _matching_blocks(p)
-    cond = _nonsingular(lone, linked)
     blocks = _block_solve(p, lone, linked, b)
+    cond = _condition_number(lone, linked)
     for vec in blocks.values():
         vec.flags.writeable = False
     return ReducedForm(params=p, slot_blocks=blocks, condition_number=float(cond))

@@ -37,33 +37,18 @@ def printable(text: str) -> str:
 
 
 class Violation:
-    """One violated parameter constraint; ``field`` names the offender."""
+    """One violated parameter constraint: its ``kind`` (``"NonStationary"``,
+    ``"SingularDenominator"``, ``"NegativeScale"`` or ``"InvalidDomain"``),
+    the offending ``field`` and an optional ``detail``."""
 
-    kind = "invalid"
-
-    def __init__(self, field: str, detail: str = ""):
+    def __init__(self, kind: str, field: str, detail: str = ""):
+        self.kind = kind
         self.field = field
         self.detail = detail
 
     def __repr__(self):
         detail = f": {self.detail}" if self.detail else ""
         return printable(f"{self.kind}({self.field}{detail})")
-
-
-class NonStationary(Violation):
-    kind = "NonStationary"
-
-
-class SingularDenominator(Violation):
-    kind = "SingularDenominator"
-
-
-class NegativeScale(Violation):
-    kind = "NegativeScale"
-
-
-class InvalidDomain(Violation):
-    kind = "InvalidDomain"
 
 
 class InvalidParams(ValueError):
@@ -168,8 +153,8 @@ DEFAULTS: dict[str, float] = {
 }
 
 
-def _domain_rules(v: Mapping[str, Any]) -> list[tuple[Any, type, str, str]]:
-    """Every domain rule of :func:`validate` as ``(broken, violation class,
+def _domain_rules(v: Mapping[str, Any]) -> list[tuple[Any, str, str, str]]:
+    """Every domain rule of :func:`validate` as ``(broken, violation kind,
     field, detail)``, in report order.  Each value of ``v`` is a float or a
     1-D array with one entry per cell; ``broken`` is then a bool or a bool
     array."""
@@ -178,26 +163,26 @@ def _domain_rules(v: Mapping[str, Any]) -> list[tuple[Any, type, str, str]]:
     finite = {name: abs(v[name]) < math.inf for name in FIELD_NAMES}
     beta = v["beta"]
     rules = [((v[name] != v[name]) | (abs(v[name]) == math.inf),
-              InvalidDomain, name, "not finite") for name in FIELD_NAMES]
+              "InvalidDomain", name, "not finite") for name in FIELD_NAMES]
     rules += [
-        (finite["sigma"] & (v["sigma"] <= 0), InvalidDomain, "sigma", "must be > 0"),
-        (finite["theta"] & (v["theta"] < 0), InvalidDomain, "theta", "must be >= 0"),
+        (finite["sigma"] & (v["sigma"] <= 0), "InvalidDomain", "sigma", "must be > 0"),
+        (finite["theta"] & (v["theta"] < 0), "InvalidDomain", "theta", "must be >= 0"),
         (finite["beta"] & ((beta <= 0.0) | (beta >= 1.0)),
-         InvalidDomain, "beta", "must be in (0, 1)"),
-        (finite["k"] & (v["k"] < 0), InvalidDomain, "k", "must be >= 0"),
-        *((finite[name] & (abs(v[name]) >= 1.0), NonStationary, name, "")
+         "InvalidDomain", "beta", "must be in (0, 1)"),
+        (finite["k"] & (v["k"] < 0), "InvalidDomain", "k", "must be >= 0"),
+        *((finite[name] & (abs(v[name]) >= 1.0), "NonStationary", name, "")
           for name in RHO_FIELDS),
-        *((finite[name] & (v[name] < 0), NegativeScale, name, "") for name in SD_FIELDS),
+        *((finite[name] & (v[name] < 0), "NegativeScale", name, "") for name in SD_FIELDS),
     ]
     # the denominators are checked only where every other rule holds
     clean = np.logical_not(_broken(rules))
     p = StructuralParams(**v)
     rules += [
-        (clean & (abs(p.denominator()) <= EPS_SING), SingularDenominator, "s1",
+        (clean & (abs(p.denominator()) <= EPS_SING), "SingularDenominator", "s1",
          "s1 - sigma*[c1*(gamma2+s2) + gamma2*s1] ~ 0"),
         # the consumption blocks divide by s1*D
-        (clean & (abs(p.s1) <= EPS_SING), SingularDenominator, "s1", "s1 ~ 0"),
-        (clean & (abs(p.taylor_denominator()) <= EPS_SING), SingularDenominator,
+        (clean & (abs(p.s1) <= EPS_SING), "SingularDenominator", "s1", "s1 ~ 0"),
+        (clean & (abs(p.taylor_denominator()) <= EPS_SING), "SingularDenominator",
          "alpha_pi", "1 - alpha_pi*beta ~ 0"),
     ]
     return rules
@@ -226,7 +211,8 @@ def validate(raw: Mapping[str, Any] | StructuralParams) -> StructuralParams:
 
     unknown = sorted(set(raw) - set(FIELD_NAMES))
     if unknown:
-        raise InvalidParams([InvalidDomain(name, "unknown parameter") for name in unknown])
+        raise InvalidParams([Violation("InvalidDomain", name, "unknown parameter")
+                             for name in unknown])
 
     missing = [name for name in FIELD_NAMES if name not in raw]
     if raw and missing:
@@ -240,11 +226,11 @@ def validate(raw: Mapping[str, Any] | StructuralParams) -> StructuralParams:
         try:
             values[name] = float(raw.get(name, DEFAULTS[name]))
         except (TypeError, ValueError, OverflowError):
-            bad_value.append(InvalidDomain(name, "not a number"))
+            bad_value.append(Violation("InvalidDomain", name, "not a number"))
             values[name] = math.nan
     # a value that is not a number is reported once, as such
     bad_names = {v.field for v in bad_value}
-    violations = bad_value + [kind(name, detail)
+    violations = bad_value + [Violation(kind, name, detail)
                               for broken, kind, name, detail in _domain_rules(values)
                               if broken and name not in bad_names]
 
@@ -262,10 +248,12 @@ def load_calibration(path: str) -> dict[str, float]:
         try:
             data = json.load(fh, parse_int=float)
         except RecursionError:
-            raise InvalidParams([InvalidDomain("<file>", "JSON nested too deeply")]) from None
+            raise InvalidParams([Violation("InvalidDomain", "<file>",
+                                           "JSON nested too deeply")]) from None
     if not isinstance(data, dict):
-        raise InvalidParams([InvalidDomain("<file>", "calibration must be a JSON object")])
-    bad = [InvalidDomain(name, "not a number") for name, value in data.items()
+        raise InvalidParams([Violation("InvalidDomain", "<file>",
+                                       "calibration must be a JSON object")])
+    bad = [Violation("InvalidDomain", name, "not a number") for name, value in data.items()
            if isinstance(value, (bool, str))]
     if bad:
         raise InvalidParams(bad)

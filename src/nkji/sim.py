@@ -15,7 +15,7 @@ import numpy as np
 
 from . import shocks, slots
 from .coeffs import ReducedForm, _chain_expectation, compute_all
-from .params import InvalidDomain, InvalidParams, StructuralParams, validate
+from .params import InvalidParams, StructuralParams, Violation, validate
 from .shocks import ShockPath
 from .slots import Vec
 
@@ -85,7 +85,7 @@ def check_budget_mode(p: StructuralParams, budget_mode: str) -> None:
         raise ValueError(f"unknown budget mode {budget_mode!r}")
     if budget_mode == "balanced" and p.rho_g != p.rho_tax:
         detail = f"balanced budget needs rho_g == rho_tax, got {p.rho_g} != {p.rho_tax}"
-        raise InvalidParams([InvalidDomain("rho_tax", detail)])
+        raise InvalidParams([Violation("InvalidDomain", "rho_tax", detail)])
 
 
 def simulate(rf: ReducedForm, path: ShockPath,
@@ -169,8 +169,8 @@ def forecast_error(ep: EquilibriumPath) -> ForecastErrorStats:
     n = len(fe)
     mean = float(np.mean(fe))
     sd = float(np.std(fe, ddof=1)) if n > 1 else 0.0
-    se = sd / np.sqrt(n) if n > 1 else 0.0
-    if n > 1 and sd > 0:
+    se = sd / np.sqrt(n)
+    if sd > 0:
         d = fe - mean
         lag1 = float(np.dot(d[1:], d[:-1]) / np.dot(d, d))
     else:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import slots
 from .coeffs import ReducedForm, _slot_blocks, finite_cells, power
-from .params import FIELD_NAMES, InvalidDomain, InvalidParams, StructuralParams, invalid_cells
+from .params import FIELD_NAMES, InvalidParams, StructuralParams, Violation, invalid_cells
 from .slots import ConvergenceFailure, Vec
 
 ORDER = 9
@@ -403,18 +403,18 @@ def sweep(base: StructuralParams,
     Results are assembled in fixed grid order regardless of worker count,
     so output is reproducible across parallelism levels.
     """
-    unknown = [InvalidDomain(name, "unknown parameter")
+    unknown = [Violation("InvalidDomain", name, "unknown parameter")
                for name in dict.fromkeys((axis1[0], axis2[0])) if name not in FIELD_NAMES]
     if unknown:
         raise InvalidParams(unknown)
     if axis1[0] == axis2[0]:
-        raise InvalidParams([InvalidDomain(axis1[0], "varied by both sweep axes")])
+        raise InvalidParams([Violation("InvalidDomain", axis1[0], "varied by both sweep axes")])
     _check_rule(n_pre, tau)
     name1, lo1, hi1, n1 = axis1
     name2, lo2, hi2, n2 = axis2
     if n1 * n2 > SWEEP_MAX_CELLS:
-        raise InvalidParams([InvalidDomain(
-            "<grid>", f"{n1} x {n2} cells, more than {SWEEP_MAX_CELLS}")])
+        raise InvalidParams([Violation(
+            "InvalidDomain", "<grid>", f"{n1} x {n2} cells, more than {SWEEP_MAX_CELLS}")])
     grid1 = np.linspace(lo1, hi1, n1)
     grid2 = np.linspace(lo2, hi2, n2)
     parts = fan_out(partial(_sweep_slice, base.as_dict(), name1, grid1, name2, grid2,

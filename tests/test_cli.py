@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import nkji
 from nkji import cli, shocks
 from nkji.cli import AUDIT_MAX_DRAWS, MAX_PERIODS, main
-from nkji.params import DEFAULTS, FIELD_NAMES, InvalidDomain, InvalidParams, validate
+from nkji.params import DEFAULTS, FIELD_NAMES, InvalidParams, Violation, validate
 from nkji.shocks import AR_STATES, KINDS
 from nkji.sim import SERIES
 from nkji.slots import INDEX_SETS, VARIABLES
@@ -256,6 +256,19 @@ def test_transparency_json(tmp_path):
     assert set(obj["Eu"]) == {"z7", "z8", "sign7", "sign8", "paradox"}
 
 
+@pytest.mark.parametrize("params, variables", [(["theta=0"], ("u", "Eu")),
+                                               (["gamma5=0", "phi2=0"], ("y", "c"))])
+def test_transparency_zero_news_coefficient_is_no_paradox(tmp_path, params, variables):
+    # these variables load on no news (z8 is 0.0 or -0.0), and only a
+    # strictly positive (u, Eu) or negative (y, c) loading is adverse
+    code, text = run(tmp_path, "transparency",
+                     *(arg for param in params for arg in ("--param", param)))
+    assert code == 0
+    obj = json.loads(text)
+    for var in variables:
+        assert obj[var]["z8"] == 0.0 and obj[var]["paradox"] is False, var
+
+
 def test_sweep_csv_and_axis_errors(tmp_path):
     code, text = run(tmp_path, "sweep", "--axis1", "alpha_pi:0.5:2.5:5",
                      "--axis2", "alpha_y:0:1:4")
@@ -365,9 +378,21 @@ def test_huge_horizon_exits_2(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_argument_edges(tmp_path, capsys):
+    # the largest 64-bit seed is taken (2**64 is refused with the argument
+    # guards); a burn of 0 is no burn; beta = 1 lies outside its open interval
+    assert run(tmp_path, "shocks", "--T", "3", "--seed", str(2**64 - 1))[0] == 0
+    assert (run(tmp_path, "simulate", "--T", "20", "--burn", "0")
+            == run(tmp_path, "simulate", "--T", "20"))
+    err = _invalid_input(capsys, ["coeffs", "--param", "beta=1",
+                                  "--out", str(tmp_path / "x")])
+    assert err == "nkji: invalid input: InvalidDomain(beta: must be in (0, 1))"
+
+
 def test_argument_guards(tmp_path, capsys):
     for argv in (["simulate", "--T", "0"],
                  ["shocks", "--seed", "-5"],
+                 ["shocks", "--seed", str(2**64)],
                  ["simulate", "--burn", "-1"],
                  ["irf", "--shock", "lambda", "--H", "0"],
                  ["audit", "--draws", "-2"],
@@ -520,7 +545,8 @@ def test_closed_stdout_is_one_write_failure_line():
 
 @pytest.mark.parametrize("error, code", [
     (ConvergenceFailure("failed"), 3), (OverflowError("failed"), 3), (MemoryError("failed"), 3),
-    (InvalidParams([InvalidDomain("sigma", "bad")]), 2), (json.JSONDecodeError("bad", "{", 1), 2),
+    (InvalidParams([Violation("InvalidDomain", "sigma", "bad")]), 2),
+    (json.JSONDecodeError("bad", "{", 1), 2),
     (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad"), 2),
     (FileNotFoundError(2, "No such file or directory", "calib.json"), 2),
 ], ids=lambda value: type(value).__name__ if isinstance(value, BaseException) else None)

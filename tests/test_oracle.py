@@ -14,7 +14,7 @@ from nkji.oracle import (ABS_FLOOR, AUDIT_SLICE, SUSPECT_ENTRIES,
                          _stability_slice, compare, random_params, residuals,
                          stability_run)
 from nkji.params import (DEFAULTS, EPS_SING, FIELD_NAMES, InvalidParams,
-                         SingularDenominator, StructuralParams, _domain_rules, validate)
+                         StructuralParams, _domain_rules, validate)
 from nkji.shocks import impulse_path
 from nkji.sim import regressor_matrix
 from nkji.statespace import fan_out
@@ -498,6 +498,52 @@ def test_compare_rejects_stray_loadings(default_rf, oracle_rf, default_params):
     compare(with_loading("u", slots.T_NATU, 5.0), oracle_rf)
 
 
+def test_compare_thresholds_are_strict(default_rf, default_params):
+    # a difference of exactly ABS_FLOOR is not an erratum, and a condition
+    # number of exactly COND_WARN gives no warning
+    var, idx = next(key for key in slots.ENTRIES if key not in SUSPECT_ENTRIES)
+    tables = {v: default_rf.block(v).copy() for v in slots.VARIABLES}
+    solved = {v: block.copy() for v, block in tables.items()}
+    tables[var][idx], solved[var][idx] = 0.0, ABS_FLOOR
+    rep = compare(ReducedForm(params=default_params, slot_blocks=tables),
+                  ReducedForm(params=default_params, slot_blocks=solved,
+                              condition_number=oracle.COND_WARN))
+    assert rep["errata"] == [] and rep["condition_warning"] is False
+
+
+@pytest.mark.parametrize("variant, printed, confirmed", [(0.0, 10.0, True), (1e-6, 0.0, False)])
+def test_suspect_miss_of_exactly_its_bound(default_rf, default_params, variant, printed,
+                                           confirmed):
+    # Eyhat[0] = 1e-6 against the variant yhat[0] and the printed form
+    # rho_ybar*yhat[1], at tol = 1e-6: a variant that misses by exactly
+    # the bound still fits, and so does a printed form that misses by
+    # exactly the bound, which leaves the variant unconfirmed
+    blocks = {v: default_rf.block(v).copy() for v in slots.VARIABLES}
+    blocks["Eyhat"][0] = 1e-6
+    blocks["yhat"][slots.CONST], blocks["yhat"][slots.YBAR_LAG2] = variant, printed
+    rf = ReducedForm(params=default_params, slot_blocks=blocks)
+    assert compare(rf, rf)["suspects"]["Eyhat[0]"]["variant_confirmed"] is confirmed
+
+
+def test_dust_scrub_keeps_an_entry_of_exactly_its_threshold(default_params):
+    zflat = np.zeros(144)
+    zflat[0] = 1e-13
+    assert oracle._coefficient_blocks(zflat, default_params)[oracle.FREE_BLOCKS[0]][0] == 1e-13
+
+
+def test_condition_number_of_exactly_1e15_is_not_singular():
+    # identity blocks with one diagonal entry 1e15 have that condition
+    # number exactly; one ulp more is singular
+    lone, linked = np.tile(np.eye(9), (4, 1, 1)), np.tile(np.eye(18), (6, 1, 1))
+    lone[0, 0, 0] = 1e15
+    assert _condition_number(lone, linked) == 1e15
+    oracle._nonsingular(lone, linked)
+    lone[0, 0, 0] = np.nextafter(1e15, np.inf)
+    with pytest.raises(ConvergenceFailure) as exc:
+        oracle._nonsingular(lone, linked)
+    assert str(exc.value) == "matching system is singular (cond ~ 1.000e+15)"
+
+
 def _stacked(points):
     """One parameterization whose fields hold one value per point."""
     return StructuralParams(**{name: np.array([getattr(p, name) for p in points])
@@ -552,26 +598,32 @@ def test_probe_assembly_equals_identity_evaluation():
 
 _LARGE_RHS = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 5: a right-hand side of 1e16 swamps the block entries "
-    "read as (M e - b) + b (error 1.0)"))
+    "read as (M e - b) + b (error 1.0 or more)"))
 
 
-@pytest.mark.parametrize("point", [{}, pytest.param({"phi1": 1e16}, marks=_LARGE_RHS),
-                                   pytest.param({"s0": 1e16}, marks=_LARGE_RHS)],
-                         ids=["defaults", "phi1=1e16", "s0=1e16"])
-def test_lone_blocks_against_a_50_digit_referee(point):
+@pytest.mark.parametrize("point", [{}, *(pytest.param({name: 1e16}, marks=_LARGE_RHS)
+                                         for name in ("phi1", "s0", "gamma5", "gamma1"))],
+                         ids=["defaults", "phi1=1e16", "s0=1e16", "gamma5=1e16", "gamma1=1e16"])
+def test_blocks_against_a_50_digit_referee(point):
     # the unchanged residual on the 19 probe columns and the fields as
     # 50-digit mpf, gathered as _matching_blocks gathers: the float lone
-    # blocks lie within about an ulp of 1 of these exact ones
+    # blocks lie within about an ulp of 1 of these exact ones, the linked
+    # blocks within 4 ulps of their largest entry.  At 1e16 phi1 and s0
+    # break the lone blocks, gamma5 and gamma1 the linked ones
     mpmath = pytest.importorskip("mpmath")
     p = validate({**DEFAULTS, **point})
-    lone = _matching_blocks(p)[0].ravel().tolist()
+    lone, linked, _ = _matching_blocks(p)
     with mpmath.workdps(50):
         exact = StructuralParams(**{name: mpmath.mpf(getattr(p, name)) for name in FIELD_NAMES})
         response = _residual(np.vectorize(mpmath.mpf, otypes=[object])(oracle._PROBE), exact)
         b = -response[:, -1]
         entries = response[oracle._BLOCK_ROWS, oracle._BLOCK_PROBES] + b[oracle._BLOCK_ROWS]
-        err = max(abs(x - e) for x, e in zip(lone, entries[:oracle._LONE_SIZE]))
-    assert err <= 2.3e-16, float(err)
+        lone_err, linked_err = (
+            float(max(abs(x - e) for x, e in zip(blocks.ravel().tolist(), part)))
+            for blocks, part in ((lone, entries[:oracle._LONE_SIZE]),
+                                 (linked, entries[oracle._LONE_SIZE:])))
+    assert lone_err <= 2.3e-16, lone_err
+    assert linked_err <= 4 * np.spacing(np.abs(linked).max()), linked_err
 
 
 def test_block_solve_equals_dense_solve():
@@ -666,9 +718,9 @@ def test_draw_ranges_lie_inside_the_field_domains():
     assert sorted(oracle._DRAW_NAMES) == sorted(FIELD_NAMES)
     for name, *bounds in oracle._DRAW_RANGES:
         for bound in bounds + ([-x for x in bounds] if name in ("c0", "s0") else []):
-            broken = [(kind.kind, field) for bad, kind, field, _
+            broken = [(kind, field) for bad, kind, field, _
                       in _domain_rules({**DEFAULTS, name: bound})
-                      if bad and kind is not SingularDenominator]
+                      if bad and kind != "SingularDenominator"]
             assert not broken, (name, bound, broken)
     low = dict((name, lo) for name, lo, _ in oracle._DRAW_RANGES)
     assert low["s1"] > EPS_SING and oracle._DRAW_SCREEN > EPS_SING

@@ -4,8 +4,8 @@ import logging
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nkji.params import (DEFAULTS, FIELD_NAMES, RHO_FIELDS, SD_FIELDS, InvalidParams,
-                         StructuralParams, load_calibration, validate)
+from nkji.params import (DEFAULTS, EPS_SING, FIELD_NAMES, RHO_FIELDS, SD_FIELDS,
+                         InvalidParams, StructuralParams, load_calibration, validate)
 
 RHOS = ("rho_chi", "rho_ybar", "rho_g", "rho_tax", "rho_eps", "rho_u")
 SDS = ("sd_omega", "sd_eta_g", "sd_taxshock", "sd_lambda", "sd_xi", "sd_v",
@@ -72,6 +72,28 @@ def test_all_violations_collected():
         ("NonStationary", "rho_g"), ("NegativeScale", "sd_xi"),
         ("InvalidDomain", "beta"),
     }
+
+
+@pytest.mark.parametrize("field, value", [("rho_chi", "inf"), ("sigma", "-inf"),
+                                          ("theta", "-inf")])
+def test_infinite_value_is_only_not_finite(field, value):
+    # an infinity is reported once, as not finite: the range rules (a
+    # persistence of modulus >= 1, sigma <= 0, theta < 0) read finite values
+    with pytest.raises(InvalidParams) as exc:
+        validate({**DEFAULTS, field: float(value)})
+    assert [repr(v) for v in exc.value.violations] == [f"InvalidDomain({field}: not finite)"]
+
+
+def test_denominator_of_exactly_eps_sing_is_singular():
+    # at c1 = gamma2 = 0 the shared denominator is s1 itself, here EPS_SING
+    # exactly, so both rules on s1 fire.  The Taylor rule's edge cannot be
+    # built: where alpha_pi*beta is near 1, 1 - alpha_pi*beta is a multiple
+    # of 2**-53, and EPS_SING is not
+    with pytest.raises(InvalidParams) as exc:
+        validate({**DEFAULTS, "s1": EPS_SING, "c1": 0.0, "gamma2": 0.0})
+    assert [repr(v) for v in exc.value.violations] == [
+        "SingularDenominator(s1: s1 - sigma*[c1*(gamma2+s2) + gamma2*s1] ~ 0)",
+        "SingularDenominator(s1: s1 ~ 0)"]
 
 
 @pytest.mark.parametrize("value", [None, [1.0], 10**400], ids=["none", "list", "huge-int"])

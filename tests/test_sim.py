@@ -176,6 +176,15 @@ def test_forecast_error_needs_two_periods(default_rf, default_params):
         forecast_error(ep)
 
 
+def test_forecast_error_of_one_error(default_rf, default_params):
+    # at T = 2 there is one error: it is the mean, with no spread to report
+    ep = simulate(default_rf, draw(default_params, 5, 2))
+    (error,) = ep.forecast_error
+    assert error != 0.0
+    fe = forecast_error(ep)
+    assert (fe.mean, fe.se, fe.lag1_autocorr) == (error, 0.0, 0.0)
+
+
 def test_forecast_error_is_next_output_minus_expectation(default_rf, default_params):
     ep = simulate(default_rf, draw(default_params, 5, 300))
     assert np.array_equal(ep.forecast_error, ep["y"][1:] - ep["Ey"][:-1])
