@@ -156,25 +156,26 @@ def _group_index(groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
 _LONE_INDEX = _group_index(_LONE_SLOTS)       # (4, 9)
 _LINKED_INDEX = _group_index(_LINKED_SLOTS)   # (6, 18)
 
-#: the probe of the matching system: per free block, one column with 1 in
-#: the first slot of every group and one with 1 in every linked innovation
-#: slot (18 columns), then a column of zeros, whose response is ``-b``.  A
-#: probe column sets at most one unknown of each group, and an equation
-#: reads only the unknowns of its own group, so each response entry inside
-#: the blocks goes through the same operations as the identity column of
-#: the one unknown it reads
-_POSITION = {s: k for group in _LONE_SLOTS + _LINKED_SLOTS for k, s in enumerate(group)}
-_PROBE_COLUMN = np.array([_POSITION[u % NSLOT] * _NFREE + u // NSLOT for u in range(_N)])
+#: the probe of the matching system: column m sets the m-th unknown of
+#: every group (18 columns), then a column of zeros, whose response is
+#: ``-b``.  An equation reads only the unknowns of its own group, so each
+#: response entry inside the blocks goes through the same operations as
+#: the identity column of the one unknown it reads
 _PROBE = np.zeros((_N, 2 * _NFREE + 1))
-_PROBE[np.arange(_N), _PROBE_COLUMN] = 1.0
-#: every entry of the ten blocks, lone blocks first, each block row-major:
-#: its flat index into ``M``, and the row and probe column of the response
-#: it is read from
-_BLOCK_TAKE = np.concatenate([(idx[:, :, None] * _N + idx[:, None, :]).ravel()
-                              for idx in (_LONE_INDEX, _LINKED_INDEX)])
-_BLOCK_ROWS = _BLOCK_TAKE // _N
-_BLOCK_PROBES = _PROBE_COLUMN[_BLOCK_TAKE % _N]
-_LONE_SIZE = len(_LONE_SLOTS) * _NFREE ** 2   # entries of the four 9x9 blocks
+_PROBE[_LONE_INDEX, np.arange(_NFREE)] = 1.0
+_PROBE[_LINKED_INDEX, np.arange(2 * _NFREE)] = 1.0
+
+
+def _read_blocks(response: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lone blocks (4, 9, 9), the linked blocks (6, 18, 18) and ``b``
+    (144,) of ``M z = b`` from the ``response`` (144, 19) of the affine
+    residual to ``_PROBE``, of any dtype; with a trailing cell axis on the
+    response, a leading one on each.  Entry ``[g, r, m]`` of a block is row
+    ``idx[g, r]`` of probe column ``m``, plus that row's ``b``."""
+    b = -response[:, -1]
+    return (*(np.moveaxis(response[idx[..., None], np.arange(idx.shape[1])]
+                          + b[idx][:, :, None], (0, 1, 2), (-3, -2, -1))
+              for idx in (_LONE_INDEX, _LINKED_INDEX)), np.moveaxis(b, 0, -1))
 
 
 def _matching_blocks(p: StructuralParams) -> tuple[np.ndarray, np.ndarray, Vec]:
@@ -185,17 +186,12 @@ def _matching_blocks(p: StructuralParams) -> tuple[np.ndarray, np.ndarray, Vec]:
 
     The affine residual is evaluated once, on the 19 columns of ``_PROBE``
     instead of the 144 of the identity and a zero vector, and the blocks
-    are gathered from that response, bitwise equal to the blocks of the
-    identity evaluation ``_residual(eye, p) + b[:, None]``."""
+    are read off that response by :func:`_read_blocks`, bitwise equal to
+    the blocks of the identity evaluation ``_residual(eye, p) + b[:, None]``."""
     cells = p.cells
     probe = np.broadcast_to(_PROBE.reshape(*_PROBE.shape, *(1,) * len(cells)),
                             (*_PROBE.shape, *cells))
-    response = _residual(probe, p)
-    b = -response[:, -1]
-    entries = np.moveaxis(response[_BLOCK_ROWS, _BLOCK_PROBES] + b[_BLOCK_ROWS], 0, -1)
-    lone = entries[..., :_LONE_SIZE].reshape(*cells, *_LONE_INDEX.shape, -1)
-    linked = entries[..., _LONE_SIZE:].reshape(*cells, *_LINKED_INDEX.shape, -1)
-    return lone, linked, np.moveaxis(b, 0, -1)
+    return _read_blocks(_residual(probe, p))
 
 
 def _condition_number(lone: np.ndarray, linked: np.ndarray) -> Vec:

@@ -116,6 +116,12 @@ def test_missing_keys_filled_with_notice(caplog):
     assert p.sigma == 2.0
     assert p.beta == DEFAULTS["beta"]
     assert any("missing parameter" in rec.message for rec in caplog.records)
+    # only a partial mapping gets the notice, not a complete or empty one
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="nkji.params"):
+        validate(DEFAULTS)
+        validate({})
+    assert caplog.records == []
 
 
 def test_idempotent_on_defaults():

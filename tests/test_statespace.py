@@ -615,6 +615,42 @@ def test_wide_matrices_take_the_rank6_route(default_params):
     assert dict(zip(COUNT_KEYS, counts.tolist())) == rep.counts
 
 
+_NEAR_ZERO_PERSISTENCE = pytest.mark.xfail(strict=True, raises=ConvergenceFailure, reason=(
+    "ROADMAP item 11: the eigenpair residual check rejects an accurate "
+    "spectrum at a near-zero persistence"))
+
+
+def _eigenvalues_40_digits(A):
+    """The eigenvalues of a 40-digit solve of A."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = mpmath.eig(mpmath.matrix(A.tolist()), left=False, right=False)
+    return np.array([complex(a) for a in ref])
+
+
+@_NEAR_ZERO_PERSISTENCE
+def test_report_at_a_near_zero_drift_persistence():
+    # determinacy --param rho_ybar=1e-5 exits 3, where the 40-digit counts
+    # are 8 / 1
+    rf = compute_all(validate({"rho_ybar": 1e-5}))
+    want = tuple(map(int, _counts(_eigenvalues_40_digits(build(rf).A), 1e-8)))
+    assert want == (8, 1, 0)
+    assert tuple(report(rf).counts.values()) == want
+
+
+@_NEAR_ZERO_PERSISTENCE
+def test_eigen_at_a_near_zero_spending_persistence():
+    # the 9 x 9 route alone at rho_g = 1e-5, where report passes: its
+    # moduli lie within 6.9e-14 of a 40-digit solve's, yet its residual
+    # check fails
+    A = build(compute_all(validate({"rho_g": 1e-5}))).A
+    ref = _eigenvalues_40_digits(A)
+    vals = eigen(A)
+    assert np.abs(np.sort(np.abs(vals)) - np.sort(np.abs(ref))).max() <= 1e-12
+    assert tuple(map(int, _counts(vals, 1e-8))) == tuple(map(int, _counts(ref, 1e-8))) \
+        == (8, 1, 0)
+
+
 def test_solved_keeps_the_9x9_routes_complex_values(monkeypatch):
     # np.linalg.eig returns real values when every eigenvalue of the stack
     # is real: the rank-6 route fails its one matrix that way, and the 9 x 9

@@ -13,7 +13,8 @@ keeps the CLI's behaviour leaves no difference.
 its stdout and stderr, with what :func:`versions` gives.
 ``tests/test_bytecheck.py`` runs the commands in-process against the copy
 in ``tests/bytecheck_digests.json``; a change that means to move bytes
-copies the new file there.
+copies the new file there.  ``KERNEL_STREAMS`` marks the streams it
+compares only on the build that recorded that copy.
 """
 
 from __future__ import annotations
@@ -193,10 +194,20 @@ SINGLE = (
     ["audit", "--T", "10", "--param", "phi1=1e16"],
     # both sweep axes unknown: each is named
     ["sweep", "--axis1", "nosuch:0:1:3", "--axis2", "other:0:1:2"],
+    # a near-zero persistence: an accurate spectrum that the eigenpair
+    # residual check rejects (ROADMAP item 11)
+    ["determinacy", "--param", "rho_ybar=1e-5"],
 )
 
 COMMANDS = (*(argv + opts for opts in PARAMS.values() for argv in PER_PARAMS),
             *SINGLE)
+
+#: the streams of each subcommand whose bytes can move with the CPU's BLAS
+#: kernels, as found by running this tool under two ``OPENBLAS_CORETYPE``
+#: values and comparing with ``diff -r``; no exit code moved, and the
+#: other subcommands' streams did not either
+KERNEL_STREAMS = {"audit": ("stdout", "stderr"), "determinacy": ("stdout",),
+                  "simulate": ("stdout",)}
 
 
 def versions() -> dict[str, str]:

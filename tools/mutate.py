@@ -1,17 +1,18 @@
-"""Flip each comparison of one module, one at a time, and report the mutants
-the tests do not kill.
+"""Flip each comparison and boolean operator of one module, one at a time,
+and report the mutants the tests do not kill.
 
     python3 tools/mutate.py src/nkji/statespace.py tests/test_statespace.py \
         tests/test_cli.py tests/test_acceptance.py
 
 The first argument is a module under ``src``; the rest are passed to
-pytest.  Each ``<``/``<=``, ``>``/``>=`` and ``==``/``!=`` of the module is
-flipped in turn in a temporary copy of ``src`` (the working tree is never
-written), and the pytest selection runs against that copy with ``-x``.  A
-mutant survives when the selection passes; each survivor is printed as
-``line: comparison -> mutant``.  The unmutated copy must pass first.  Exit
-status: 0 when no mutant survives, 1 otherwise, 2 on a bad argument or a
-failing unmutated run.
+pytest.  Each ``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``&``/``|`` and
+``and``/``or`` of the module outside type hints is flipped in turn in a
+temporary copy of ``src`` (the working tree is never written), and the
+pytest selection runs against that copy with ``-x``.  A mutant survives
+when the selection passes; each survivor is printed as ``line: expression
+-> mutant``.  The unmutated copy must pass first.  Exit status: 0 when no
+mutant survives, 1 otherwise, 2 on a bad argument or a failing unmutated
+run.
 """
 
 from __future__ import annotations
@@ -25,15 +26,25 @@ import tempfile
 from pathlib import Path
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
-         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
+         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.BitAnd: ast.BitOr,
+         ast.BitOr: ast.BitAnd, ast.And: ast.Or, ast.Or: ast.And}
 #: seconds a pytest run may take before its mutant counts as killed
 TIMEOUT = 600
 
 
-def sites(tree: ast.AST) -> list[tuple[ast.Compare, int]]:
-    """Every flippable comparison operator: its node and operator index."""
-    return [(node, k) for node in ast.walk(tree) if isinstance(node, ast.Compare)
-            for k, op in enumerate(node.ops) if type(op) in FLIPS]
+def sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
+    """Every flippable operator outside type hints, whose flips no test can
+    tell apart: its node, and its index for a comparison."""
+    hints = {id(n) for node in ast.walk(tree)
+             for hint in (getattr(node, "annotation", None), getattr(node, "returns", None))
+             if hint is not None for n in ast.walk(hint)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and id(node) not in hints:
+            found += [(node, k) for k, op in enumerate(node.ops) if type(op) in FLIPS]
+        elif type(getattr(node, "op", None)) in FLIPS and id(node) not in hints:
+            found.append((node, None))
+    return found
 
 
 def passes(src: Path, pytest_args: list[str]) -> bool:
@@ -70,7 +81,10 @@ def main(argv: list[str]) -> int:
             tree = ast.parse(text)
             node, k = sites(tree)[i]
             before = ast.unparse(node)
-            node.ops[k] = FLIPS[type(node.ops[k])]()
+            if k is None:
+                node.op = FLIPS[type(node.op)]()
+            else:
+                node.ops[k] = FLIPS[type(node.ops[k])]()
             target.write_text(ast.unparse(tree))
             if passes(src, pytest_args):
                 survivors += 1
