@@ -233,16 +233,6 @@ def _condition_bound(lone: np.ndarray, linked: np.ndarray) -> tuple[Vec, list[np
     return np.where(triangular, bound, np.inf), inverses
 
 
-def _nonsingular(lone: np.ndarray, linked: np.ndarray) -> None:
-    """Raise :class:`ConvergenceFailure` for the first cell whose
-    :func:`_condition_number` is above ``1e15`` (numerically singular)."""
-    cond = _condition_number(lone, linked)
-    singular = np.flatnonzero(~(cond <= 1e15))
-    if singular.size:
-        raise ConvergenceFailure("matching system is singular "
-                                 f"(cond ~ {np.ravel(cond)[singular[0]]:.3e})")
-
-
 def _coefficient_blocks(zflat: Vec, p: StructuralParams) -> dict[str, Vec]:
     """The slot blocks of every variable from the solved unknowns ``zflat``
     (144,), or (n, 144) for blocks (16, n)."""
@@ -270,15 +260,16 @@ def _block_solve(p: StructuralParams, lone: np.ndarray, linked: np.ndarray,
     A cell whose bound is at most ``COND_WARN`` is nonsingular, 1000 times
     below the ``1e15`` threshold, a margin the inverses' rounding (a
     relative error of about 18 eps cond, under 0.5%) cannot close.  Only a
-    slice with a cell above it, or NaN, or whose inverse fails, pays for the
-    exact :func:`_nonsingular`, which raises the report's message."""
+    slice with a cell above it, or NaN, pays for the exact
+    :func:`_condition_number`; the system is singular where the inverse
+    fails or a cell's exact number is above ``1e15``."""
     try:
         bound, (lone_inv, d1_inv, d2_inv) = _condition_bound(lone, linked)
-    except np.linalg.LinAlgError as err:
-        _nonsingular(lone, linked)
-        raise ConvergenceFailure(str(err)) from err
-    if not np.all(bound <= COND_WARN):
-        _nonsingular(lone, linked)
+    except np.linalg.LinAlgError:
+        bound = None
+    if bound is None or not (np.all(bound <= COND_WARN)
+                             or np.all(_condition_number(lone, linked) <= 1e15)):
+        raise ConvergenceFailure("matching system is singular")
     lone_rhs, linked_rhs = b[..., _LONE_INDEX, None], b[..., _LINKED_INDEX, None]
     z1 = d1_inv @ linked_rhs[..., :_NFREE, :]
     z2 = d2_inv @ (linked_rhs[..., _NFREE:, :] - linked[..., _NFREE:, :_NFREE] @ z1)

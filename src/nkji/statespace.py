@@ -330,15 +330,10 @@ class SweepResult:
 
     @property
     def cells(self) -> list[dict]:
-        """Records of the axis values, counts (None: not solved) and verdict
-        name, built on each call.  Only perfbench's traced ``_sweep_attrs``
-        reads them; spans inside nkji (ROADMAP item 1) delete both."""
-        (name1, grid1), (name2, grid2) = self.axis1, self.axis2
-        columns = (np.repeat(grid1, len(grid2)), np.tile(grid2, len(grid1)),
-                   *np.where(self.counts < 0, None, self.counts).T,
-                   np.array(SWEEP_VERDICTS)[self.verdicts])
-        keys = (name1, name2, "stable", "unstable", "borderline", "verdict")
-        return [dict(zip(keys, row)) for row in zip(*(col.tolist() for col in columns))]
+        """A ``{"verdict": name}`` record per cell in row-major order, built
+        on each call.  Only perfbench's traced ``_sweep_attrs`` reads them;
+        spans inside nkji (ROADMAP item 1) delete both."""
+        return [{"verdict": SWEEP_VERDICTS[code]} for code in self.verdicts.tolist()]
 
 
 # overflow in an extreme cell is reported by its "failed" verdict, not by

@@ -210,7 +210,7 @@ def test_non_finite_matching_blocks_keep_lapack_off_stdout(capfd):
     # an SVD, which would have LAPACK write to file descriptor 1 itself
     assert main(["audit", "--T", "10", "--param", "sigma=5e-324"]) == 3
     assert capfd.readouterr() == ("", "nkji: numerical failure: matching system is "
-                                      "singular (cond ~ inf)\n")
+                                      "singular\n")
 
 
 def test_determinacy_n_pre_out_of_range(tmp_path):
@@ -325,7 +325,7 @@ def test_rate_free_point_fails_the_audit_only(tmp_path, capsys):
     code, text = run(tmp_path, "audit", "--T", "50", *point)
     assert (code, text) == (3, "")
     assert capsys.readouterr().err == ("nkji: numerical failure: matching system "
-                                       "is singular (cond ~ inf)\n")
+                                       "is singular\n")
 
 
 HUGE = str(10**17)

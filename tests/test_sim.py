@@ -4,11 +4,11 @@ import pytest
 from nkji import (compute_all, draw, forecast_error, irf, job_insecurity,
                   simulate, steady_state, transparency_audit, zero_path,
                   expectations, search_paradox)
-from nkji.params import DEFAULTS, InvalidParams, validate
+from nkji.params import DEFAULTS, InvalidParams, Violation, validate
 from nkji.coeffs import _chain_expectation
 from nkji.shocks import KINDS, from_innovations, impulse_path
 from nkji.sim import SERIES, regressor_matrix, _EXPECTATION_SLOTS
-from nkji import slots
+from nkji import sim, slots
 
 ZERO_STATE = {name: 0.0 for name in slots.STATE_NAMES}
 
@@ -306,6 +306,24 @@ def test_paradox_search_finds_adverse_disclosure():
     assert rf.block("Eu")[slots.LAM] > 0
     assert transparency_audit(rf)["Eu"]["paradox"]
     assert search_paradox(seed=1, max_draws=0) is None
+
+
+def test_paradox_search_skips_a_candidate_validate_rejects(monkeypatch):
+    # the first draw is rejected: no coefficients are computed for it, and
+    # the search goes on to the second, the only one compute_all sees
+    drawn, solved = [], []
+
+    def reject_first(cand):
+        drawn.append(cand)
+        if len(drawn) == 1:
+            raise InvalidParams([Violation("InvalidDomain", "c1")])
+        return validate(cand)
+
+    monkeypatch.setattr(sim, "validate", reject_first)
+    monkeypatch.setattr(sim, "compute_all", lambda p: solved.append(p) or compute_all(p))
+    search_paradox(seed=1, max_draws=2)
+    assert len(drawn) == 2
+    assert [p.as_dict() for p in solved] == [validate(drawn[1]).as_dict()]
 
 
 def test_expectation_slots_exclude_unreferenced_innovations():

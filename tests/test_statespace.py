@@ -172,6 +172,22 @@ def test_classify_borderline():
         assert rule(near_circle, n_pre=8, tau=0.1) == "borderline"
 
 
+def test_default_band_is_1e_8_in_every_rule(default_params):
+    # a complex pair leaves the unit circle as alpha_pi falls through about
+    # 1.01887596: 5.5e-9 outside it the pair is borderline in the default
+    # band, 2.0e-8 outside it unstable, in report, sweep and both rules
+    near, off = 1.0188759626, 1.0188759614
+    res = sweep(default_params, ("alpha_pi", near, off, 2),
+                ("theta", default_params.theta, default_params.theta, 1))
+    assert res.counts.tolist() == [[6, 1, 2], [6, 3, 0]]
+    for alpha_pi, counts, verdict in ((near, [6, 1, 2], "borderline"),
+                                      (off, [6, 3, 0], "determinate")):
+        rep = report(compute_all(default_params.replace(alpha_pi=alpha_pi)))
+        assert list(rep.counts.values()) == counts, alpha_pi
+        for rule in (classify, classify_standard):
+            assert rule(rep.eigenvalues, n_pre=6) == verdict, (rule, alpha_pi)
+
+
 def test_modulus_at_the_band_edge_is_borderline():
     # "strictly": a modulus of exactly 1 - tau or 1 + tau is neither stable
     # nor unstable; tau = 0.25 makes both edges exact, in one spectrum and
@@ -295,17 +311,11 @@ def test_sweep_without_a_valid_cell(default_params):
 
 
 def test_sweep_cells_name_only_unsolved_counts_none(default_params):
-    # rho_chi >= 1 is invalid: those cells have no counts, while a solved
-    # cell's borderline count of 0 stays 0
+    # rho_chi >= 1 is invalid: the cell records hold only the verdict names,
+    # invalid ones among them
     res = sweep(default_params, ("rho_chi", 0.5, 1.5, 3), ("alpha_pi", 1.2, 1.8, 2))
-    cells = res.cells
-    assert [cell["verdict"] for cell in cells] == _names(res)
-    for cell in cells:
-        counts = [cell[key] for key in COUNT_KEYS]
-        if cell["rho_chi"] >= 1.0:
-            assert cell["verdict"] == "invalid" and counts == [None] * 3, cell
-        else:
-            assert cell["verdict"] != "invalid" and counts[2] == 0 and sum(counts) == ORDER, cell
+    assert "invalid" in _names(res)
+    assert res.cells == [{"verdict": name} for name in _names(res)]
 
 
 def test_transparency_knob_moves_no_equilibrium(default_params):
@@ -613,6 +623,23 @@ def test_wide_matrices_take_the_rank6_route(default_params):
     assert rep.counts == {"stable": 8, "unstable": 1, "borderline": 0}
     counts, = sweep(default_params, ("sigma", 1e-300, 1e-300, 1), ("k", 0.0, 0.0, 1)).counts
     assert dict(zip(COUNT_KEYS, counts.tolist())) == rep.counts
+
+
+def test_eigenpair_residual_bound_is_1e_8_of_the_scale(monkeypatch):
+    # eig patched to give diag(1..9)'s exact eigenvalues with the first
+    # eigenvector tilted towards the second: the pair's residual is the
+    # tilt, which passes the check at 5e-9 of ||A|| ||v|| and fails at 2e-8
+    A = np.diag(np.arange(1.0, 10.0))
+    for share, fails in ((5e-9, False), (2e-8, True)):
+        vecs = np.eye(9)
+        vecs[1, 0] = share * np.linalg.norm(A)
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda S, vecs=vecs: (np.diag(A)[None], vecs[None]))
+        if fails:
+            with pytest.raises(ConvergenceFailure, match="eigenpair residual check failed"):
+                eigen(A)
+        else:
+            assert np.array_equal(eigen(A), np.diag(A))
 
 
 _NEAR_ZERO_PERSISTENCE = pytest.mark.xfail(strict=True, raises=ConvergenceFailure, reason=(

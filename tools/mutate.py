@@ -1,18 +1,17 @@
-"""Flip each comparison and boolean operator of one module, one at a time,
-and report the mutants the tests do not kill.
+r"""Mutate one module one site at a time; report the mutants no test kills.
 
     python3 tools/mutate.py src/nkji/statespace.py tests/test_statespace.py \
         tests/test_cli.py tests/test_acceptance.py
 
 The first argument is a module under ``src``; the rest are passed to
 pytest.  Each ``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``&``/``|`` and
-``and``/``or`` of the module outside type hints is flipped in turn in a
-temporary copy of ``src`` (the working tree is never written), and the
-pytest selection runs against that copy with ``-x``.  A mutant survives
-when the selection passes; each survivor is printed as ``line: expression
--> mutant``.  The unmutated copy must pass first.  Exit status: 0 when no
-mutant survives, 1 otherwise, 2 on a bad argument or a failing unmutated
-run.
+``and``/``or`` outside type hints is flipped, and each nonzero float literal
+outside [1e-3, 1e3] scaled by 10 and by 1/10, in a temporary copy of ``src``
+(the working tree is never written), where the selection runs with ``-x``.
+A mutant survives when the selection passes; each survivor is printed as
+``line: expression -> mutant``.  The unmutated copy must pass first.  Exit
+status: 0 when no mutant survives, 1 otherwise, 2 on a bad argument or a
+failing unmutated run.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -33,8 +33,8 @@ TIMEOUT = 600
 
 
 def sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
-    """Every flippable operator outside type hints, whose flips no test can
-    tell apart: its node, and its index for a comparison."""
+    """Every flippable operator outside type hints, with its index for a
+    comparison, and every extreme float literal, with each power of ten."""
     hints = {id(n) for node in ast.walk(tree)
              for hint in (getattr(node, "annotation", None), getattr(node, "returns", None))
              if hint is not None for n in ast.walk(hint)}
@@ -44,6 +44,8 @@ def sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
             found += [(node, k) for k, op in enumerate(node.ops) if type(op) in FLIPS]
         elif type(getattr(node, "op", None)) in FLIPS and id(node) not in hints:
             found.append((node, None))
+        elif isinstance(node, ast.Constant) and type(node.value) is float and node.value:
+            found += [(node, k) for k in (1, -1) if not 1e-3 <= node.value <= 1e3]
     return found
 
 
@@ -59,13 +61,10 @@ def passes(src: Path, pytest_args: list[str]) -> bool:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) < 2 or not Path(argv[0]).is_file():
-        print(__doc__, file=sys.stderr)
-        return 2
-    module, pytest_args = Path(argv[0]).resolve(), argv[1:]
+    module, pytest_args = Path(*argv[:1]).resolve(), argv[1:]
     root = next((d for d in module.parents if d.name == "src"), None)
-    if root is None:
-        print(f"mutate: {argv[0]} is not under a src directory", file=sys.stderr)
+    if not pytest_args or root is None or not module.is_file():
+        print(__doc__, file=sys.stderr)
         return 2
     text = module.read_text()
     n_sites = len(sites(ast.parse(text)))
@@ -81,7 +80,9 @@ def main(argv: list[str]) -> int:
             tree = ast.parse(text)
             node, k = sites(tree)[i]
             before = ast.unparse(node)
-            if k is None:
+            if isinstance(node, ast.Constant):
+                node.value = float(Decimal(repr(node.value)).scaleb(k))
+            elif k is None:
                 node.op = FLIPS[type(node.op)]()
             else:
                 node.ops[k] = FLIPS[type(node.ops[k])]()
