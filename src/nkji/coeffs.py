@@ -131,11 +131,9 @@ def _primitive_blocks(p: StructuralParams) -> tuple[Vec, Vec, Vec, Vec]:
     y[5] = -rt * H / D
     y[6] = -H / D
     # the two information-channel entries are derived over the scaled
-    # denominator s1*D; evaluated verbatim, not simplified
-    y[7] = (sg * rx * P * M + g5 * rx * (c1 - s1) * D - f2 * rx * (c1 - s1) * D) \
-        / (s1_2 - s1 * sg * M)
-    y[8] = (sg * P * M + g5 * (c1 - s1) * D - f2 * (c1 - s1) * D) \
-        / (s1_2 - s1 * sg * M)
+    # denominator sD == s1*D; numerators evaluated verbatim, not simplified
+    y[7] = (sg * rx * P * M + g5 * rx * (c1 - s1) * D - f2 * rx * (c1 - s1) * D) / sD
+    y[8] = (sg * P * M + g5 * (c1 - s1) * D - f2 * (c1 - s1) * D) / sD
     y[9] = -f1 * (c1 - s1) / D
     y[10] = -f3 * (c1 - s1) / D
 

@@ -108,8 +108,7 @@ def draw(p: StructuralParams, seed: int, T: int,
 
     Identical ``(p, seed, T, initial)`` reproduce bit-identical output.
     """
-    if T < 1:
-        raise ValueError("horizon must be >= 1")
+    T = max(T, 0)   # as zero_path: from_innovations rejects T < 1
     innovations: dict[str, Vec] = {}
     for idx, (kind, sd_field) in enumerate(slots.INNOVATION_SCALES):
         rng = np.random.default_rng(

@@ -187,8 +187,6 @@ def irf(rf: ReducedForm, kind: str, H: int, size: float = 1.0) -> dict[str, Vec]
     dropped), so they are exactly zero where the path carries no loading and
     exactly proportional under power-of-two shock scalings.
     """
-    if H < 1:
-        raise ValueError("horizon must be >= 1")
     path = shocks.impulse_path(rf.params, kind, H, size=size)
     R = regressor_matrix(path)
     R[:, slots.CONST] = 0.0

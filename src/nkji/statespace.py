@@ -169,9 +169,9 @@ def _spectra(A: Vec, factors: tuple[Vec, Vec] | None = None) -> tuple[Vec, Vec]:
     of A, and the three eigenvalues rank 6 leaves are exact zeros, appended
     last.  Every check is made on A and the lifted pairs.  A matrix with
     non-finite entries is solved as zeros.  When the solver rejects the
-    stack, its matrices are solved one at a time, so that a rejected matrix
-    fails alone, with the last code of ``_EIGEN_FAILURES``.  At extreme
-    scales each route fails matrices the other solves (:func:`_solved`)."""
+    stack, each of its matrices fails with the last code of
+    ``_EIGEN_FAILURES``.  At extreme scales each route fails matrices the
+    other solves (:func:`_solved`)."""
     finite = np.isfinite(A).all(axis=(1, 2))
     if factors is None:
         S = A
@@ -181,11 +181,7 @@ def _spectra(A: Vec, factors: tuple[Vec, Vec] | None = None) -> tuple[Vec, Vec]:
     try:
         vals, vecs = np.linalg.eig(np.where(finite[:, None, None], S, 0.0))
     except np.linalg.LinAlgError:
-        if len(A) == 1:
-            return np.zeros((1, ORDER), dtype=complex), np.array([len(_EIGEN_FAILURES) - 1])
-        return tuple(map(np.concatenate, zip(*(
-            _spectra(A[k:k + 1], factors and (U[k:k + 1], V[k:k + 1]))
-            for k in range(len(A))))))
+        return np.zeros((len(A), ORDER), dtype=complex), np.full(len(A), len(_EIGEN_FAILURES) - 1)
     A = np.where(finite[:, None, None], A, 0.0)
     # real when every eigenvalue of the stack is
     vecs = vecs.astype(complex, copy=False)
@@ -215,16 +211,17 @@ def _real_times(M: Vec, Z: Vec) -> Vec:
 def _solved(U: Vec, V: Vec) -> tuple[Vec, Vec, Vec]:
     """Transition matrices A (n, 9, 9) from factors U, V (n, 9, 6), and
     :func:`_spectra` of A by the rank-6 route, then of each matrix it fails
-    by the 9 x 9 route, which keeps the rank-6 code if it fails too.  The
+    (each of a stack the solver rejects, too) by the 9 x 9 route on its own,
+    which keeps the rank-6 code if it fails again: the one fallback.  The
     9 x 9 solve can return a false pair where A's entries span more than
     about 1/eps^2 (``sigma = 1e-40``); V' U's noise floor can be far above A's."""
     A = _transition(U, V)
     vals, failure = _spectra(A, (U, V))
-    bad = np.flatnonzero(failure)
-    if len(bad):
-        again, still = _spectra(A[bad])
-        vals = vals.astype(complex, copy=False)   # real if all of V' U's are
-        vals[bad[still == 0]], failure[bad[still == 0]] = again[still == 0], 0
+    for k in np.flatnonzero(failure):
+        again, still = _spectra(A[k:k + 1])
+        if not still[0]:
+            vals = vals.astype(complex, copy=False)   # real if all of V' U's are
+            vals[k], failure[k] = again[0], 0
     return A, vals, failure
 
 

@@ -1,3 +1,4 @@
+import json
 import re
 import warnings
 from functools import partial
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nkji import compute_all, draw, simulate, solve_undetermined
+from nkji.cli import main
 from nkji.coeffs import ReducedForm, _chain_expectation
 from nkji import oracle
 from nkji.oracle import (ABS_FLOOR, AUDIT_SLICE, SUSPECT_ENTRIES,
@@ -548,10 +550,11 @@ def test_compare_thresholds_are_strict(default_rf, default_params):
         assert rep["condition_warning"] is False
 
 
-def test_default_tolerance_is_1e_6(default_rf, oracle_rf, monkeypatch):
+def test_default_tolerance_is_1e_6(default_rf, oracle_rf, monkeypatch, tmp_path):
     # two agreeing entries of the closed form moved by 2e-6 and 5e-7 of
     # themselves: compare and the draws, at their default tolerance, flag
-    # the first and not the second
+    # the first and not the second, and so do the draws of the audit
+    # command at its default --tol
     moved_slots = [slots.INDEX_SETS["u"][idx] for idx in (11, 12)]
 
     def moved(blocks):
@@ -567,6 +570,10 @@ def test_default_tolerance_is_1e_6(default_rf, oracle_rf, monkeypatch):
     first = stability_run(3, seed=1)[0]
     for flagged in (errata, first):
         assert ("u", 11) in flagged and ("u", 12) not in flagged
+    out = tmp_path / "audit.json"
+    assert main(["audit", "--T", "10", "--draws", "3", "--seed", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["stability"]["flagged_entries"] == \
+        sorted(f"{v}[{i}]" for v, i in first)
 
 
 @pytest.mark.parametrize("variant, printed, confirmed", [(0.0, 10.0, True), (1e-6, 0.0, False)])

@@ -94,6 +94,8 @@ def test_denominator_of_exactly_eps_sing_is_singular():
     assert [repr(v) for v in exc.value.violations] == [
         "SingularDenominator(s1: s1 - sigma*[c1*(gamma2+s2) + gamma2*s1] ~ 0)",
         "SingularDenominator(s1: s1 ~ 0)"]
+    # 2e-10 is not: the threshold is 1e-10, not 1e-9
+    validate({**DEFAULTS, "s1": 2e-10, "c1": 0.0, "gamma2": 0.0})
 
 
 @pytest.mark.parametrize("value", [None, [1.0], 10**400], ids=["none", "list", "huge-int"])

@@ -5,7 +5,7 @@ from nkji import (compute_all, draw, forecast_error, irf, job_insecurity,
                   simulate, steady_state, transparency_audit, zero_path,
                   expectations, search_paradox)
 from nkji.params import DEFAULTS, InvalidParams, Violation, validate
-from nkji.coeffs import _chain_expectation
+from nkji.coeffs import ReducedForm, _chain_expectation
 from nkji.shocks import KINDS, from_innovations, impulse_path
 from nkji.sim import SERIES, regressor_matrix, _EXPECTATION_SLOTS
 from nkji import sim, slots
@@ -272,8 +272,9 @@ def test_irf_linearity_general_scale(default_rf):
 
 
 def test_irf_bounds(default_rf):
-    with pytest.raises(ValueError):
-        irf(default_rf, "eta", 0)
+    for H in (0, -3):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            irf(default_rf, "eta", H)
 
 
 # --- transparency ------------------------------------------------------------
@@ -324,6 +325,22 @@ def test_paradox_search_skips_a_candidate_validate_rejects(monkeypatch):
     search_paradox(seed=1, max_draws=2)
     assert len(drawn) == 2
     assert [p.as_dict() for p in solved] == [validate(drawn[1]).as_dict()]
+
+
+def test_paradox_needs_a_positive_news_coefficient(monkeypatch):
+    # a news coefficient of exactly 0 is no paradox: the search passes the
+    # first valid candidate, where it is 0.0, and returns the next, where it
+    # is the least positive float
+    solved = []
+
+    def with_news(p):
+        blocks = {v: block.copy() for v, block in compute_all(p).slot_blocks.items()}
+        blocks["Eu"][slots.LAM] = 5e-324 if solved else 0.0
+        solved.append(p)
+        return ReducedForm(params=p, slot_blocks=blocks)
+
+    monkeypatch.setattr(sim, "compute_all", with_news)
+    assert search_paradox(seed=1, max_draws=10) is solved[1]
 
 
 def test_expectation_slots_exclude_unreferenced_innovations():

@@ -771,7 +771,9 @@ def test_stacked_eig_failure_fails_only_its_cell(default_params, monkeypatch):
     rf = compute_all(bad)
     U, V = _factors(rf.slot_blocks, bad)
     # the bad cell's matrix as either route solves it: the rank-6 route's
-    # V'U and, for a matrix that route fails, the 9 x 9 A
+    # V'U and, for a matrix that route fails, the 9 x 9 A.  The stack is
+    # rejected, so its matrices go straight to the 9 x 9 retry: the bad
+    # cell's V'U is never solved alone, and its A fails the retry
     bad_forms = (V.T @ U, build(rf).A)
     eig = np.linalg.eig
 
@@ -791,6 +793,30 @@ def test_stacked_eig_failure_fails_only_its_cell(default_params, monkeypatch):
     kept = [i for i in range(len(names)) if i not in failed]
     assert np.array_equal(res.counts[kept], reference[0][kept])
     assert [names[i] for i in kept] == [reference[1][i] for i in kept]
+
+
+def test_a_rejected_stack_falls_back_once_to_the_9x9_route(default_params, monkeypatch):
+    # eig rejects every stack of more than one matrix: the sweep's one slice
+    # makes one stacked 6 x 6 call, then retries each solved cell alone by
+    # the 9 x 9 route, never by the rank-6 route, with the unpatched counts
+    axis1, axis2 = ("alpha_pi", 0.5, 2.5, 3), ("rho_chi", 0.1, 1.1, 6)
+    want = sweep(default_params, axis1, axis2)
+    solved = sum(name not in ("invalid", "failed") for name in _names(want))
+    assert solved == 15
+    eig, calls = np.linalg.eig, {}
+
+    def refuse_stacks(a):
+        key = ("stack" if len(a) > 1 else "single", a.shape[-1])
+        calls[key] = calls.get(key, 0) + 1
+        if len(a) > 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", refuse_stacks)
+    res = sweep(default_params, axis1, axis2)
+    assert calls == {("stack", 6): 1, ("single", 9): solved}
+    assert np.array_equal(res.counts, want.counts)
+    assert np.array_equal(res.verdicts, want.verdicts)
 
 
 def test_eig_failure_is_a_convergence_failure(default_params, monkeypatch, tmp_path,
