@@ -15,11 +15,10 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import zip_longest
 
 import numpy as np
 
-from . import coeffs, oracle, shocks, sim, slots, statespace
+from . import coeffs, oracle, shocks, sim, slots, statespace, text
 from .params import InvalidParams, Violation, load_calibration, printable, validate
 from .shocks import KINDS
 from .statespace import ConvergenceFailure
@@ -66,28 +65,50 @@ def _write(args, parts: Iterable[str]) -> None:
         raise
 
 
-#: CSV rows formatted at a time, which bounds the cell strings held at once
-CSV_CHUNK = 1024
+#: CSV floats formatted at a time, which bounds the texts held at once
+CSV_CHUNK = 8192
+
+
+def _cells(chunk: np.ndarray) -> np.ndarray:
+    """The text of each element of a part of a column, as a matrix of ASCII
+    bytes with NUL bytes among them, one row per element."""
+    if chunk.dtype.kind == "f":
+        return text.floats(chunk)
+    if chunk.dtype.kind == "i":
+        return text.integers(chunk)
+    fixed = chunk.astype("S")
+    return fixed.view(np.uint8).reshape(len(fixed), fixed.itemsize)
 
 
 def _csv(header: str, columns: dict[str, Sequence]) -> Iterator[str]:
     """CSV text in parts: a schema line and a header of the column names,
     then one row per position of the first column, in parts of at most
-    ``CSV_CHUNK`` rows.  A column is an array, turned into Python scalars
-    one part at a time, or a sequence of them, so ``str`` writes floats at
-    full round-trip precision.  Every position past the end of a shorter
-    column is an empty cell.  A non-finite value in a float array is a
-    numerical failure, raised before the first part."""
-    if not all(np.isfinite(col).all() for col in columns.values()
-               if isinstance(col, np.ndarray) and col.dtype.kind == "f"):
+    ``CSV_CHUNK`` floats.  A column is an array or a sequence.  Floats are
+    written as ``repr`` writes them and integers as ``str`` does (see
+    :mod:`nkji.text`); the float arrays of a part are formatted together.
+    Every position past the end of a shorter column is an empty cell.  A
+    non-finite value in a float array is a numerical failure, raised before
+    the first part."""
+    batched = [isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns.values()]
+    if not all(np.isfinite(col).all() for col, in_batch in zip(columns.values(), batched)
+               if in_batch):
         raise ConvergenceFailure("output is not finite")
     yield f"# nkji {header} csv {SCHEMA}\n{','.join(columns)}\n"
-    for start in range(0, len(next(iter(columns.values()))), CSV_CHUNK):
-        chunks = (col[start:start + CSV_CHUNK] for col in columns.values())
-        cells = [[str(x) for x in
-                  (chunk.tolist() if isinstance(chunk, np.ndarray) else chunk)]
-                 for chunk in chunks]
-        yield "\n".join(map(",".join, zip_longest(*cells, fillvalue=""))) + "\n"
+    separators = np.array([[ord(",")]] * (len(columns) - 1) + [[ord("\n")]], np.uint8)
+    step = CSV_CHUNK // max(1, sum(batched))
+    for start in range(0, len(next(iter(columns.values()))), step):
+        chunks = [col[start:start + step] for col in columns.values()]
+        batch = [chunk for chunk, in_batch in zip(chunks, batched) if in_batch]
+        floats = iter(np.split(_cells(np.concatenate(batch or [np.empty(0)])),
+                               np.cumsum([len(chunk) for chunk in batch[:-1]])))
+        rows, texts = len(chunks[0]), []
+        for chunk, in_batch, separator in zip(chunks, batched, separators):
+            cells = next(floats) if in_batch else _cells(np.asarray(chunk))
+            if len(chunk) != rows:   # empty cells past the end of a shorter column
+                cells = np.pad(cells, ((0, rows - len(chunk)), (0, 0)))
+            texts += [cells, np.broadcast_to(separator, (rows, 1))]
+        row = np.concatenate(texts, axis=1).ravel()
+        yield row.compress(row != 0).tobytes().decode()
 
 
 def _json(obj) -> str:
@@ -218,7 +239,7 @@ def cmd_irf(args, p) -> tuple[str, dict]:
     names = (*sim.SERIES, *shocks.AR_STATES)
     return "irf", {
         "h": np.tile(np.arange(args.H), len(names)),
-        "variable": np.repeat(np.array(names, dtype=object), args.H),
+        "variable": np.repeat(np.array(names, dtype="S"), args.H),
         "response": np.concatenate([table[var] for var in names])}
 
 
@@ -243,14 +264,13 @@ def cmd_sweep(args, p) -> tuple[str, dict]:
     result = statespace.sweep(p, args.axis1, args.axis2,
                               n_pre=args.n_pre, tau=args.tol, workers=args.workers)
     (name1, grid1), (name2, grid2) = result.axis1, result.axis2
-    # each text is made once and repeated: a cell's axis values are bitwise
-    # grid points, and its counts are -1 (not solved: an empty cell) to 9
-    texts1, texts2, digits, verdicts = (np.array(list(texts), dtype=object) for texts in (
-        map(str, grid1.tolist()), map(str, grid2.tolist()), ["", *map(str, range(10))],
-        statespace.SWEEP_VERDICTS))
+    # each text is made once and repeated: a cell's counts are -1 (not
+    # solved: an empty cell) to 9
+    digits, verdicts = (np.array(texts, dtype="S") for texts in (
+        ["", *map(str, range(10))], statespace.SWEEP_VERDICTS))
     counts = digits[result.counts + 1]
     return "sweep", {
-        name1: np.repeat(texts1, len(grid2)), name2: np.tile(texts2, len(grid1)),
+        name1: np.repeat(grid1, len(grid2)), name2: np.tile(grid2, len(grid1)),
         "stable": counts[:, 0], "unstable": counts[:, 1], "borderline": counts[:, 2],
         "verdict": verdicts[result.verdicts]}
 

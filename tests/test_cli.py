@@ -647,7 +647,8 @@ STREAM_OVERFLOW = ["shocks", "--seed", "0", "--T", "4000", "--param", "sd_omega=
 def test_non_finite_past_the_first_part_writes_nothing(tmp_path, capfd):
     with np.errstate(all="ignore"):
         ybar = shocks.draw(validate({"sd_omega": 1.2e304, "rho_ybar": 0.999}), 0, 4000).ybar
-    assert np.isfinite(ybar[:cli.CSV_CHUNK]).all() and not np.isfinite(ybar).all()
+    # the first part holds CSV_CHUNK floats: CSV_CHUNK // 17 rows of the 17 float columns
+    assert np.isfinite(ybar[:cli.CSV_CHUNK // 17]).all() and not np.isfinite(ybar).all()
     assert main(STREAM_OVERFLOW) == 3
     assert capfd.readouterr() == ("", "nkji: numerical failure: output is not finite\n")
     out = tmp_path / "out.csv"
@@ -668,6 +669,20 @@ def test_csv_formats_one_part_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * columns * T * 8
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--seed", "3", "--T", "40", "--burn", "2"),
+    ("shocks", "--seed", "3", "--T", "20", "--transparent"),
+    ("irf", "--shock", "lambda", "--H", "30"),
+    ("sweep", "--axis1", "alpha_pi:0.5:2.5:7", "--axis2", "rho_chi:0:1.1:5"),
+    ("coeffs", "--format", "csv")])
+def test_csv_bytes_do_not_depend_on_the_part_size(tmp_path, monkeypatch, argv):
+    whole = run(tmp_path, *argv)
+    # 17 floats a part: one row of simulate (whose fe column ends inside the
+    # last part) and of shocks, 17 rows of irf and coeffs, 8 of sweep
+    monkeypatch.setattr(cli, "CSV_CHUNK", 17)
+    assert run(tmp_path, *argv) == whole
 
 
 def _cli_process(*argv, stdout=subprocess.PIPE, **env):

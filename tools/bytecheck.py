@@ -162,7 +162,8 @@ SINGLE = (
     ["sweep", "--axis1", "sigma:1e-40:1e-40:1", "--axis2", "k:0.3:0.3:1"],
     # non-finite matching blocks: LAPACK must not write to stdout
     ["audit", "--T", "10", "--param", "sigma=5e-324"],
-    # CSV longer than one formatting chunk of 1024 rows
+    # CSV longer than one formatting part (8192 floats: 585 rows of simulate,
+    # 481 of shocks)
     ["simulate", "--seed", "5", "--T", "2500", "--burn", "7"],
     ["shocks", "--seed", "5", "--T", "2100", "--burn", "3", "--transparent"],
     ["irf", "--shock", "lambda", "--H", "60"],
@@ -200,6 +201,9 @@ SINGLE = (
     # a report that only the 9 x 9 retry solves: its counts 4 / 5 are not
     # a 40-digit solve's 7 / 2 (ROADMAP items 2 and 10)
     ["determinacy", "--param", "k=1e12"],
+    # responses that decay through 3-digit exponents to subnormals and to
+    # exact zeros
+    ["irf", "--shock", "lambda", "--H", "340", "--param", "rho_chi=0.1"],
 )
 
 COMMANDS = (*(argv + opts for opts in PARAMS.values() for argv in PER_PARAMS),
