@@ -265,9 +265,9 @@ def cmd_sweep(args, p) -> tuple[str, dict]:
                               n_pre=args.n_pre, tau=args.tol, workers=args.workers)
     (name1, grid1), (name2, grid2) = result.axis1, result.axis2
     # each text is made once and repeated: a cell's counts are -1 (not
-    # solved: an empty cell) to 9
+    # solved: an empty cell) to the system's order
     digits, verdicts = (np.array(texts, dtype="S") for texts in (
-        ["", *map(str, range(10))], statespace.SWEEP_VERDICTS))
+        ["", *map(str, range(statespace.ORDER + 1))], statespace.SWEEP_VERDICTS))
     counts = digits[result.counts + 1]
     return "sweep", {
         name1: np.repeat(grid1, len(grid2)), name2: np.tile(grid2, len(grid1)),
@@ -300,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "expectations New Keynesian model with an information-"
                     "disclosure channel and job-insecurity dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
+    n_pres = range(statespace.ORDER + 1)   # 0 up to every state predetermined
 
     def command(name: str, run, help: str) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help)
@@ -341,15 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("determinacy", cmd_determinacy,
                  "eigenvalues, characteristic coefficients, verdicts")
-    sp.add_argument("--n-pre", type=int, choices=range(10), default=None,
-                    help="predetermined-variable count; omit for all 0..9")
+    sp.add_argument("--n-pre", type=int, choices=n_pres, default=None,
+                    help=f"predetermined-variable count; omit for all 0..{statespace.ORDER}")
     sp.add_argument("--tol", type=_positive_float, default=1e-8,
                     help="borderline tolerance on |modulus - 1|")
 
     sp = command("sweep", cmd_sweep, "determinacy verdicts over a 2-D grid")
     sp.add_argument("--axis1", type=_axis, required=True, metavar="NAME:LO:HI:N")
     sp.add_argument("--axis2", type=_axis, required=True, metavar="NAME:LO:HI:N")
-    sp.add_argument("--n-pre", type=int, choices=range(10), default=9)
+    sp.add_argument("--n-pre", type=int, choices=n_pres, default=statespace.ORDER)
     sp.add_argument("--tol", type=_positive_float, default=1e-8)
     sp.add_argument("--workers", type=_positive, default=1)
 

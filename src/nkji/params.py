@@ -31,8 +31,6 @@ def printable(text: str) -> str:
     separators, lone surrogates) escaped as in ``repr``, so that a name
     echoed in a one-line message stays one line; printable text is
     returned unchanged."""
-    if text.isprintable():
-        return text
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 

@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from . import shocks, slots
-from .coeffs import ReducedForm, _chain_expectation, compute_all
+from .coeffs import ReducedForm, _chain_expectation, compute_all, steady_state
 from .params import InvalidParams, StructuralParams, Violation, validate
 from .shocks import ShockPath
 from .slots import Vec
@@ -25,6 +25,10 @@ SERIES = (*slots.ENDOGENOUS, "Ey", "Eyhat", "Epi", "Eu", "JI")
 #: only ones the AR-law expectations Ey, Eyhat and Eu load on
 _EXPECTATION_SLOTS = tuple(sorted(s for link in slots.AR_LINKS
                                   for s in (link.lag, link.innovation)))
+
+#: the sign of a news coefficient that makes disclosure adverse: it raises
+#: unemployment or expected unemployment, or lowers output or consumption
+_ADVERSE = {"u": 1, "Eu": 1, "y": -1, "c": -1}
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +111,7 @@ def simulate(rf: ReducedForm, path: ShockPath,
 
     R = regressor_matrix(path)
     series = {v: R @ blk for v, blk in _series_blocks(rf).items()}
-    series["JI"] = series["Eu"] - rf.block("u")[slots.CONST]
+    series["JI"] = series["Eu"] - steady_state(rf)["u"]
 
     fe = series["y"][1:] - series["Ey"][:-1]
     for arr in (*series.values(), fe):
@@ -149,9 +153,8 @@ def expectations(rf: ReducedForm, state: Mapping[str, float]) -> dict[str, float
 def job_insecurity(rf: ReducedForm, state: Mapping[str, float]) -> float:
     """Expected deviation of next period's unemployment rate from its
     steady-state value: the job-insecurity measure.  Equals the expected
-    unemployment rate minus the unemployment intercept."""
-    x = _state_vector(state, _EXPECTATION_SLOTS)
-    return float(x @ rf.block("Eu")) - float(rf.block("u")[slots.CONST])
+    unemployment rate minus the steady-state unemployment rate."""
+    return expectations(rf, state)["Eu"] - steady_state(rf)["u"]
 
 
 @dataclass(frozen=True)
@@ -206,16 +209,10 @@ def transparency_audit(rf: ReducedForm) -> dict[str, dict[str, float | int | boo
     for var in slots.VARIABLES:
         z7 = float(rf.block(var)[slots.CHI_LAG1])
         z8 = float(rf.block(var)[slots.LAM])
-        if var in ("u", "Eu"):
-            adverse = z8 > 0
-        elif var in ("y", "c"):
-            adverse = z8 < 0
-        else:
-            adverse = False
         entries[var] = {
             "z7": z7, "z8": z8,
             "sign7": int(np.sign(z7)), "sign8": int(np.sign(z8)),
-            "paradox": adverse,
+            "paradox": _ADVERSE.get(var, 0) * z8 > 0,
         }
     return entries
 
@@ -236,6 +233,6 @@ def search_paradox(seed: int = 0, max_draws: int = 10000) -> StructuralParams | 
         except InvalidParams:
             continue
         rf = compute_all(p)
-        if rf.block("Eu")[slots.LAM] > 0:
+        if _ADVERSE["Eu"] * rf.block("Eu")[slots.LAM] > 0:
             return p
     return None

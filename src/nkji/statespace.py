@@ -384,7 +384,7 @@ def fan_out(fn: Callable[[range], object], n_items: int, size: int,
 def sweep(base: StructuralParams,
           axis1: tuple[str, float, float, int],
           axis2: tuple[str, float, float, int],
-          n_pre: int = 9, tau: float = 1e-8, workers: int = 1) -> SweepResult:
+          n_pre: int = ORDER, tau: float = 1e-8, workers: int = 1) -> SweepResult:
     """Determinacy verdicts over a 2-D parameter grid.
 
     Grid cells that fail parameter validation are marked invalid, cells

@@ -159,10 +159,12 @@ def floats(x: np.ndarray) -> np.ndarray:
     negative = (bits >> _U64(63)).view(np.int64)
     words = t.words.take(words) & t.masks.take(
         (cls * _DIGITS + np.maximum(count, 1) - 1) * 2 + negative.take(normal), axis=0)
+    # zeros, most of a long irf's cells, skip the digit and layout passes
     text = t.zeros.take(negative)   # 0.0 and -0.0 where not normal
     text[normal] = words.view("V48").ravel()
     text = text.view(np.uint8).reshape(-1, WIDTH)
-    # subnormals: 0 < |x| < 2**-1022
+    # subnormals (0 < |x| < 2**-1022) take repr: their shorter digits would
+    # cost every value on the array path a digit-count normalization
     for i in np.flatnonzero((bits & _LOW63) - _U64(1) < _U64(2**52 - 1)):
         fallback = repr(float(x.flat[i])).encode()
         text[i] = np.frombuffer(fallback.ljust(WIDTH, b"\0"), np.uint8)

@@ -300,6 +300,18 @@ def test_audit_signs_match_news_perturbation(default_rf, default_params):
         assert int(np.sign(delta)) == audit[var]["sign8"], var
 
 
+def test_paradox_flags_only_an_adverse_news_coefficient(default_rf):
+    # disclosure is adverse when news raises u or Eu or lowers y or c; a
+    # zero news coefficient of either sign, and any other variable, is not
+    adverse = {("u", 1e-3), ("Eu", 1e-3), ("y", -1e-3), ("c", -1e-3)}
+    for var in slots.VARIABLES:
+        for z8 in (1e-3, -1e-3, 0.0, -0.0):
+            blocks = {v: block.copy() for v, block in default_rf.slot_blocks.items()}
+            blocks[var][slots.LAM] = z8
+            rf = ReducedForm(params=default_rf.params, slot_blocks=blocks)
+            assert transparency_audit(rf)[var]["paradox"] is ((var, z8) in adverse), (var, z8)
+
+
 def test_paradox_search_finds_adverse_disclosure():
     p = search_paradox(seed=1, max_draws=2000)
     assert p is not None
