@@ -19,10 +19,15 @@ a power of one persistence, so A = U V' with factors U, V of shape 9 x 6
 (:func:`_factors`, the one place that writes out A's layout).  A itself is
 gathered from the factors, one product per entry (:func:`_transition`).
 Its nonzero eigenvalues are those of the 6 x 6 V' U, and its other three
-are exactly zero.  ``report`` and the sweep both solve that 6 x 6 matrix,
-check each eigenpair lifted back to A, and solve A itself only where that
-route fails (:func:`_solved`).  Determinacy depends on A alone, so the
-innovation loadings are not assembled.
+are exactly zero.  ``report`` and the sweep both take their stable,
+unstable and borderline counts from :func:`_census`, which needs no
+eigenvalues: the trace recursion gives det(z I - V' U) with a bound on each
+coefficient's error, and the Schur-Cohn recursion counts its roots inside
+|z| < 1 - tau and |z| < 1 + tau.  Only a count those bounds do not certify
+is read from eigenvalues, by :func:`_solved`: it solves V' U, checks each
+eigenpair lifted back to A, and solves A itself only where that route
+fails.  ``report`` prints :func:`_solved`'s eigenvalues.  Determinacy
+depends on A alone, so the innovation loadings are not assembled.
 """
 
 from __future__ import annotations
@@ -214,7 +219,9 @@ def _solved(U: Vec, V: Vec) -> tuple[Vec, Vec, Vec]:
     (each of a stack the solver rejects, too) by the 9 x 9 route on its own,
     which keeps the rank-6 code if it fails again: the one fallback.  The
     9 x 9 solve can return a false pair where A's entries span more than
-    about 1/eps^2 (``sigma = 1e-40``); V' U's noise floor can be far above A's."""
+    about 1/eps^2 (``sigma = 1e-40``); V' U's noise floor can be far above A's.
+    ``report`` takes its eigenvalues from here, and :func:`_census` the
+    counts it cannot certify, with their failure codes."""
     A = _transition(U, V)
     vals, failure = _spectra(A, (U, V))
     for k in np.flatnonzero(failure):
@@ -225,6 +232,44 @@ def _solved(U: Vec, V: Vec) -> tuple[Vec, Vec, Vec]:
     return A, vals, failure
 
 
+# overflow in an extreme matrix leaves its count uncertified, not a warning
+@np.errstate(all="ignore")
+def _census(U: Vec, V: Vec, tau: float) -> tuple[Vec, Vec]:
+    """Stable, unstable and borderline counts (n, 3) of the transition
+    matrices A = U V' from factors U, V (n, 9, 6), as :func:`_counts` gives
+    them from A's eigenvalues, and per matrix the index into
+    ``_EIGEN_FAILURES`` of the check it fails (0: none).
+
+    The counts come from the characteristic polynomial of V' U
+    (:func:`_leverrier`), without eigenvalues: the roots inside
+    |z| < 1 - tau are stable, those outside |z| <= 1 + tau unstable, each
+    number read by :func:`_schur_cohn` from det(r w I - V'U) / r^6, and
+    rank 6's three exact zeros are stable where tau < 1 and borderline
+    otherwise.  A matrix whose count this cannot certify goes to
+    :func:`_solved`, whose failure codes it keeps."""
+    Vt = np.swapaxes(V, 1, 2)
+    c, err = _leverrier(Vt @ U, np.abs(Vt) @ np.abs(U))
+    inner = tau < 1.0
+    radii = np.array([1.0 + tau, 1.0 - tau] if inner else [1.0 + tau])
+    # coefficient k of det(r w I - S) / r^RANK is c[RANK - k] / r^(RANK - k)
+    b, e = (np.repeat(x.T[::-1, :, None], len(radii), axis=2) for x in (c, err))
+    for k in range(RANK, 0, -1):
+        b[:k] /= radii
+        e[:k] /= radii
+    # on the circle the exact polynomial is within the sum of the coefficient
+    # bounds, the divisions' rounding included, of the computed one
+    inside, certified = _schur_cohn(b, (e + 16 * np.finfo(float).eps * np.abs(b)).sum(axis=0))
+    stable = inside[:, 1:].sum(axis=1) + inner * (ORDER - RANK)
+    unstable = RANK - inside[:, 0]
+    counts = np.stack([stable, unstable, ORDER - stable - unstable], axis=1).astype(np.int8)
+    failure = np.zeros(len(U), dtype=int)
+    todo = np.flatnonzero(~certified.all(axis=1))
+    if todo.size:
+        _, vals, failure[todo] = _solved(U[todo], V[todo])
+        counts[todo] = np.stack(_counts(vals, tau), axis=1)
+    return counts, failure
+
+
 def char_poly(A: Vec) -> Vec:
     """Coefficients k0..k9 of det(A - a I) as a polynomial in a.
 
@@ -232,15 +277,75 @@ def char_poly(A: Vec) -> Vec:
     eigensolver, so the two can cross-validate.  Convention: the leading
     term is (-a)^9, hence k9 = -1 and k0 = det(A).
     """
-    n = A.shape[0]
-    # det(aI - A) = a^n + c[1] a^(n-1) + ... + c[n]
-    c = np.zeros(n + 1)
-    c[0] = 1.0
-    M = np.zeros_like(A)
-    for j in range(1, n + 1):
-        M = A @ M + c[j - 1] * np.eye(n)
-        c[j] = -np.trace(A @ M) / j
-    return -c[::-1]
+    return -_leverrier(A, np.abs(A))[0][::-1]
+
+
+def _leverrier(S: Vec, P: Vec) -> tuple[Vec, Vec]:
+    """Coefficients c (..., m + 1) of det(z I - S) = z^m + c[1] z^(m-1) + ...
+    + c[m] for a matrix or a stack S (..., m, m), by the trace recursion
+    (Faddeev-LeVerrier), and beside them a running bound on each one's error
+    (Higham 2002, ch. 3).  The bound takes each entry of S to be within 32
+    unit roundoffs of P >= |S| of its exact value, which covers the rounding
+    of forming S = V' U with P = |V|' |U|, and adds the smallest normal float
+    per entry and step for products that fall below it."""
+    m = S.shape[-1]
+    gamma, tiny = 16 * np.finfo(float).eps, np.finfo(float).tiny
+    eye = np.eye(m)
+    c, err = np.ones((*S.shape[:-2], m + 1)), np.zeros((*S.shape[:-2], m + 1))
+    M, E = eye, 0.0
+    for j in range(1, m + 1):
+        SM = S @ M
+        F = P @ (E + gamma * np.abs(M)) + tiny
+        c[..., j] = -np.trace(SM, axis1=-2, axis2=-1) / j
+        err[..., j] = (np.trace(F, axis1=-2, axis2=-1)
+                       + gamma * np.trace(np.abs(SM), axis1=-2, axis2=-1)) / j
+        M = SM + c[..., j, None, None] * eye
+        E = F + err[..., j, None, None] * eye
+    return c, err
+
+
+def _schur_cohn(b: Vec, slack: Vec) -> tuple[Vec, Vec]:
+    """The number of roots inside the unit circle of each polynomial
+    q(w) = b[0] + b[1] w + ... + b[m] w^m, one per trailing index of b
+    (m + 1, ...), and whether that number is certified for every polynomial
+    that differs from q by at most ``slack`` anywhere on the circle (Schur
+    1917; Cohn 1922; Marden 1966, ch. X).
+
+    Each step maps q to its Schur transform b[0] q - b[m] q*, one degree
+    lower, whose constant term is delta = b[0]^2 - b[m]^2: q has as many
+    roots inside as the transform where delta > 0, and m minus as many
+    where delta < 0.  Beside the coefficients runs a bound on their
+    rounding errors.  On the circle |q| is at least |transform| / (|b[0]| +
+    |b[m]|), so the last delta, a constant, bounds |q| from below there,
+    and by Rouche's theorem every polynomial within that bound has q's
+    count.  The count is certified where every delta is farther from 0 than
+    twice its bound, the last also than twice ``slack`` carried down the
+    steps; that leaves no root on the circle.  Each step first scales by a
+    power of two, exactly, so that the largest coefficient lies in
+    [0.5, 1); a result that falls below the smallest normal float is then
+    covered by that float times the largest coefficient.  A non-finite
+    value leaves a margin that is not positive."""
+    gamma, tiny = 16 * np.finfo(float).eps, np.finfo(float).tiny
+    e = np.zeros_like(b)
+    margins, flips = [], []
+    for m in range(len(b) - 1, 0, -1):
+        top, shift = np.frexp(np.abs(b).max(axis=0))
+        b, e = np.ldexp(b, -shift), np.ldexp(e, -shift)
+        a = np.abs(b)
+        # bounds on |b[0]| and |b[m]| of the exact steps
+        first, last = a[0] + e[0], a[m] + e[m]
+        slack = np.ldexp(slack, -shift) * (first + last)
+        rev = slice(m, 0, -1)
+        b, e = (b[0] * b[:m] - b[m] * b[rev],
+                first * e[:m] + (e[0] + gamma * a[0]) * a[:m]
+                + last * e[rev] + (e[m] + gamma * a[m]) * a[rev] + tiny * top)
+        margins.append(np.abs(b[0]) - 2.0 * e[0])
+        flips.append(np.signbit(b[0]))
+    margins[-1] = margins[-1] - 2.0 * slack
+    inside = np.zeros(b.shape[1:], dtype=int)
+    for m, flip in enumerate(reversed(flips), start=1):
+        inside = np.where(flip, m - inside, inside)
+    return inside, (np.stack(margins) > 0).all(axis=0)
 
 
 def classify(eigs: Vec, n_pre: int, tau: float = 1e-8) -> str:
@@ -305,10 +410,11 @@ def report(rf: ReducedForm, tau: float = 1e-8,
     """Eigenvalues, characteristic coefficients and verdicts for every
     possible predetermined count (or a single one if ``n_pre`` is given)."""
     _check_rule(n_pre, tau)
-    A, vals, failure = _solved(*(x[None] for x in _factors(rf.slot_blocks, rf.params)))
+    U, V = (x[None] for x in _factors(rf.slot_blocks, rf.params))
+    A, vals, failure = _solved(U, V)
     if failure[0]:
         raise ConvergenceFailure(_EIGEN_FAILURES[failure[0]])
-    stable, unstable, borderline = map(int, _counts(vals[0], tau))
+    stable, unstable, borderline = map(int, _census(U, V, tau)[0][0])
     pres = range(ORDER + 1) if n_pre is None else (n_pre,)
     verdicts = {n: VERDICTS[_verdict_codes(stable, borderline, n)] for n in pres}
     counts = {"stable": stable, "unstable": unstable, "borderline": borderline}
@@ -347,13 +453,12 @@ def _sweep_slice(base: dict[str, float], name1: str, grid1: Vec, name2: str,
     blocks = _slot_blocks(p)
     invalid = invalid_cells(values)
     solved = ~invalid & finite_cells(blocks)
-    # only the cells that pass both checks are solved
+    # only the cells that pass both checks are counted
     idx = np.flatnonzero(solved)
     U, V = (np.moveaxis(x, -1, 0)[idx] for x in _factors(blocks, p))
-    vals = np.zeros((len(cells), ORDER), dtype=complex)
-    _, vals[idx], failure = _solved(U, V)
+    counts = np.zeros((len(cells), 3), dtype=np.int8)
+    counts[idx], failure = _census(U, V, tau)
     solved[idx] = failure == 0
-    counts = np.stack(_counts(vals, tau), axis=1, dtype=np.int8)
     verdicts = np.select([solved, invalid], [_verdict_codes(counts[:, 0], counts[:, 2], n_pre),
                                              len(VERDICTS)], len(VERDICTS) + 1).astype(np.int8)
     counts[~solved] = -1

@@ -1,17 +1,19 @@
 import math
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import _valid_range
+from test_cli import DOUBLE_ROOT
 from nkji import build, char_poly, classify, classify_standard, compute_all, eigen
 from nkji import slots, statespace
 from nkji.cli import main
 from nkji.coeffs import power
 from nkji.oracle import random_params
-from nkji.params import DEFAULTS, InvalidParams, validate
+from nkji.params import DEFAULTS, EPS_SING, InvalidParams, validate
 from nkji.coeffs import _slot_blocks, finite_cells
 from nkji.params import FIELD_NAMES, StructuralParams, invalid_cells
 from nkji.statespace import (ORDER, SWEEP_SLICE, SWEEP_VERDICTS, ConvergenceFailure,
@@ -708,7 +710,9 @@ def test_routes_over_the_valid_domain(raw):
     # sqrt(eps |A|); at the example, a root at 1 - 1e-6 and |A| = 3e6, where
     # the 9 x 9 route alone counts 8 stable roots and the rank-6 route 9.
     # Beyond |A| = 1e12 both routes can pass with wrong counts, next to an
-    # eigenvalue of 1e11 or more
+    # eigenvalue of 1e11 or more.  Both take their counts from the census;
+    # where report raises but the census certifies a count, the sweep's
+    # count is a 30-digit solve's
     try:
         p = validate(raw)
     except InvalidParams:
@@ -719,12 +723,15 @@ def test_routes_over_the_valid_domain(raw):
         except ConvergenceFailure:
             return
         cell, = sweep(p, ("alpha_pi", p.alpha_pi, p.alpha_pi, 1), ("k", p.k, p.k, 1)).counts
+        U, V = (x[None] for x in _factors(rf.slot_blocks, p))
         try:
             counts = report(rf).counts
         except ConvergenceFailure:
             counts = dict.fromkeys(COUNT_KEYS, -1)
+            if cell[0] != -1:
+                # the census certified a count that the eigen-solve cannot give
+                counts = dict(zip(COUNT_KEYS, _referee_counts(U[0], V[0], 1e-8)))
         assert dict(zip(COUNT_KEYS, cell.tolist())) == counts
-        U, V = (x[None] for x in _factors(rf.slot_blocks, p))
         A = _transition(U, V)
         vals9, failure9 = _spectra(A)
         vals6, failure6 = _spectra(A, (U, V))
@@ -745,6 +752,133 @@ def test_routes_over_the_valid_domain(raw):
         tuple(map(int, _counts(np.array([complex(a) for a in ref]), 1e-8)))
 
 
+def _referee_counts(U, V, tau):
+    """Stable, unstable and borderline counts of a 30-digit solve of V'U
+    (U, V: 9 x 6) and rank 6's three exact zeros, against the float radii
+    1 - tau and 1 + tau, as :func:`_counts` reads them."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        S = mpmath.matrix(V.T.tolist()) * mpmath.matrix(U.tolist())
+        mods = [abs(z) for z in mpmath.eig(S, left=False, right=False)] + [0] * (ORDER - 6)
+        stable = sum(m < 1.0 - tau for m in mods)
+        unstable = sum(m > 1.0 + tau for m in mods)
+    return stable, unstable, ORDER - stable - unstable
+
+
+def _census_certified(U, V, tau):
+    """``_census`` of a stack, and whether it certified every count itself,
+    without its fallback to ``_solved``."""
+    with mock.patch.object(statespace, "_solved", wraps=statespace._solved) as solved:
+        counts, failure = statespace._census(U, V, tau)
+    return counts, failure, not solved.called
+
+
+def _census_domain(name):
+    """The valid-domain property's values of ``name``, and for a persistence
+    also point masses at +-1e-5 and +-1e-12, where the eigenpair residual
+    check rejects accurate spectra (ROADMAP item 11)."""
+    if name.startswith("rho_"):
+        return _valid_range(name) | st.sampled_from((1e-5, -1e-5, 1e-12, -1e-12))
+    return _valid_range(name)
+
+
+def _taylor_band_edge(side):
+    """The alpha_pi nearest 1/beta, at the default beta, on the ``side``
+    (-1 or 1) of the band |1 - alpha_pi beta| <= EPS_SING that validate
+    refuses."""
+    beta = DEFAULTS["beta"]
+    alpha = (1.0 + side * EPS_SING) / beta
+    while abs(1.0 - alpha * beta) > EPS_SING:
+        alpha = math.nextafter(alpha, 1.0 / beta)
+    while abs(1.0 - alpha * beta) <= EPS_SING:
+        alpha = math.nextafter(alpha, side * math.inf)
+    return alpha
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({name: _census_domain(name) for name in FIELD_NAMES}),
+       st.sampled_from((0.0, 1e-8, 0.3, 1.0, 2.0)) | st.floats(0.0, 3.0))
+@example({**DEFAULTS, "k": 1e12}, 1e-8)
+@example({**DEFAULTS, "alpha_pi": _taylor_band_edge(-1)}, 1e-8)
+@example({**DEFAULTS, "alpha_pi": _taylor_band_edge(1)}, 1e-8)
+@example({**DEFAULTS, **{pair.split("=")[0]: float(pair.split("=")[1])
+                         for pair in DOUBLE_ROOT[1::2]}}, 1e-8)
+@example(DEFAULTS, 0.0)
+@example(DEFAULTS, 1e-8)
+@example(DEFAULTS, 0.3)
+@example(DEFAULTS, 1.0)
+@example(DEFAULTS, 2.0)
+def test_census_counts_equal_a_30_digit_referee(raw, tau):
+    # wherever the census certifies a count, it is the count of a 30-digit
+    # solve of V'U plus three zeros
+    try:
+        p = validate(raw)
+    except InvalidParams:
+        return
+    with np.errstate(all="ignore"):
+        try:
+            rf = compute_all(p)
+        except ConvergenceFailure:
+            return
+        U, V = _factors(rf.slot_blocks, p)
+        counts, _, certified = _census_certified(U[None], V[None], tau)
+    if certified:
+        assert tuple(counts[0].tolist()) == _referee_counts(U, V, tau)
+
+
+def _diagonal_factors(roots):
+    """Factors U, V (1, 9, 6) whose V'U is exactly diag(roots).  They do not
+    follow A's layout, so only the census reads them right."""
+    U, V = np.zeros((1, ORDER, 6)), np.zeros((1, ORDER, 6))
+    U[0, :6], V[0, :6] = np.diag(roots), np.eye(6)
+    return U, V
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-8, 0.3])
+def test_census_radii_are_one_minus_and_one_plus_tau(tau):
+    # roots a millionth inside or outside the radii 1 - tau and 1 + tau are
+    # counted by the census alone, as _counts reads them; a root on a radius
+    # leaves the count to the eigen-solve.  No two roots are reciprocal,
+    # a pair no Schur-Cohn step could certify
+    others = [0.3, -0.6, 3.0, -5.0, 0.1]
+    for radius in (1.0 - tau, 1.0 + tau):
+        for near in (radius * (1 - 1e-6), -radius * (1 + 1e-6)):
+            roots = np.array([near] + others)
+            counts, _, alone = _census_certified(*_diagonal_factors(roots), tau)
+            want = _counts(np.concatenate([roots, np.zeros(3)]), tau)
+            assert tuple(counts[0].tolist()) == tuple(map(int, want)) and alone, roots
+        roots = np.array([radius] + others)
+        assert not _census_certified(*_diagonal_factors(roots), tau)[2], roots
+
+
+@pytest.mark.parametrize("tau", [1.0, 2.0])
+def test_census_counts_no_root_stable_from_tau_1(tau):
+    # no modulus lies below 1 - tau <= 0: the three zeros are borderline,
+    # and the census needs no eigen-solve for it
+    roots = np.array([0.5, -0.25, 1.5, 2.5, -3.5, 9.0])
+    counts, failure, alone = _census_certified(*_diagonal_factors(roots), tau)
+    want = _counts(np.concatenate([roots, np.zeros(3)]), tau)
+    assert tuple(counts[0].tolist()) == tuple(map(int, want)) and want[0] == 0
+    assert failure[0] == 0 and alone
+
+
+def test_a_vanishing_polynomial_has_no_certified_count():
+    # every delta of q = 0 is 0 and so is its bound: exact coefficients do
+    # not certify a count of roots that all lie on the circle
+    assert not statespace._schur_cohn(np.zeros((3, 1)), np.zeros(1))[1][0]
+
+
+def test_non_finite_factors_fail_in_the_census():
+    # a non-finite matrix is never certified: it fails as the eigen-solve
+    # fails it
+    U, V = _diagonal_factors(np.full(6, 0.5))
+    for bad in (math.inf, math.nan):
+        U[0, 0, 0] = bad
+        counts, failure, alone = _census_certified(U, V, 1e-8)
+        assert statespace._EIGEN_FAILURES[failure[0]] == \
+            "transition matrix has non-finite entries" and not alone
+
+
 def test_power_is_scalar_pow_per_element():
     rng = np.random.default_rng(7)
     x = np.concatenate([rng.uniform(-1.0, 1.0, 5000),
@@ -762,12 +896,17 @@ def test_power_is_scalar_pow_per_element():
     assert power(-1e200, 3) == -math.inf and power(-1e200, 2) == math.inf
 
 
+#: a grid whose counts the census certifies nowhere (k from 1e12, where
+#: the characteristic coefficients' bounds swamp them), so that every solved
+#: cell reaches the eigen-solve
+_UNCERTIFIED_GRID = (("alpha_pi", 0.5, 2.5, 3), ("k", 1e12, 1e13, 6))
+
+
 def test_stacked_eig_failure_fails_only_its_cell(default_params, monkeypatch):
-    axis1, axis2 = ("alpha_pi", 0.5, 2.5, 3), ("rho_chi", 0.1, 1.1, 6)
+    axis1, axis2 = _UNCERTIFIED_GRID
     reference = _reference_cells(default_params, axis1, axis2)
     bad_cell = (float(np.linspace(*axis1[1:])[1]), float(np.linspace(*axis2[1:])[1]))
-    bad = validate({**default_params.as_dict(), "alpha_pi": bad_cell[0],
-                    "rho_chi": bad_cell[1]})
+    bad = validate({**default_params.as_dict(), "alpha_pi": bad_cell[0], "k": bad_cell[1]})
     rf = compute_all(bad)
     U, V = _factors(rf.slot_blocks, bad)
     # the bad cell's matrix as either route solves it: the rank-6 route's
@@ -775,16 +914,18 @@ def test_stacked_eig_failure_fails_only_its_cell(default_params, monkeypatch):
     # rejected, so its matrices go straight to the 9 x 9 retry: the bad
     # cell's V'U is never solved alone, and its A fails the retry
     bad_forms = (V.T @ U, build(rf).A)
-    eig = np.linalg.eig
+    eig, calls = np.linalg.eig, []
 
     def refuse(a):
         # reject every stack, and the one matrix of the bad cell
+        calls.append(len(a))
         if len(a) > 1 or any(np.array_equal(a[0], form) for form in bad_forms):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", refuse)
     res = sweep(default_params, axis1, axis2)
+    assert calls[0] == len(res.counts)
     names = _names(res)
     failed = [i for i, name in enumerate(names) if name == "failed"]
     grid1, grid2 = res.axis1[1].tolist(), res.axis2[1].tolist()
@@ -797,12 +938,12 @@ def test_stacked_eig_failure_fails_only_its_cell(default_params, monkeypatch):
 
 def test_a_rejected_stack_falls_back_once_to_the_9x9_route(default_params, monkeypatch):
     # eig rejects every stack of more than one matrix: the sweep's one slice
-    # makes one stacked 6 x 6 call, then retries each solved cell alone by
-    # the 9 x 9 route, never by the rank-6 route, with the unpatched counts
-    axis1, axis2 = ("alpha_pi", 0.5, 2.5, 3), ("rho_chi", 0.1, 1.1, 6)
-    want = sweep(default_params, axis1, axis2)
+    # makes one stacked 6 x 6 call for the cells the census leaves, then
+    # retries each alone by the 9 x 9 route, never by the rank-6 route,
+    # with the unpatched counts
+    want = sweep(default_params, *_UNCERTIFIED_GRID)
     solved = sum(name not in ("invalid", "failed") for name in _names(want))
-    assert solved == 15
+    assert solved == 18
     eig, calls = np.linalg.eig, {}
 
     def refuse_stacks(a):
@@ -813,7 +954,7 @@ def test_a_rejected_stack_falls_back_once_to_the_9x9_route(default_params, monke
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", refuse_stacks)
-    res = sweep(default_params, axis1, axis2)
+    res = sweep(default_params, *_UNCERTIFIED_GRID)
     assert calls == {("stack", 6): 1, ("single", 9): solved}
     assert np.array_equal(res.counts, want.counts)
     assert np.array_equal(res.verdicts, want.verdicts)

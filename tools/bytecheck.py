@@ -204,6 +204,12 @@ SINGLE = (
     # responses that decay through 3-digit exponents to subnormals and to
     # exact zeros
     ["irf", "--shock", "lambda", "--H", "340", "--param", "rho_chi=0.1"],
+    # near-zero drift persistences: the census certifies the counts 8 / 1
+    # that the eigen-solve rejects (ROADMAP item 11)
+    ["sweep", "--axis1", "rho_ybar:-1e-5:1e-5:3", "--axis2", "rho_g:0.8:0.8:1"],
+    # counts the census cannot certify: every cell goes to the eigen-solve.
+    # From k = 1e12 on, those counts move with the CPU's BLAS kernels
+    ["sweep", "--axis1", "k:1e9:1e11:3", "--axis2", "alpha_pi:1.2:1.8:2"],
 )
 
 COMMANDS = (*(argv + opts for opts in PARAMS.values() for argv in PER_PARAMS),
