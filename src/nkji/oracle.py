@@ -191,7 +191,10 @@ def _matching_blocks(p: StructuralParams) -> tuple[np.ndarray, np.ndarray, Vec]:
     cells = p.cells
     probe = np.broadcast_to(_PROBE.reshape(*_PROBE.shape, *(1,) * len(cells)),
                             (*_PROBE.shape, *cells))
-    return _read_blocks(_residual(probe, p))
+    # a residual that overflows leaves non-finite blocks, which the solve
+    # reports as a singular system, not as numpy warnings
+    with np.errstate(all="ignore"):
+        return _read_blocks(_residual(probe, p))
 
 
 def _condition_number(lone: np.ndarray, linked: np.ndarray) -> Vec:
@@ -318,14 +321,16 @@ def residuals(ep: EquilibriumPath) -> dict[str, float]:
     recomputed from the emitted series (expectation terms evaluated from the
     emitted expectation series, not from next-period realizations) and the
     path's AR states, at the coefficient set's parameters; each passes at
-    most 1e-9 off zero."""
+    most 1e-9 off zero.  Raises :class:`ConvergenceFailure` where a residual
+    is not finite."""
     p = ep.rf.params
     path = ep.path
     mu_l1 = np.concatenate(([path.initial.mu[0]], path.state("mu")[:-1]))
     rbar = p.sigma * p.rho_ybar * (p.rho_ybar - 1.0) * mu_l1
+    with np.errstate(all="ignore"):
+        is_curve = ep["yhat"] - ep["Eyhat"] + (ep["i"] - ep["Epi"] - rbar) / p.sigma
     series = {
-        "is_curve": ep["yhat"] - ep["Eyhat"]
-                    + (ep["i"] - ep["Epi"] - rbar) / p.sigma,
+        "is_curve": is_curve,
         "okun": (ep["u"] - path.state("ubar"))
                 + p.theta * (ep["y"] - path.state("mu")),
         "phillips": ep["pi"] - p.beta * ep["Epi"] - p.k * ep["yhat"]
@@ -336,7 +341,10 @@ def residuals(ep: EquilibriumPath) -> dict[str, float]:
     }
     if ep.budget_mode == "balanced":
         series["budget"] = path.state("g") - path.state("tax")
-    return {eq: float(np.max(np.abs(s))) for eq, s in series.items()}
+    maxima = {eq: float(np.max(np.abs(s))) for eq, s in series.items()}
+    if not np.isfinite(list(maxima.values())).all():
+        raise ConvergenceFailure("structural residuals are not finite")
+    return maxima
 
 
 # ---------------------------------------------------------------------------

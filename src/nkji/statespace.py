@@ -172,9 +172,10 @@ def _spectra(A: Vec, factors: tuple[Vec, Vec] | None = None) -> tuple[Vec, Vec]:
     With ``factors`` U, V (n, 9, 6) of A = U V', the solver sees the 6 x 6
     V' U instead: each of its eigenpairs (a, w) lifts to the pair (a, U w)
     of A, and the three eigenvalues rank 6 leaves are exact zeros, appended
-    last.  Every check is made on A and the lifted pairs.  A matrix with
-    non-finite entries is solved as zeros.  When the solver rejects the
-    stack, each of its matrices fails with the last code of
+    last.  Every check is made on A and the lifted pairs, in the dtype the
+    solver returns.  A matrix with non-finite entries is solved as zeros and
+    fails with code 1, whatever its check gives.  When the solver rejects
+    the stack, each of its matrices fails with the last code of
     ``_EIGEN_FAILURES``.  At extreme scales each route fails matrices the
     other solves (:func:`_solved`)."""
     finite = np.isfinite(A).all(axis=(1, 2))
@@ -187,16 +188,13 @@ def _spectra(A: Vec, factors: tuple[Vec, Vec] | None = None) -> tuple[Vec, Vec]:
         vals, vecs = np.linalg.eig(np.where(finite[:, None, None], S, 0.0))
     except np.linalg.LinAlgError:
         return np.zeros((len(A), ORDER), dtype=complex), np.full(len(A), len(_EIGEN_FAILURES) - 1)
-    A = np.where(finite[:, None, None], A, 0.0)
-    # real when every eigenvalue of the stack is
-    vecs = vecs.astype(complex, copy=False)
     if factors is not None:
-        vecs = _real_times(U, vecs)
+        vecs = U @ vecs
     with np.errstate(all="ignore"):
         # entries beyond ~1e154 overflow the Frobenius norm, and an infinite
         # norm would pass every residual check
         norm = np.linalg.norm(A, axis=(1, 2))
-        resid = np.linalg.norm(_real_times(A, vecs) - vecs * vals[:, None, :], axis=1)
+        resid = np.linalg.norm(A @ vecs - vecs * vals[:, None, :], axis=1)
         bound = 1e-8 * norm[:, None] * np.linalg.norm(vecs, axis=1)
         bad_pair = (norm[:, None] > 0) & (resid > bound)
     failure = np.select([~finite, ~np.isfinite(vals).all(axis=1),
@@ -205,12 +203,6 @@ def _spectra(A: Vec, factors: tuple[Vec, Vec] | None = None) -> tuple[Vec, Vec]:
     if factors is not None:
         vals = np.concatenate([vals, np.zeros((len(vals), ORDER - RANK))], axis=1)
     return vals, failure
-
-
-def _real_times(M: Vec, Z: Vec) -> Vec:
-    """``M @ Z`` for a real stack M and a complex stack Z, as one real
-    product on the interleaved real and imaginary parts of Z."""
-    return (M @ Z.view(np.float64)).view(complex)
 
 
 def _solved(U: Vec, V: Vec) -> tuple[Vec, Vec, Vec]:
@@ -408,18 +400,23 @@ def _counts(eigs: Vec, tau: float) -> tuple[Vec, Vec, Vec]:
 def report(rf: ReducedForm, tau: float = 1e-8,
            n_pre: int | None = None) -> DeterminacyReport:
     """Eigenvalues, characteristic coefficients and verdicts for every
-    possible predetermined count (or a single one if ``n_pre`` is given)."""
+    possible predetermined count (or a single one if ``n_pre`` is given).
+    Raises :class:`ConvergenceFailure` where the eigen-solve fails or a
+    coefficient is not finite."""
     _check_rule(n_pre, tau)
     U, V = (x[None] for x in _factors(rf.slot_blocks, rf.params))
     A, vals, failure = _solved(U, V)
     if failure[0]:
         raise ConvergenceFailure(_EIGEN_FAILURES[failure[0]])
+    with np.errstate(all="ignore"):
+        k = char_poly(A[0])
+    if not np.isfinite(k).all():
+        raise ConvergenceFailure("characteristic polynomial is not finite")
     stable, unstable, borderline = map(int, _census(U, V, tau)[0][0])
     pres = range(ORDER + 1) if n_pre is None else (n_pre,)
     verdicts = {n: VERDICTS[_verdict_codes(stable, borderline, n)] for n in pres}
     counts = {"stable": stable, "unstable": unstable, "borderline": borderline}
-    return DeterminacyReport(eigenvalues=vals[0], k=char_poly(A[0]), counts=counts,
-                             verdicts=verdicts)
+    return DeterminacyReport(eigenvalues=vals[0], k=k, counts=counts, verdicts=verdicts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,10 +490,11 @@ def sweep(base: StructuralParams,
     """Determinacy verdicts over a 2-D parameter grid.
 
     Grid cells that fail parameter validation are marked invalid, cells
-    whose coefficients overflow or whose eigen-solve fails are marked
-    failed; neither aborts the sweep.  The two axes must name two different
-    parameters, and the grid may have at most ``SWEEP_MAX_CELLS`` cells;
-    otherwise :class:`InvalidParams` names each offender.
+    whose coefficients overflow or whose count is not certified and whose
+    eigen-solve fails are marked failed; neither aborts the sweep.  The two
+    axes must name two different parameters, and the grid may have at most
+    ``SWEEP_MAX_CELLS`` cells; otherwise :class:`InvalidParams` names each
+    offender.
     Results are assembled in fixed grid order regardless of worker count,
     so output is reproducible across parallelism levels.
     """

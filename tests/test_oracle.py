@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nkji import compute_all, draw, simulate, solve_undetermined
+from nkji import compute_all, draw, report, simulate, solve_undetermined
 from nkji.cli import main
 from nkji.coeffs import ReducedForm, _chain_expectation
 from nkji import oracle
@@ -191,6 +191,22 @@ def test_singular_matching_system_reported():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceFailure, match="singular"):
             solve_undetermined(p)
+
+
+@pytest.mark.parametrize("call, sigma, message", [
+    # the trace recursion overflows: report's characteristic coefficients
+    (lambda p: report(compute_all(p)), 1e100, "characteristic polynomial is not finite"),
+    # 1/sigma overflows in the matching residual and in the IS-curve residual
+    (solve_undetermined, 5e-324, "matching system is singular"),
+    (lambda p: residuals(simulate(compute_all(p), draw(p, 1, 20))), 5e-324,
+     "structural residuals are not finite"),
+], ids=["report", "solve_undetermined", "residuals"])
+def test_overflow_raises_a_convergence_failure_not_a_warning(call, sigma, message):
+    p = validate({**DEFAULTS, "sigma": sigma})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceFailure, match=message):
+            call(p)
 
 
 def test_ar_links_are_the_oracles_ar_laws():

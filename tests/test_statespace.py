@@ -879,6 +879,29 @@ def test_non_finite_factors_fail_in_the_census():
             "transition matrix has non-finite entries" and not alone
 
 
+def test_a_non_finite_matrix_in_a_stack_fails_on_its_own(default_params):
+    # the defaults, k = 1e12 (which the rank-6 check fails) and the defaults
+    # with one infinite loading, stacked as the census stacks the cells it
+    # leaves: the non-finite matrix fails with code 1 and moves neither the
+    # values nor the code of its neighbours, on each route and in _solved
+    sets = [_factors(compute_all(p).slot_blocks, p)
+            for p in (default_params, default_params.replace(k=1e12), default_params)]
+    U, V = (np.stack(x) for x in zip(*sets))
+    U[2, 0, 0] = math.inf
+    A = _transition(U, V)
+    routes = {"rank-6": (lambda U, V, A: _spectra(A, (U, V)), [0, 4, 1]),
+              "9 x 9": (lambda U, V, A: _spectra(A), [0, 0, 1]),
+              "solved": (lambda U, V, A: _solved(U, V)[1:], [0, 0, 1])}
+    bits = lambda x: np.asarray(x, dtype=complex).tobytes()
+    with np.errstate(all="ignore"):
+        for name, (route, codes) in routes.items():
+            vals, failure = route(U, V, A)
+            assert failure.tolist() == codes, name
+            for j in range(3):
+                alone, code = route(U[j:j + 1], V[j:j + 1], A[j:j + 1])
+                assert bits(vals[j]) == bits(alone[0]) and failure[j] == code[0], (name, j)
+
+
 def test_power_is_scalar_pow_per_element():
     rng = np.random.default_rng(7)
     x = np.concatenate([rng.uniform(-1.0, 1.0, 5000),

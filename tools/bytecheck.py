@@ -84,11 +84,14 @@ SINGLE = (
        "--workers", w] for w in ("1", "2")),
     *(["sweep", "--axis1", "alpha_pi:0.5:2.5:23", "--axis2", "rho_chi:0:1.1:25",
        "--workers", w] for w in ("1", "2")),
-    # hard cells for the sweep's rank-6 route: rho_chi up to 1 - 1e-9 on
-    # both signs, the drift and spending persistences near +-1 at several
-    # predetermined counts, a modulus crossing the unit circle inside the
-    # borderline band (rho_ybar near 0.41578425 and 0.69246222), and the
-    # Taylor denominator 1 - alpha_pi*beta through zero (beta = 0.99)
+    # hard cells for the census and its eigen fallback: rho_chi up to
+    # 1 - 1e-9 on both signs, the drift and spending persistences near +-1
+    # at several predetermined counts, a modulus crossing the unit circle
+    # inside the borderline band (rho_ybar near 0.41578425 and 0.69246222),
+    # and the Taylor denominator 1 - alpha_pi*beta through zero
+    # (beta = 0.99).  The census certifies every cell of the rho_chi and
+    # borderline-band grids; some cells of the persistence and Taylor grids
+    # reach the eigen-solve
     ["sweep", "--axis1", "rho_chi:0.9999999:0.999999999:9", "--axis2", "alpha_pi:1.2:1.8:3"],
     ["sweep", "--axis1", "rho_chi:-0.999999999:-0.9999999:9", "--axis2", "alpha_pi:1.2:1.8:3",
      "--tol", "1e-9"],
@@ -157,7 +160,8 @@ SINGLE = (
     ["coeffs", "--param", "\r=0"],
     ["sweep", "--axis1", "no\x1bsuch:0:1:3", "--axis2", "k:0:1:2"],
     # a matrix the 9 x 9 eigen route falsely fails and the rank-6 route
-    # solves, through determinacy and the sweep
+    # solves, through determinacy; the sweep's census certifies its count
+    # without eigenvalues
     ["determinacy", "--param", "sigma=1e-40"],
     ["sweep", "--axis1", "sigma:1e-40:1e-40:1", "--axis2", "k:0.3:0.3:1"],
     # non-finite matching blocks: LAPACK must not write to stdout
@@ -210,8 +214,15 @@ SINGLE = (
     # counts the census cannot certify: every cell goes to the eigen-solve.
     # From k = 1e12 on, those counts move with the CPU's BLAS kernels
     ["sweep", "--axis1", "k:1e9:1e11:3", "--axis2", "alpha_pi:1.2:1.8:2"],
+    # characteristic coefficients that overflow where the eigen-solve
+    # passes: a numerical failure
+    ["determinacy", "--param", "sigma=1e100"],
 )
 
+# every determinacy command takes its eigenvalues from the eigen-solve
+# (statespace._solved); of the sweep commands, only numbers 59, 67-69,
+# 72-74, 97, 129, 131 and 143 have cells the census leaves to it, so only
+# they guard its bytes in the sweep
 COMMANDS = (*(argv + opts for opts in PARAMS.values() for argv in PER_PARAMS),
             *SINGLE)
 
