@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,9 +69,11 @@ def _write(args, parts: Iterable[str]) -> None:
 CSV_CHUNK = 8192
 
 
-def _cells(chunk: np.ndarray) -> np.ndarray:
+def _cells(chunk: Sequence) -> np.ndarray:
     """The text of each element of a part of a column, as a matrix of ASCII
     bytes with NUL bytes among them, one row per element."""
+    chunk = (np.arange(chunk.start, chunk.stop, chunk.step) if isinstance(chunk, range)
+             else np.asarray(chunk))
     if chunk.dtype.kind == "f":
         return text.floats(chunk)
     if chunk.dtype.kind == "i":
@@ -80,12 +82,13 @@ def _cells(chunk: np.ndarray) -> np.ndarray:
     return fixed.view(np.uint8).reshape(len(fixed), fixed.itemsize)
 
 
-def _csv(header: str, columns: dict[str, Sequence]) -> Iterator[str]:
+def _csv(header: str, columns: dict[str, Sequence | Callable]) -> Iterator[str]:
     """CSV text in parts: a schema line and a header of the column names,
-    then one row per position of the first column, in parts of at most
-    ``CSV_CHUNK`` floats.  A column is an array or a sequence.  Floats are
-    written as ``repr`` writes them and integers as ``str`` does (see
-    :mod:`nkji.text`); the float arrays of a part are formatted together.
+    then one row per position of the longest array or sequence, in parts of
+    at most ``CSV_CHUNK`` floats.  A column is an array, a sequence, or a
+    function from an array of a part's row numbers to its cells there.
+    Floats are written as ``repr`` writes them and integers as ``str`` does
+    (see :mod:`nkji.text`); the float arrays of a part are formatted together.
     Every position past the end of a shorter column is an empty cell.  A
     non-finite value in a float array is a numerical failure, raised before
     the first part."""
@@ -94,21 +97,27 @@ def _csv(header: str, columns: dict[str, Sequence]) -> Iterator[str]:
                if in_batch):
         raise ConvergenceFailure("output is not finite")
     yield f"# nkji {header} csv {SCHEMA}\n{','.join(columns)}\n"
-    separators = np.array([[ord(",")]] * (len(columns) - 1) + [[ord("\n")]], np.uint8)
+    separators = np.array([ord(",")] * (len(columns) - 1) + [ord("\n")], np.uint8)
+    n = max(len(col) for col in columns.values() if not callable(col))
     step = CSV_CHUNK // max(1, sum(batched))
-    for start in range(0, len(next(iter(columns.values()))), step):
-        chunks = [col[start:start + step] for col in columns.values()]
-        batch = [chunk for chunk, in_batch in zip(chunks, batched) if in_batch]
-        floats = iter(np.split(_cells(np.concatenate(batch or [np.empty(0)])),
-                               np.cumsum([len(chunk) for chunk in batch[:-1]])))
-        rows, texts = len(chunks[0]), []
-        for chunk, in_batch, separator in zip(chunks, batched, separators):
-            cells = next(floats) if in_batch else _cells(np.asarray(chunk))
-            if len(chunk) != rows:   # empty cells past the end of a shorter column
-                cells = np.pad(cells, ((0, rows - len(chunk)), (0, 0)))
-            texts += [cells, np.broadcast_to(separator, (rows, 1))]
-        row = np.concatenate(texts, axis=1).ravel()
-        yield row.compress(row != 0).tobytes().decode()
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        chunks = [col(rows) if callable(col) else col[start:start + step]
+                  for col in columns.values()]
+        floats = _cells(np.concatenate(
+            [chunk for chunk, in_batch in zip(chunks, batched) if in_batch] or [np.empty(0)]))
+        cells, used = [], 0
+        for chunk, in_batch in zip(chunks, batched):
+            cells.append(floats[used:used + len(chunk)] if in_batch else _cells(chunk))
+            used += len(chunk) * in_batch
+        # each cell ends at its separator; past the end of a shorter column,
+        # and after the text in each cell, the row holds NULs, which go
+        ends = np.cumsum([cell.shape[1] + 1 for cell in cells])
+        row = np.zeros((len(rows), ends[-1]), np.uint8)
+        row[:, ends - 1] = separators
+        for cell, end in zip(cells, ends):
+            row[:len(cell), end - 1 - cell.shape[1]:end - 1] = cell
+        yield row.tobytes().translate(None, b"\0").decode()
 
 
 def _json(obj) -> str:
@@ -237,9 +246,10 @@ def cmd_simulate(args, p) -> tuple[str, dict]:
 def cmd_irf(args, p) -> tuple[str, dict]:
     table = sim.irf(coeffs.compute_all(p), args.shock, args.H)
     names = (*sim.SERIES, *shocks.AR_STATES)
+    variables = np.array(names, dtype="S")
     return "irf", {
-        "h": np.tile(np.arange(args.H), len(names)),
-        "variable": np.repeat(np.array(names, dtype="S"), args.H),
+        "h": lambda rows: rows % args.H,
+        "variable": lambda rows: variables[rows // args.H],
         "response": np.concatenate([table[var] for var in names])}
 
 

@@ -267,9 +267,14 @@ def char_poly(A: Vec) -> Vec:
 
     Uses the trace recursion (Faddeev-LeVerrier), a route independent of the
     eigensolver, so the two can cross-validate.  Convention: the leading
-    term is (-a)^9, hence k9 = -1 and k0 = det(A).
+    term is (-a)^9, hence k9 = -1 and k0 = det(A).  Raises
+    :class:`ConvergenceFailure` where a coefficient is not finite.
     """
-    return -_leverrier(A, np.abs(A))[0][::-1]
+    with np.errstate(all="ignore"):
+        k = -_leverrier(A, np.abs(A))[0][::-1]
+    if not np.isfinite(k).all():
+        raise ConvergenceFailure("characteristic polynomial is not finite")
+    return k
 
 
 def _leverrier(S: Vec, P: Vec) -> tuple[Vec, Vec]:
@@ -408,10 +413,7 @@ def report(rf: ReducedForm, tau: float = 1e-8,
     A, vals, failure = _solved(U, V)
     if failure[0]:
         raise ConvergenceFailure(_EIGEN_FAILURES[failure[0]])
-    with np.errstate(all="ignore"):
-        k = char_poly(A[0])
-    if not np.isfinite(k).all():
-        raise ConvergenceFailure("characteristic polynomial is not finite")
+    k = char_poly(A[0])
     stable, unstable, borderline = map(int, _census(U, V, tau)[0][0])
     pres = range(ORDER + 1) if n_pre is None else (n_pre,)
     verdicts = {n: VERDICTS[_verdict_codes(stable, borderline, n)] for n in pres}

@@ -2,11 +2,14 @@
 
 Digits: the shortest that read back to the same float, the nearest of those,
 ties to even, chosen without a loop by Schubfach's ``toDecimal`` (Giulietti
-2020; the JDK's ``DoubleToDecimal``) in uint64 arithmetic.  Subnormals alone
-fall back to ``repr``.  Layout: positional where the point position
-``decpt`` (value = 0.d1d2... x 10**decpt) is in -3..16, with ``.0`` on an
-integral value; ``d.ddde-XX`` otherwise.  A cell is six uint64 words (a
-sign, ``0.000``, 17 digits each followed by a point, an exponent), and a
+2020; the JDK's ``DoubleToDecimal``) in uint64 arithmetic.  The scaled value
+and both ends of its rounding interval come from one exact 128-bit product
+of ``10**-k`` and the scaled significand: the ends differ from it by
+``10**-k`` shifted left, added or taken away with a carry or a borrow.
+Subnormals alone fall back to ``repr``.  Layout: positional where the point
+position ``decpt`` (value = 0.d1d2... x 10**decpt) is in -3..16, with ``.0``
+on an integral value; ``d.ddde-XX`` otherwise.  A cell is six uint64 words
+(a sign, ``0.000``, 17 digits each followed by a point, an exponent), and a
 mask chosen by the sign, the layout class and the count of significant
 digits turns the bytes that are not text into NULs.
 """
@@ -92,18 +95,33 @@ def _groups(a: np.ndarray) -> np.ndarray:
     return out.view(np.int64)
 
 
-def _mulhi(a1, a0, b):
-    """The high 64 bits of each 128-bit product ``a * b``, where ``a1`` and
-    ``a0`` are the high and low 32-bit limbs of ``a``."""
-    b1, b0 = b >> 32, b & _LOW32
+def _mulhi(a, b):
+    """The high 64 bits of each 128-bit product ``a * b`` of uint64 arrays."""
+    a1, a0, b1, b0 = a >> 32, a & _LOW32, b >> 32, b & _LOW32
     mid = a1 * b0 + (a0 * b0 >> 32)
     return a1 * b1 + (mid >> 32) + ((mid & _LOW32) + a0 * b1 >> 32)
 
 
-def _rop(g1, g0, cp):
-    """``g * cp / 2**127`` rounded to odd, where ``g = g1 2**63 + g0``."""
-    z = (g1 * cp >> 1) + _mulhi(g0 >> 32, g0 & _LOW32, cp)
-    return _mulhi(g1 >> 32, g1 & _LOW32, cp) + (z >> 63) | (z & _LOW63) + _LOW63 >> 63
+def _odd(y1, y0, x1):
+    """``g p / 2**127`` rounded to odd (Schubfach's ``rop``), for ``g = g1
+    2**63 + g0``, from the words ``y1``, ``y0`` of ``g1 p`` and the high
+    word ``x1`` of ``g0 p``."""
+    z = (y0 >> 1) + x1
+    return y1 + (z >> 63) | (z & _LOW63) + _LOW63 >> 63
+
+
+def _interval(g1, g0, cp, el, er):
+    """``g (cp - 2**el)``, ``g cp`` and ``g (cp + 2**er)`` over 2**127, each
+    rounded to odd, for ``g = g1 2**63 + g0``.  The ends' products are the
+    centre's, exact in the words of ``g1 cp`` and ``g0 cp``, less or plus
+    ``g1`` and ``g0`` shifted left, with a borrow or a carry."""
+    y1, y0, x1, x0 = _mulhi(g1, cp), g1 * cp, _mulhi(g0, cp), g0 * cp
+    d1, d0 = g1 << el, g0 << el
+    vbl = _odd(y1 - (g1 >> 64 - el) - (y0 < d1), y0 - d1, x1 - (g0 >> 64 - el) - (x0 < d0))
+    d1, d0 = g1 << er, g0 << er
+    vbr = _odd(y1 + (g1 >> 64 - er) + (y0 + d1 < d1), y0 + d1,
+               x1 + (g0 >> 64 - er) + (x0 + d0 < d0))
+    return vbl, _odd(y1, y0, x1), vbr
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,9 +137,8 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = q * 661_971_961_083 - lopsided * 274_743_187_321 >> 41
     h = (q + (-k * 913_124_641_741 >> 38) + 2).astype(_U64)
     g1, g0 = t.g1.take(k - _K_MIN), t.g0.take(k - _K_MIN)
-    cb = c << _U64(2)
     # v and the ends of its rounding interval, each times 4 / 10**k
-    vbl, vb, vbr = _rop(g1, g0, np.stack([cb - _U64(2) + lopsided, cb, cb + _U64(2)]) << h)
+    vbl, vb, vbr = _interval(g1, g0, c << h + _U64(2), h + _U64(1) - lopsided, h + _U64(1))
     odd = c & _U64(1)
     s = vb >> _U64(2)
     # one digit fewer: the multiple of ten below or above s, if exactly one

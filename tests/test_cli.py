@@ -11,6 +11,7 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -683,6 +684,67 @@ def test_csv_bytes_do_not_depend_on_the_part_size(tmp_path, monkeypatch, argv):
     # last part) and of shocks, 17 rows of irf and coeffs, 8 of sweep
     monkeypatch.setattr(cli, "CSV_CHUNK", 17)
     assert run(tmp_path, *argv) == whole
+
+
+def _plain_csv(header, columns):
+    """The CSV of ``cli._csv`` cell by cell, from ``repr``, ``str`` and the
+    bytes of each value."""
+    n = max(len(col) for col in columns.values() if not callable(col))
+    cells = [col(np.arange(n)) if callable(col) else col for col in columns.values()]
+
+    def cell(col, i):
+        if i >= len(col):
+            return ""
+        value = col[i]
+        if isinstance(value, bytes):
+            return value.decode()
+        return repr(float(value)) if isinstance(value, float) else str(int(value))
+
+    rows = [",".join(cell(col, i) for col in cells) + "\n" for i in range(n)]
+    return f"# nkji {header} csv v1\n{','.join(columns)}\n" + "".join(rows)
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -0.0, 5e-324, -2.225073858507201e-308, 2.0**-1022]))
+_LABELS = np.array([b"y", b"pi", b"", b"chi"], dtype="S")
+
+
+@st.composite
+def _csv_columns(draw):
+    """Up to five columns of up to 60 rows, the first the longest: float and
+    int arrays, ranges and fixed byte strings, and after the first, also
+    functions of the row numbers, the forms ``irf`` uses."""
+    sized = ["float", "int", "range", "bytes"]
+    n = draw(st.integers(0, 60))
+    kinds = [draw(st.sampled_from(sized)),
+             *draw(st.lists(st.sampled_from([*sized, "period", "label"]), max_size=4))]
+    columns = {}
+    for i, kind in enumerate(kinds):
+        name, size = f"c{i}", n if i == 0 else draw(st.integers(0, n))
+        if kind in ("period", "label"):
+            p = draw(st.integers(1, 9))
+            columns[name] = ((lambda rows, p=p: rows % p) if kind == "period"
+                             else lambda rows, p=p: _LABELS[rows // p % len(_LABELS)])
+        elif kind == "range":
+            start, step = draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 3))
+            columns[name] = range(start, start + size * step, step)
+        elif kind == "bytes":
+            texts = draw(st.lists(st.text("abc_XYZ019.-", max_size=6), min_size=size,
+                                  max_size=size))
+            columns[name] = np.array([t.encode() for t in texts], dtype="S")
+        else:
+            elements = _FLOATS if kind == "float" else st.integers(-2**63, 2**63 - 1)
+            columns[name] = np.array(draw(st.lists(elements, min_size=size, max_size=size)),
+                                     np.float64 if kind == "float" else np.int64)
+    return columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_columns(), st.integers(5, 40))
+def test_csv_parts_read_as_a_plain_reference(columns, chunk):
+    # parts of 5..40 floats put part boundaries inside every column
+    with mock.patch.object(cli, "CSV_CHUNK", chunk):
+        assert "".join(cli._csv("t", columns)) == _plain_csv("t", columns)
 
 
 def _cli_process(*argv, stdout=subprocess.PIPE, **env):

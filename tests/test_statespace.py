@@ -154,6 +154,14 @@ def test_char_poly_vanishes_at_eigenvalues(default_rf):
     assert np.max(np.abs(vals)) <= 1e-6 * np.max(np.abs(k))
 
 
+def test_char_poly_overflow_raises_a_convergence_failure_not_a_warning():
+    # the trace recursion overflows at sigma = 1e100, which numpy would warn
+    # of (an error under this suite's filterwarnings) and return as NaN
+    A = build(compute_all(validate({"sigma": 1e100}))).A
+    with pytest.raises(ConvergenceFailure, match="characteristic polynomial is not finite"):
+        char_poly(A)
+
+
 # --- classification ----------------------------------------------------------
 
 def test_classify_examples():

@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nkji import text
 
@@ -18,8 +20,46 @@ def assert_reprs(x):
 
 def test_random_bit_patterns_read_as_repr():
     bits = np.random.default_rng(0).integers(0, 2**64, 200_000, dtype=np.uint64)
+    # and every normal power of two, whose interval is lopsided
+    bits = np.concatenate([bits, np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)])
     x = bits.view(np.float64)
-    assert_reprs(x[np.isfinite(x)])
+    with mock.patch.object(text, "_interval", wraps=text._interval) as spy:
+        assert_reprs(x[np.isfinite(x)])
+    # the interval ends take and leave each branch, on both words of g: the
+    # low word of g cp borrows where g shifted to the lower end is taken
+    # away, and carries where g shifted to the upper end is added
+    g1, g0, cp, el, er = spy.call_args.args
+    lopsided = el < er
+    assert lopsided.sum() == 2046
+    for g in (g1, g0):
+        borrow, carry = g * cp < g << el, g * cp + (g << er) < g << er
+        for taken in (borrow, carry, borrow[lopsided], carry[lopsided]):
+            assert taken.any() and not taken.all()
+
+
+def _rop(g1: int, g0: int, p: int) -> int:
+    """Schubfach's ``rop`` (the JDK's ``DoubleToDecimal.rop``) in integers."""
+    y, x1 = g1 * p, g0 * p >> 64
+    z = (y % 2**64 >> 1) + x1
+    return (y >> 64) + (z >> 63) | (z % 2**63 != 0)
+
+
+_WORDS = [0, 1, 2**31 + 1, 2**62, 2**63 - 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(_WORDS), st.integers(0, 2**63 - 1)),
+                          st.one_of(st.sampled_from(_WORDS), st.integers(0, 2**63 - 1)),
+                          st.integers(2**6, 2**60 - 1).map(lambda p: p & ~3),
+                          st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=20))
+@example([(0, 0, 16, 2, 2), (2**62, 2**62, 16, 2, 3), (1, 2**63 - 1, 2**60 - 4, 6, 6)])
+def test_interval_ends_are_rop_of_the_exact_products(cases):
+    # any words, not only the tables' 10**-k: zero low words make the
+    # borrow and the carry of each word meet their equality cases
+    g1, g0, cp, el, er = (np.array(col, np.uint64) for col in zip(*cases))
+    expected = [[_rop(*case[:2], p) for case, p in zip(cases, ps)] for ps in (
+        [c[2] - 2**c[3] for c in cases], [c[2] for c in cases], [c[2] + 2**c[4] for c in cases])]
+    assert [end.tolist() for end in text._interval(g1, g0, cp, el, er)] == expected
 
 
 @settings(max_examples=200, deadline=None)
