@@ -10,6 +10,7 @@ Each ``cmd_*(args, p)`` returns a JSON object (a dict) or a CSV table
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -104,8 +105,8 @@ def _csv(header: str, columns: dict[str, Sequence | Callable]) -> Iterator[str]:
         rows = np.arange(start, min(start + step, n))
         chunks = [col(rows) if callable(col) else col[start:start + step]
                   for col in columns.values()]
-        floats = _cells(np.concatenate(
-            [chunk for chunk, in_batch in zip(chunks, batched) if in_batch] or [np.empty(0)]))
+        batch = [chunk for chunk, in_batch in zip(chunks, batched) if in_batch]
+        floats = _cells(np.concatenate(batch)) if batch else None
         cells, used = [], 0
         for chunk, in_batch in zip(chunks, batched):
             cells.append(floats[used:used + len(chunk)] if in_batch else _cells(chunk))
@@ -274,13 +275,16 @@ def cmd_sweep(args, p) -> tuple[str, dict]:
     result = statespace.sweep(p, args.axis1, args.axis2,
                               n_pre=args.n_pre, tau=args.tol, workers=args.workers)
     (name1, grid1), (name2, grid2) = result.axis1, result.axis2
-    # each text is made once and repeated: a cell's counts are -1 (not
-    # solved: an empty cell) to the system's order
+    # each text is made once and repeated: a grid value's, and a cell's
+    # counts, -1 (not solved: an empty cell) to the system's order
+    values1, values2 = (text.floats(grid).view(f"S{text.WIDTH}").ravel()
+                        for grid in (grid1, grid2))
     digits, verdicts = (np.array(texts, dtype="S") for texts in (
         ["", *map(str, range(statespace.ORDER + 1))], statespace.SWEEP_VERDICTS))
     counts = digits[result.counts + 1]
     return "sweep", {
-        name1: np.repeat(grid1, len(grid2)), name2: np.tile(grid2, len(grid1)),
+        name1: lambda rows: values1[rows // len(grid2)],
+        name2: lambda rows: values2[rows % len(grid2)],
         "stable": counts[:, 0], "unstable": counts[:, 1], "borderline": counts[:, 2],
         "verdict": verdicts[result.verdicts]}
 
@@ -303,16 +307,41 @@ def cmd_audit(args, p) -> dict:
     return obj
 
 
+class _Subparser:
+    """A subcommand's parser, made with its arguments and defaults only when
+    argparse first uses it.  A run parses one subcommand, so the others cost
+    a list each and no ``ArgumentParser``."""
+
+    def __init__(self, **kwargs):
+        self._kwargs, self._calls = kwargs, []
+
+    def add_argument(self, *args, **kwargs) -> None:
+        self._calls.append((argparse.ArgumentParser.add_argument, args, kwargs))
+
+    def set_defaults(self, **kwargs) -> None:
+        self._calls.append((argparse.ArgumentParser.set_defaults, (), kwargs))
+
+    @functools.cached_property
+    def _parser(self) -> argparse.ArgumentParser:
+        parser = argparse.ArgumentParser(**self._kwargs)
+        for method, args, kwargs in self._calls:
+            method(parser, *args, **kwargs)
+        return parser
+
+    def __getattr__(self, name):   # argparse parses with it or prints its help
+        return getattr(self._parser, name)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nkji",
         description="Solve, simulate and stress-test a small rational-"
                     "expectations New Keynesian model with an information-"
                     "disclosure channel and job-insecurity dynamics.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
     n_pres = range(statespace.ORDER + 1)   # 0 up to every state predetermined
 
-    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+    def command(name: str, run, help: str) -> _Subparser:
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(run=run)
         sp.add_argument("--calib", type=_path, metavar="PATH",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import logging
 import math
 import operator
 from dataclasses import dataclass
@@ -20,7 +19,6 @@ import numpy as np
 
 from . import slots
 
-log = logging.getLogger(__name__)
 
 #: Absolute tolerance below which a structural denominator counts as singular.
 EPS_SING = 1e-10
@@ -214,9 +212,12 @@ def validate(raw: Mapping[str, Any] | StructuralParams) -> StructuralParams:
 
     missing = [name for name in FIELD_NAMES if name not in raw]
     if raw and missing:
-        # a partial specification: say which fields fell back to defaults
-        log.debug("filling %d missing parameter(s) from defaults: %s",
-                  len(missing), ", ".join(missing))
+        # a partial specification: say which fields fell back to defaults.
+        # logging is imported here, as no other run needs it
+        import logging
+
+        logging.getLogger(__name__).debug("filling %d missing parameter(s) from defaults: %s",
+                                          len(missing), ", ".join(missing))
 
     values: dict[str, float] = {}
     bad_value: list[Violation] = []

@@ -17,6 +17,8 @@ digits turns the bytes that are not text into NULs.
 from __future__ import annotations
 
 import functools
+from itertools import accumulate, repeat
+from operator import add, and_, floordiv, lshift, mul, rshift
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,16 +38,19 @@ _LOW63 = _U64(2**63 - 1)
 def _masks() -> np.ndarray:
     """Which of a cell's bytes hold the text, by layout class, count of
     significant digits (1..17) and sign, as 0 or 1 bytes."""
-    cls, count, neg, col = np.ix_(range(_CLASSES), range(1, _DIGITS + 1), range(2), range(WIDTH))
-    decpt, exponent = cls - 3, cls == 20
+    col, n = np.arange(WIDTH), np.arange(_DIGITS + 1)[:, None]
+    digit_cols = (col >= 6) & (col < 6 + 2 * n) & (col % 2 == 0)   # by the count of digits
+    point_cols = (col == 5 + 2 * n) & (n > 0)   # by the digit the point follows
+    decpt, count = np.arange(-3, _CLASSES - 3)[:, None], np.arange(1, _DIGITS + 1)
+    exponent = decpt == 17
     point = np.where(exponent, count > 1, decpt)   # the point after this digit, if above 0
     digits = np.maximum(count, point + 1)   # '.0' on an integral value
-    keep = ((col == 0) & (neg == 1)
-            | (col >= 1) & (col < 3 - decpt) & (decpt <= 0)   # '0.' and -decpt zeros
-            | (col == 5 + 2 * point) & (point > 0)
-            | (col >= 6) & (col < 6 + 2 * digits) & (col % 2 == 0)
+    lead = ((col >= 1) & (col < 3 - decpt) & (decpt <= 0)   # '0.' and -decpt zeros
             | exponent & (col >= 40))   # 'e', its sign and digits, then NULs
-    return keep.reshape(-1, WIDTH).astype(np.uint8)
+    keep = digit_cols[digits] | point_cols[np.maximum(point, 0)] | lead[:, None]
+    keep = np.repeat(keep, 2, axis=1)   # positive, then negative
+    keep[:, 1::2, 0] = True   # '-'
+    return keep.reshape(-1, WIDTH).view(np.uint8)
 
 
 @functools.cache
@@ -54,25 +59,45 @@ def _tables() -> SimpleNamespace:
     63, the words of a cell's text, the significant digits of a 4-digit
     group, and the masks."""
     # 10**-k = beta 2**r with 2**125 <= beta < 2**126, r = flog2pow10(-k) - 125,
-    # and g = floor(beta) + 1; k = -324..0, then 1..292
-    g = ([(10**n << 125 >> (n * 913_124_641_741 >> 38)) + 1 for n in range(-_K_MIN, -1, -1)]
-         + [(1 << 125 - (-k * 913_124_641_741 >> 38)) // 10**k + 1 for k in range(1, 293)])
-    quads = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + np.uint8(ord("0"))
-    dotted = np.full((10_000, 8), ord("."), np.uint8)
-    dotted[:, ::2] = quads
-    i = np.arange(10_000)
-    significant = np.where(i > 0, 4 - (i % 10 == 0) - (i % 100 == 0) - (i % 1000 == 0), -_DIGITS)
+    # and g = floor(beta) + 1; k = -324..0, then 1..292.  The maps keep the
+    # 617 big-integer steps out of the interpreter's loop
+    r = (np.arange(-_K_MIN, -293, -1) * 913_124_641_741 >> 38).tolist()
+    powers = list(accumulate(repeat(10, -_K_MIN), mul, initial=1))   # 10**0..10**324
+    beta = [*map(rshift, map(lshift, reversed(powers), repeat(125)), r[:1 - _K_MIN]),
+            *map(floordiv, map(lshift, repeat(1), [125 - x for x in r[1 - _K_MIN:]]),
+                 powers[1:293])]
+    g = list(map(add, beta, repeat(1)))
+    # 'd.d.d.d.' for each 4-digit group 0000..9999
+    dotted = np.full((10,) * 4 + (8,), ord("."), np.uint8)
+    digits = np.arange(ord("0"), ord("9") + 1)
+    for place in range(4):
+        dotted[..., 2 * place] = digits.reshape((10,) + (1,) * (3 - place))
+    dotted = dotted.reshape(-1, 8)
+    # a group's significant digits, 4 less its trailing zeros, built up from
+    # the last digit; the group 0, the first words and exponent words have none
+    significant = np.array([3] + [4] * 9)
+    for leading in (2, 1, -_DIGITS):   # a group ending in 2, 3, 4 zeros
+        significant = np.tile(significant, 10)
+        significant[0] = leading
+    # 'e+XX' and 'e+XXX' for exponents -308..308
+    e = np.arange(-308, 309)
+    exponents = np.zeros((e.size, 8), np.uint8)
+    exponents[:, 0] = ord("e")
+    exponents[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    exponents[:, 2:5] = np.abs(e)[:, None] // [100, 10, 1] % 10 + ord("0")
+    short = np.abs(e) < 100
+    exponents[short, 2:5] = exponents[short, 3:6]   # two digits, then NULs
     t = SimpleNamespace(
-        g1=np.array([x >> 63 for x in g], _U64),
-        g0=np.array([x & (2**63 - 1) for x in g], _U64),
+        g1=np.fromiter(map(rshift, g, repeat(63)), _U64, len(g)),
+        g0=np.fromiter(map(and_, g, repeat(2**63 - 1)), _U64, len(g)),
         # 4-digit groups and a NUL word, for integers
-        quads=np.append(quads.view(np.uint32), np.uint32(0)),
+        quads=np.append(np.ascontiguousarray(dotted[:, ::2]).view(np.uint32), np.uint32(0)),
         # a cell's words: 'd.d.d.d.' at 0, '-0.000d.' at _FIRSTS, 'e+XX' at _EXPONENTS
         words=np.concatenate([
             dotted.view(_U64).ravel(),
             np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), _U64),
-            np.array([b"e%+03d" % e for e in range(-308, 309)], "S8").view(_U64)]),
-        significant=np.append(significant, [-_DIGITS] * (10 + 617)),
+            exponents.view(_U64).ravel()]),
+        significant=np.append(significant, np.full(10 + 617, -_DIGITS)),
         masks=_masks().view(_U64) * _U64(0xFF),
         powers=_U64(10) ** np.arange(1, 20, dtype=_U64))
     # 0.0 and -0.0: the digits 0 at decpt 1
@@ -180,11 +205,14 @@ def floats(x: np.ndarray) -> np.ndarray:
     text = t.zeros.take(negative)   # 0.0 and -0.0 where not normal
     text[normal] = words.view("V48").ravel()
     text = text.view(np.uint8).reshape(-1, WIDTH)
-    # subnormals (0 < |x| < 2**-1022) take repr: their shorter digits would
-    # cost every value on the array path a digit-count normalization
-    for i in np.flatnonzero((bits & _LOW63) - _U64(1) < _U64(2**52 - 1)):
-        fallback = repr(float(x.flat[i])).encode()
-        text[i] = np.frombuffer(fallback.ljust(WIDTH, b"\0"), np.uint8)
+    # subnormals (0 < |x| < 2**-1022) take repr, once per value: their shorter
+    # digits would cost every value on the array path a digit-count normalization
+    subnormal = np.flatnonzero((bits & _LOW63) - _U64(1) < _U64(2**52 - 1))
+    if subnormal.size:
+        values, which = np.unique(bits.take(subnormal), return_inverse=True)
+        fallback = np.array([repr(v).encode() for v in values.view(np.float64).tolist()],
+                            f"S{WIDTH}")
+        text[subnormal] = fallback.view(np.uint8).reshape(-1, WIDTH).take(which, axis=0)
     return text
 
 

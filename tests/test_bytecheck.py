@@ -32,7 +32,7 @@ def test_cli_bytes_match_the_recorded_digests(capfdbinary, monkeypatch):
     moved = []
     for n, (argv, want) in enumerate(zip(COMMANDS, recorded["commands"])):
         compared = [key for key in ("code", "stdout", "stderr")
-                    if native or key not in KERNEL_STREAMS.get(argv[0], ())]
+                    if native or key not in KERNEL_STREAMS.get("".join(argv[:1]), ())]
         try:
             code = main(list(argv))
         except SystemExit as exit_:   # argparse's usage errors

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -224,6 +225,22 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_a_run_builds_only_the_subcommand_it_names(monkeypatch, capsys):
+    made = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: made.append(kwargs["prog"])
+                        or init(self, *args, **kwargs))
+    cli.build_parser().parse_args(["sweep", "--axis1", "k:0:1:2", "--axis2", "s0:0:1:2"])
+    assert made == ["nkji", "nkji sweep"]
+    # the top level's help, usage and choice errors need no subcommand
+    for argv in (["-h"], [], ["frobnicate"]):
+        made.clear()
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        assert made == ["nkji"]
 
 
 def test_shocks_csv(tmp_path):

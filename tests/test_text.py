@@ -101,6 +101,27 @@ def test_only_subnormals_fall_back_to_repr(monkeypatch):
     monkeypatch.setattr(text, "repr", lambda v: calls.append(v) or repr(v), raising=False)
     assert_reprs([0.0, -0.0, 2.0**-1022, -(2.0**-1022), 5e-324, -2.225073858507201e-308, 1.0])
     assert calls == [5e-324, -2.225073858507201e-308]
+    # a repeated subnormal takes one repr call, whatever its count and places
+    calls.clear()
+    assert_reprs([5e-324, -5e-324, 1e-310, 5e-324, 1.0, -5e-324, 1e-310, 5e-324])
+    assert sorted(calls) == [-5e-324, 5e-324, 1e-310]
+
+
+def test_tables_hold_their_definitions():
+    t = text._tables()
+    for k, g1, g0 in zip(range(-324, 293), t.g1.tolist(), t.g0.tolist()):
+        # 10**-k = beta 2**r with 2**125 <= beta < 2**126, and g = floor(beta) + 1
+        p = 10**abs(k)
+        beta = p << 125 >> p.bit_length() - 1 if k <= 0 else (1 << 125 + p.bit_length()) // p
+        assert 2**125 <= beta < 2**126 and g1 << 63 | g0 == beta + 1
+    groups = [b"%04d" % i for i in range(10_000)]
+    assert t.quads.tobytes() == b"".join(groups) + bytes(4)
+    assert t.words.tobytes() == b"".join(
+        [*(bytes(c for digit in group for c in (digit, ord("."))) for group in groups),
+         *(b"-0.000%d." % d for d in range(10)),
+         *((b"e%+03d" % e).ljust(8, b"\0") for e in range(-308, 309))])
+    significant = [len(group.rstrip(b"0")) or -17 for group in groups] + [-17] * 627
+    assert t.significant.tolist() == significant
 
 
 def test_cells_have_a_fixed_width():

@@ -217,6 +217,14 @@ SINGLE = (
     # characteristic coefficients that overflow where the eigen-solve
     # passes: a numerical failure
     ["determinacy", "--param", "sigma=1e100"],
+    # help and usage texts: the top level and each subcommand's help, a
+    # missing subcommand, missing required options and a missing value
+    ["-h"],
+    *([command, "-h"] for command in ("coeffs", "shocks", "simulate", "irf", "transparency",
+                                      "determinacy", "sweep", "audit")),
+    [],
+    ["sweep"],
+    ["audit", "--draws"],
 )
 
 # every determinacy command takes its eigenvalues from the eigen-solve
